@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import DomainError
-from .objectives import ordered_dot
+from .objectives import fk_array, ordered_dot
 
 EASY, HARD = "easy", "hard"
 
@@ -99,6 +98,20 @@ class PromptBatch:
     @property
     def hard_mask(self) -> np.ndarray:
         return self.labels == HARD
+
+
+def expit(u):
+    """Logistic sigmoid 1 / (1 + exp(-u)); exp only sees -|u|, so it
+    never overflows."""
+    u = np.asarray(u, dtype=float)
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def logit(p):
+    """Inverse of expit: log(p / (1 - p)), elementwise."""
+    p = np.asarray(p, dtype=float)
+    return np.log(p) - np.log1p(-p)
 
 
 def _check_theta(theta) -> np.ndarray:
@@ -238,8 +251,6 @@ def empirical_hard_fraction(batch: PromptBatch) -> float:
 
 def batch_objective(theta, batch: PromptBatch, k: int) -> float:
     """Mass-uniform k-attempt objective over the batch (exact closed form)."""
-    from .objectives import fk_array
-
     p = success_probs(theta, batch)
     n = len(batch)
     return ordered_dot(np.full(n, 1.0 / n), fk_array(p, k))

@@ -41,7 +41,7 @@ from .gradlog import (
     scatter_export,
 )
 from .interference import GradientTable, kernel_matrix, kernel_matrix_to_csv
-from .objectives import SuccessProfile
+from .objectives import SuccessProfile, wk
 from .optimizer import ascent_step, evaluate_state, run_trajectory, trajectory_to_csv
 from .serialization import fmt, write_json
 
@@ -66,11 +66,18 @@ def _resolve(args, spec: dict, config: dict):
         if getattr(args, name) is not None:
             continue
         if name in config:
-            setattr(args, name, cast(config[name]))
+            source, value = f"config key {name}", config[name]
         elif name == "seed" and "PASSK_SEED" in os.environ:
-            setattr(args, name, int(os.environ["PASSK_SEED"]))
+            source, value = "PASSK_SEED", os.environ["PASSK_SEED"]
         else:
             setattr(args, name, default)
+            continue
+        try:
+            setattr(args, name, cast(value))
+        except ValueError:
+            raise PassKLabError(
+                f"{source}: expected {cast.__name__}, got {value!r}"
+            ) from None
 
 
 def _write_manifest(out_dir: Path, command: str, params: dict, inputs, outputs):
@@ -109,9 +116,6 @@ def cmd_toy_demo(args, config) -> int:
     g = grad_success_probs(theta, batch)
     psi_e, psi_h = batch.features
     g_e, g_h = g
-    cos = lambda a, b: float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-    n = len(batch)
     table = GradientTable.uniform(g, ids=batch.ids)
     profile = SuccessProfile.uniform(p, ids=batch.ids)
     report = conflict_report(
@@ -119,22 +123,19 @@ def cmd_toy_demo(args, config) -> int:
         constants=policy_regularity_constants(batch),
     )
 
-    before = evaluate_state(theta, batch, k, margin=args.margin)
-    theta_plus, _ = ascent_step(theta, batch, k, eta, margin=args.margin)
+    theta_plus, before = ascent_step(theta, batch, k, eta, margin=args.margin)
     after = evaluate_state(theta_plus, batch, k, margin=args.margin)
-
-    from .objectives import wk
 
     result = {
         "theta_ref": [float(v) for v in theta],
         "p_easy": float(p[0]),
         "p_hard": float(p[1]),
-        "cos_features": cos(psi_e, psi_h),
+        "cos_features": _cosine(psi_e, psi_h),
         "kernel_easy_hard": float(g_e @ g_h),
-        "cos_grads": cos(g_e, g_h),
+        "cos_grads": _cosine(g_e, g_h),
         "w_easy": wk(float(p[0]), k),
         "w_hard": wk(float(p[1]), k),
-        "cos_grad_j1_grad_jk": _grad_cosine(table, profile, k),
+        "cos_grad_j1_grad_jk": _cosine(before.grad_k, table.mean_grad),
         "inner_product": report.inner_product,
         "delta_bound": report.delta_bound,
         "k": k,
@@ -160,13 +161,9 @@ def cmd_toy_demo(args, config) -> int:
     return 0
 
 
-def _grad_cosine(table, profile, k) -> float:
-    from .conflict import assemble_passk_gradient
-
-    gk = assemble_passk_gradient(table, profile, k)
-    g1 = table.mean_grad
-    denom = np.linalg.norm(gk) * np.linalg.norm(g1)
-    return float(gk @ g1 / denom) if denom > 0 else 0.0
+def _cosine(a, b) -> float:
+    denom = np.linalg.norm(a) * np.linalg.norm(b)
+    return float(a @ b / denom) if denom > 0 else 0.0
 
 
 HEATMAP_SPEC = {
@@ -378,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _read_config(args.config) if args.config else {}
     try:
+        config = _read_config(args.config) if args.config else {}
         return args.func(args, config)
     except IdentityCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ from .objectives import (
     PassKWeights,
     SuccessProfile,
     ordered_dot,
+    weighted_row_sum,
     wk_array,
     _pow_one_minus,
 )
@@ -103,11 +104,7 @@ def assemble_passk_gradient(
     table: GradientTable, profile: SuccessProfile, k: int
 ) -> np.ndarray:
     """Population k-attempt gradient: mass-weighted sum of w_k * row."""
-    weights = wk_array(profile.probs, k)
-    out = np.zeros(table.dim)
-    for i in range(len(table)):
-        out += table.mass[i] * weights[i] * table.grads[i]
-    return out
+    return weighted_row_sum(table.mass * wk_array(profile.probs, k), table.grads)
 
 
 def conflict_report(

@@ -13,13 +13,13 @@ gradients themselves is out of scope; any model or process may write them.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, GradLogError, IdentityCheckError
-from .objectives import wk_array
+from .objectives import ordered_dot, weighted_row_sum, wk_array
 from .serialization import write_csv, write_json
 
 
@@ -94,23 +94,14 @@ class DiagReport:
     rows: tuple  # (prompt_id, pass1, agreement, weight, contribution, tag)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n_hard": self.n_hard,
-            "n_easy": self.n_easy,
-            "ratio": self.ratio,
-            "unweighted_mean_agreement": self.unweighted_mean_agreement,
-            "weighted_mean_agreement": self.weighted_mean_agreement,
-            "mean_shift": self.mean_shift,
-            "mean_weight": self.mean_weight,
-            "inner_product": self.inner_product,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
 
 
 def load_gradlog(path) -> list[GradLogRecord]:
     """Parse and validate a gradient log, reporting offending line numbers."""
     path = Path(path)
     records: list[GradLogRecord] = []
+    first_line: dict[str, int] = {}  # prompt_id -> line it first appeared on
     dim: int | None = None
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -140,6 +131,12 @@ def load_gradlog(path) -> list[GradLogRecord]:
                     f"{path}: line {lineno}: gradient dimension {rec.grad.size} "
                     f"differs from {dim}"
                 )
+            if rec.prompt_id in first_line:
+                raise GradLogError(
+                    f"{path}: line {lineno}: duplicate prompt_id "
+                    f"{rec.prompt_id!r} (first on line {first_line[rec.prompt_id]})"
+                )
+            first_line[rec.prompt_id] = lineno
             records.append(rec)
     if not records:
         raise GradLogError(f"{path}: empty gradient log")
@@ -192,7 +189,7 @@ def _prompt_masses(records) -> np.ndarray:
             "either every filtered record must carry a mass or none may"
         )
     mass = np.array(supplied, dtype=float)
-    total = mass.sum()
+    total = ordered_dot(mass, np.ones_like(mass))
     if total <= 0:
         raise DomainError("record masses must not all be zero")
     return mass / total
@@ -213,19 +210,16 @@ def diagnose(filtered: FilteredLog, k: int) -> DiagReport:
     grads = np.stack([rec.grad for rec in filtered.records])
     pass1 = np.array([rec.pass1 for rec in filtered.records])
     mass = _prompt_masses(filtered.records)
-    mean_grad = np.zeros(grads.shape[1])
-    for i in range(n):
-        mean_grad += mass[i] * grads[i]
-    agreements = grads @ mean_grad
+    agreements = grads @ weighted_row_sum(mass, grads)
     weights = wk_array(pass1, k)
     contributions = weights * agreements
 
     # expectations normalized by the float mass total, so constant weights
     # give a mean of exactly 1 and the k=1 shift is exactly zero
-    denom = float(mass @ np.ones(n))
-    unweighted = float(mass @ agreements) / denom
-    mean_weight = float(mass @ weights) / denom
-    inner_product = float(mass @ contributions) / denom
+    denom = ordered_dot(mass, np.ones(n))
+    unweighted = ordered_dot(mass, agreements) / denom
+    mean_weight = ordered_dot(mass, weights) / denom
+    inner_product = ordered_dot(mass, contributions) / denom
     if mean_weight == 0.0:
         raise DomainError("all pass@k weights are zero on the filtered set")
     weighted = inner_product / mean_weight
@@ -233,7 +227,7 @@ def diagnose(filtered: FilteredLog, k: int) -> DiagReport:
 
     scale = max(
         abs(inner_product),
-        float(mass @ (weights * np.abs(agreements))) / denom,
+        ordered_dot(mass, weights * np.abs(agreements)) / denom,
         1e-300,
     )
     if abs(weighted * mean_weight - inner_product) > 1e-10 * scale:

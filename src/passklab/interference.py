@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DomainError, IdentityCheckError
-from .objectives import PassKWeights, SuccessProfile, ordered_dot, ordered_sum
+from .objectives import (
+    PassKWeights,
+    SuccessProfile,
+    check_mass,
+    ordered_dot,
+    weighted_row_sum,
+)
 from .serialization import write_csv
 
 ZERO_NORM = 1e-15
@@ -38,9 +44,8 @@ class GradientTable:
             raise DomainError("grads, mass, and ids must share length n")
         if np.any(~np.isfinite(grads)):
             raise DomainError("gradient entries must be finite")
-        if np.any(mass < 0) or abs(ordered_sum(mass) - 1.0) > 1e-12:
-            raise DomainError("mass must be nonnegative and sum to 1 within 1e-12")
-        mean = _ordered_row_mean(mass, grads)
+        check_mass(mass)
+        mean = weighted_row_sum(mass, grads)
         if self.mean_grad is not None:
             supplied = np.asarray(self.mean_grad, dtype=float)
             if supplied.shape != mean.shape or np.max(np.abs(supplied - mean)) > 1e-12:
@@ -64,14 +69,6 @@ class GradientTable:
         if ids is None:
             ids = tuple(str(i) for i in range(n))
         return cls(grads=grads, mass=np.full(n, 1.0 / n), ids=tuple(ids))
-
-
-def _ordered_row_mean(mass, grads) -> np.ndarray:
-    """Mass-weighted row sum accumulated in ascending index order."""
-    out = np.zeros(grads.shape[1])
-    for i in range(grads.shape[0]):
-        out += mass[i] * grads[i]
-    return out
 
 
 def kernel(g1, g2) -> float:

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
-from .bandit import PromptBatch, _check_theta
+from .bandit import PromptBatch, _check_theta, expit
 from .errors import DomainError
-from .objectives import SuccessProfile, wk_array
+from .objectives import SuccessProfile, weighted_row_sum, wk_array
 
 
 @dataclass(frozen=True)
@@ -100,10 +99,11 @@ def sample_actions(theta, batch: PromptBatch, n: int, seed: int) -> SampleSet:
     theta = _check_theta(theta)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    sigs = expit(batch.features @ theta).tolist()
     blocks = []
     for i, pid in enumerate(batch.ids):
         psi = batch.features[i]
-        sig = float(expit(theta @ psi))
+        sig = sigs[i]
         rng = prompt_rng(seed, pid)
         actions = (rng.random(n) < sig).astype(int)
         rewards = (actions == batch.correct_actions[i]).astype(float)
@@ -139,11 +139,8 @@ def mc_grad_passk(samples: SampleSet, profile: SuccessProfile, k: int) -> np.nda
     """
     if tuple(profile.ids) != samples.ids:
         raise DomainError("profile ids must match the sample set ids in order")
-    weights = wk_array(profile.probs, k)
-    out = np.zeros(samples.dim)
-    for i, block in enumerate(samples.blocks):
-        out += profile.mass[i] * weights[i] * mc_grad_pass1(samples, block.prompt_id)
-    return out
+    grads = np.stack([mc_grad_pass1(samples, pid) for pid in samples.ids])
+    return weighted_row_sum(profile.mass * wk_array(profile.probs, k), grads)
 
 
 def export_samples(samples: SampleSet, path) -> None:
@@ -164,8 +161,8 @@ def export_samples(samples: SampleSet, path) -> None:
 def import_samples(path) -> SampleSet:
     """Read a sample set written by export_samples (order-preserving)."""
     path = Path(path)
-    order: list[str] = []
-    acc: dict[str, list] = {}
+    acc: dict[str, list] = {}  # prompt_id -> rows, in first-seen order
+    dim: int | None = None
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -174,24 +171,29 @@ def import_samples(path) -> SampleSet:
             try:
                 rec = json.loads(line)
                 pid = str(rec["prompt_id"])
-                row = (int(rec["action"]), float(rec["reward"]), rec["score"])
+                action, reward = rec["action"], float(rec["reward"])
+                score = [float(v) for v in rec["score"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"line {lineno}: bad sample record ({exc})") from exc
-            if pid not in acc:
-                acc[pid] = []
-                order.append(pid)
-            acc[pid].append(row)
-    if not order:
+            if action not in (0, 1):
+                raise DomainError(f"line {lineno}: action must be 0 or 1, got {action!r}")
+            if dim is None:
+                dim = len(score)
+            elif len(score) != dim:
+                raise DomainError(
+                    f"line {lineno}: score dimension {len(score)} differs from {dim}"
+                )
+            acc.setdefault(pid, []).append((int(action), reward, score))
+    if not acc:
         raise DomainError(f"{path}: empty sample file")
-    blocks = []
-    for pid in order:
-        rows = acc[pid]
-        blocks.append(
+    return SampleSet(
+        blocks=tuple(
             PromptSamples(
                 prompt_id=pid,
                 actions=np.array([r[0] for r in rows]),
                 rewards=np.array([r[1] for r in rows]),
                 scores=np.array([r[2] for r in rows], dtype=float),
             )
+            for pid, rows in acc.items()
         )
-    return SampleSet(blocks=tuple(blocks))
+    )

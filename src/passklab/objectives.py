@@ -8,6 +8,7 @@ multi-attempt objectives put on each prompt.  Everything here is a pure
 function over immutable inputs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,24 +87,34 @@ def wk_array(probs: np.ndarray, k: int) -> np.ndarray:
     return k * _pow_one_minus(np.asarray(probs, dtype=float), k - 1)
 
 
-def ordered_sum(values) -> float:
-    """Sum in ascending index order with a scalar accumulator.
-
-    Population expectations go through here so that golden outputs are
-    bit-stable regardless of vector width or thread count.
-    """
-    total = 0.0
-    for v in values:
-        total += float(v)
-    return total
-
-
 def ordered_dot(a, b) -> float:
-    """Ascending-index-order dot product (see ordered_sum)."""
-    total = 0.0
-    for x, y in zip(a, b, strict=True):
-        total += float(x) * float(y)
-    return total
+    """Correctly rounded sum of a[i] * b[i], for every scalar expectation.
+
+    math.fsum (Shewchuk 1997) rounds the exact sum once, so the result is
+    the same in any summation order, vector width or thread count.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1:
+        raise DomainError(f"need two equal-length vectors, got {a.shape}, {b.shape}")
+    return math.fsum((a * b).tolist())
+
+
+def weighted_row_sum(coef, rows) -> np.ndarray:
+    """sum_i coef[i] * rows[i], for every mass-weighted gradient sum.
+
+    einsum without optimize adds the rows in ascending index order, bit
+    for bit like a scalar loop and with no (n, d) temporary; a BLAS
+    product (coef @ rows) may group the sum by thread count.
+    """
+    return np.einsum("i,ij->j", coef, rows)
+
+
+def check_mass(mass: np.ndarray) -> None:
+    """Mass must be finite, nonnegative, and fsum to 1 within 1e-12."""
+    if np.any(~np.isfinite(mass)) or np.any(mass < 0):
+        raise DomainError("mass entries must be finite and nonnegative")
+    if abs(ordered_dot(mass, np.ones_like(mass)) - 1.0) > 1e-12:
+        raise DomainError("mass must sum to 1 within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -131,10 +142,7 @@ class SuccessProfile:
             raise DomainError("probs, mass, and ids must have equal length")
         if np.any(~np.isfinite(probs)) or np.any(probs < 0) or np.any(probs > 1):
             raise DomainError("every success probability must lie in [0, 1]")
-        if np.any(~np.isfinite(mass)) or np.any(mass < 0):
-            raise DomainError("mass entries must be finite and nonnegative")
-        if abs(ordered_sum(mass) - 1.0) > 1e-12:
-            raise DomainError("mass must sum to 1 within 1e-12")
+        check_mass(mass)
 
     def __len__(self) -> int:
         return self.probs.size

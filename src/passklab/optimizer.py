@@ -1,8 +1,8 @@
 """Gradient ascent on the k-attempt objective over a fixed toy batch.
 
-Each step moves theta along the exact population k-attempt gradient and
-records both objectives, their per-label restrictions, and the conflict
-diagnostics at the pre-update point.
+Each step evaluates the population once at the pre-update point: both
+objectives, their per-label restrictions, the conflict diagnostics, and
+the exact population k-attempt gradient that the step then moves along.
 """
 
 from dataclasses import dataclass
@@ -19,10 +19,15 @@ from .bandit import (
     sample_prompts,
     success_probs,
 )
-from .conflict import conflict_report, max_safe_step, smoothness_constants
+from .conflict import (
+    assemble_passk_gradient,
+    conflict_report,
+    max_safe_step,
+    smoothness_constants,
+)
 from .errors import DomainError
 from .interference import GradientTable
-from .objectives import SuccessProfile, fk_array, ordered_dot, wk_array
+from .objectives import SuccessProfile, fk_array, ordered_dot
 from .serialization import write_csv
 
 TRAJECTORY_COLUMNS = (
@@ -42,6 +47,7 @@ TRAJECTORY_COLUMNS = (
 class TrajectoryRecord:
     step: int
     theta: np.ndarray
+    grad_k: np.ndarray  # population k-attempt gradient: the ascent direction
     j1_pop: float
     jk_pop: float
     j1_easy: float
@@ -52,17 +58,7 @@ class TrajectoryRecord:
     delta_bound: float
 
     def row(self) -> tuple:
-        return (
-            self.step,
-            self.j1_pop,
-            self.jk_pop,
-            self.j1_easy,
-            self.j1_hard,
-            self.jk_easy,
-            self.jk_hard,
-            self.inner_product,
-            self.delta_bound,
-        )
+        return tuple(getattr(self, name) for name in TRAJECTORY_COLUMNS)
 
 
 def _label_mean(values: np.ndarray, mask: np.ndarray) -> float:
@@ -94,6 +90,7 @@ def evaluate_state(
     return TrajectoryRecord(
         step=step,
         theta=theta.copy(),
+        grad_k=assemble_passk_gradient(table, profile, k),
         j1_pop=ordered_dot(mass, f1),
         jk_pop=ordered_dot(mass, fkv),
         j1_easy=_label_mean(f1, ~hard),
@@ -105,16 +102,11 @@ def evaluate_state(
     )
 
 
-def passk_gradient(theta, batch: PromptBatch, k: int) -> np.ndarray:
-    """Exact population k-attempt gradient over the batch."""
-    p = success_probs(theta, batch)
-    g = grad_success_probs(theta, batch)
-    w = wk_array(p, k)
-    n = len(batch)
-    out = np.zeros(2)
-    for i in range(n):
-        out += (w[i] / n) * g[i]
-    return out
+def _advance(record: TrajectoryRecord, step_size: float) -> np.ndarray:
+    """The parameter one step of the given size along record.grad_k."""
+    if np.any(~np.isfinite(record.grad_k)):
+        raise DomainError("nonfinite population gradient")
+    return record.theta + step_size * record.grad_k
 
 
 def ascent_step(
@@ -124,10 +116,7 @@ def ascent_step(
     if not eta > 0:
         raise DomainError(f"eta must be > 0, got {eta}")
     record = evaluate_state(theta, batch, k, margin=margin)
-    grad = passk_gradient(theta, batch, k)
-    if np.any(~np.isfinite(grad)):
-        raise DomainError("nonfinite population gradient")
-    return np.asarray(theta, dtype=float) + eta * grad, record
+    return _advance(record, eta), record
 
 
 def run_trajectory(
@@ -166,10 +155,7 @@ def run_trajectory(
             step_size = max_safe_step(record.delta_bound, c2, lk)
         else:
             step_size = eta
-        grad = passk_gradient(theta, batch, k)
-        if np.any(~np.isfinite(grad)):
-            raise DomainError("nonfinite population gradient")
-        theta = theta + step_size * grad
+        theta = _advance(record, step_size)
     records.append(evaluate_state(theta, batch, k, margin=margin, step=steps))
     return records
 

@@ -317,9 +317,7 @@ def test_criterion_7_smoothness_and_degradation_certificates():
 
 
 def _pop_gradient(theta, batch, k):
-    from passklab.optimizer import passk_gradient
-
-    return passk_gradient(theta, batch, k)
+    return evaluate_state(theta, batch, k).grad_k
 
 
 def test_criterion_8_trajectory_direction():

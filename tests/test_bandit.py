@@ -1,5 +1,8 @@
 """Toy environment tests: sampling, closed-form probabilities and gradients."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,8 +26,10 @@ from passklab.bandit import (
     HARD,
     batch_objective,
     empirical_hard_fraction,
+    expit,
     export_batch,
     import_batch,
+    logit,
     sigmoid_slope,
 )
 
@@ -107,6 +112,28 @@ class TestPolicy:
         vec = success_probs(theta, batch)
         for i in range(len(batch)):
             assert vec[i] == pytest.approx(success_prob(theta, batch[i]), abs=1e-15)
+
+
+class TestSigmoid:
+    def scalar_expit(self, u):
+        if u >= 0:
+            return 1.0 / (1.0 + math.exp(-u))
+        return math.exp(u) / (1.0 + math.exp(u))
+
+    def test_extreme_arguments_neither_overflow_nor_nan(self):
+        u = np.array([-710.0, -700.0, -30.0, -1.5, 0.0, 1.5, 30.0, 700.0, 710.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise"):
+                sig = expit(u)
+        assert not np.any(np.isnan(sig))
+        for ui, si in zip(u, sig, strict=True):
+            assert si == pytest.approx(self.scalar_expit(float(ui)), rel=1e-15, abs=0)
+
+    def test_logit_is_the_inverse_of_expit(self):
+        p = np.linspace(0.001, 0.999, 999)
+        np.testing.assert_allclose(expit(logit(p)), p, rtol=1e-14)
+        assert logit(0.5) == 0.0
 
 
 class TestGradients:

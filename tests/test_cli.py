@@ -255,6 +255,34 @@ class TestExitCodes:
         assert "internal check failed" in capsys.readouterr().err
 
 
+class TestUsageErrorsExitTwo:
+    """Each documented error path exits 2 with one line on stderr."""
+
+    def assert_one_line_error(self, argv, capsys, needle):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.cfg")
+        self.assert_one_line_error(["--config", missing, "kstar"], capsys, missing)
+
+    def test_malformed_config_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 3\njust words\n")
+        self.assert_one_line_error(["--config", str(cfg), "kstar"], capsys, "line 2")
+
+    def test_non_numeric_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = five\n")
+        self.assert_one_line_error(["--config", str(cfg), "toy-demo"], capsys, "'five'")
+
+    def test_bad_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("PASSK_SEED", "x")
+        self.assert_one_line_error(["kstar"], capsys, "PASSK_SEED")
+
+
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

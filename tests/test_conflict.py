@@ -29,7 +29,6 @@ from passklab import (
 from passklab.bandit import batch_objective
 from passklab.interference import GradientTable
 from passklab.objectives import ordered_dot, wk_array
-from passklab.optimizer import passk_gradient
 
 
 def random_case(rng, max_n=100, max_d=16):
@@ -418,7 +417,7 @@ class TestToySmoothnessCertificate:
             gap = abs(
                 batch_objective(theta2, batch, k)
                 - batch_objective(theta, batch, k)
-                - passk_gradient(theta, batch, k) @ (theta2 - theta)
+                - evaluate_state(theta, batch, k).grad_k @ (theta2 - theta)
             )
             assert gap <= lk / 2 * float(np.sum((theta2 - theta) ** 2)) + 1e-12
 
@@ -447,7 +446,7 @@ class TestDegradationCertificate:
                     j1_after = batch_objective(theta_plus, batch, 1)
                     jk_before = batch_objective(theta, batch, k)
                     jk_after = batch_objective(theta_plus, batch, k)
-                    grad_k = passk_gradient(theta, batch, k)
+                    grad_k = rec.grad_k
                     assert j1_after < j1_before
                     assert (
                         j1_after

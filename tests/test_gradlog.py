@@ -80,6 +80,16 @@ class TestLoadGradlog:
         with pytest.raises(GradLogError, match="line 2"):
             load_gradlog(path)
 
+    def test_duplicate_prompt_id_names_line(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        path.write_text(
+            '{"prompt_id": "a", "pass1": 0.5, "grad": [1.0]}\n'
+            '{"prompt_id": "b", "pass1": 0.5, "grad": [1.0]}\n'
+            '{"prompt_id": "a", "pass1": 0.2, "grad": [2.0]}\n'
+        )
+        with pytest.raises(GradLogError, match="line 3: duplicate prompt_id 'a'"):
+            load_gradlog(path)
+
     def test_nonfinite_gradient_rejected(self, tmp_path):
         path = tmp_path / "inf.jsonl"
         path.write_text('{"prompt_id": "a", "pass1": 0.5, "grad": [1e999]}\n')

@@ -265,6 +265,15 @@ class TestGradientTableValidation:
     def test_mass_must_normalize(self):
         with pytest.raises(DomainError):
             GradientTable(grads=np.ones((2, 2)), mass=np.array([0.7, 0.7]), ids=(0, 1))
+        # a NaN mass used to pass validation and give mean_grad = [nan, nan]
+        with pytest.raises(DomainError):
+            GradientTable(grads=np.ones((3, 2)), mass=[0.5, np.nan, 0.5], ids=(0, 1, 2))
+
+    def test_uniform_at_a_million_prompts(self):
+        n = 10**6
+        table = GradientTable.uniform(np.ones((n, 2)))
+        # the row sum is sequential, so only the n * eps error bound holds
+        np.testing.assert_allclose(table.mean_grad, [1.0, 1.0], rtol=n * 2.0**-53)
 
     def test_supplied_mean_checked(self):
         grads = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -236,3 +236,21 @@ class TestSampleIO:
         path.write_text('{"prompt_id": "a", "action": 1}\n')
         with pytest.raises(DomainError, match="line 1"):
             import_samples(path)
+
+    def test_action_outside_zero_one_names_line(self, tmp_path):
+        path = tmp_path / "action.jsonl"
+        path.write_text(
+            '{"prompt_id": "a", "action": 1, "reward": 1, "score": [0.5, 0.1]}\n'
+            '{"prompt_id": "a", "action": 7, "reward": 0, "score": [0.5, 0.1]}\n'
+        )
+        with pytest.raises(DomainError, match="line 2: action must be 0 or 1"):
+            import_samples(path)
+
+    def test_ragged_scores_name_line(self, tmp_path):
+        path = tmp_path / "ragged.jsonl"
+        path.write_text(
+            '{"prompt_id": "a", "action": 1, "reward": 1, "score": [0.5, 0.1]}\n'
+            '{"prompt_id": "a", "action": 0, "reward": 0, "score": [0.5]}\n'
+        )
+        with pytest.raises(DomainError, match="line 2: score dimension 1"):
+            import_samples(path)

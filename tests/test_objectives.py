@@ -16,7 +16,7 @@ from passklab import (
     unbiased_pass_at_k,
     wk,
 )
-from passklab.objectives import fk_array, wk_array
+from passklab.objectives import fk_array, ordered_dot, weighted_row_sum, wk_array
 
 
 def pow_oracle(base: float, n: int) -> float:
@@ -135,11 +135,46 @@ class TestSuccessProfile:
             SuccessProfile(probs=np.array([]), mass=np.array([]), ids=())
         with pytest.raises(DomainError):
             SuccessProfile(probs=np.array([0.5]), mass=np.array([1.0]), ids=("a", "b"))
+        with pytest.raises(DomainError):
+            SuccessProfile(probs=np.full(3, 0.5), mass=[0.5, np.nan, 0.5], ids="abc")
 
     def test_uniform_constructor(self):
         prof = SuccessProfile.uniform([0.2, 0.4, 0.9])
         assert prof.mass == pytest.approx([1 / 3] * 3)
         assert prof.ids == ("0", "1", "2")
+
+    def test_uniform_mass_sums_to_one_at_a_million_prompts(self):
+        # sequential summation drifts past 1e-12 from n = 10**5 on
+        prof = SuccessProfile.uniform(np.full(10**6, 0.5))
+        assert len(prof) == 10**6
+
+
+class TestReductionPrimitives:
+    def test_ordered_dot_is_the_correctly_rounded_sum(self):
+        # summed left to right, 1e16 + 1 rounds back to 1e16 and the 1 is lost
+        a = np.array([1e16, 1.0, -1e16, 3.0])
+        assert ordered_dot(a, np.ones(4)) == 4.0
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=1000), rng.normal(size=1000)
+        perm = rng.permutation(1000)
+        assert ordered_dot(x, y) == ordered_dot(x[perm], y[perm])
+        assert ordered_dot(x, y) == math.fsum((x * y).tolist())
+
+    def test_ordered_dot_rejects_mismatched_lengths(self):
+        with pytest.raises(DomainError):
+            ordered_dot([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (6000, 2), (10**5, 2), (17000, 256)])
+    def test_weighted_row_sum_matches_ascending_loop_bit_for_bit(self, n, d):
+        rng = np.random.default_rng(n + d)
+        coef = rng.random(n) / n
+        rows = rng.normal(size=(n, d))
+        expected = np.zeros(d)
+        for i in range(n):
+            expected += coef[i] * rows[i]
+        got = weighted_row_sum(coef, rows)
+        assert got.shape == (d,)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestPassKWeights:

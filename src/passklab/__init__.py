@@ -68,7 +68,6 @@ from .mc import (
     sample_actions,
 )
 from .objectives import (
-    PassKWeights,
     SuccessProfile,
     fk,
     pass_at_k,

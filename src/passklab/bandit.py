@@ -53,6 +53,8 @@ class PromptInstance:
         object.__setattr__(self, "features", feats)
         if feats.shape != (2,) or feats[0] != 1.0:
             raise DomainError("features must be [1.0, s]")
+        if not np.isfinite(feats[1]):
+            raise DomainError(f"feature s must be finite, got {feats[1]}")
         if self.label not in (EASY, HARD):
             raise DomainError(f"label must be easy or hard, got {self.label!r}")
         expected = 0 if self.label == EASY else 1
@@ -273,7 +275,8 @@ def export_batch(batch: PromptBatch, path) -> None:
 def import_batch(path) -> PromptBatch:
     """Read a batch written by export_batch."""
     path = Path(path)
-    ids, feats, labels, actions = [], [], [], []
+    first_line: dict[str, int] = {}  # id -> line it first appeared on
+    feats, labels, actions = [], [], []
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -281,16 +284,29 @@ def import_batch(path) -> PromptBatch:
                 continue
             try:
                 rec = json.loads(line)
-                ids.append(str(rec["id"]))
-                feats.append([float(v) for v in rec["psi"]])
-                labels.append(str(rec["label"]))
-                actions.append(int(rec["correct_action"]))
+                pid, action = str(rec["id"]), rec["correct_action"]
+                if action not in (0, 1):
+                    raise ValueError(f"correct_action must be 0 or 1, got {action!r}")
+                inst = PromptInstance(
+                    features=[float(v) for v in rec["psi"]],
+                    label=str(rec["label"]),
+                    correct_action=int(action),
+                )
             except (KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"line {lineno}: bad batch record ({exc})") from exc
-    if not ids:
+            if pid in first_line:
+                raise DomainError(
+                    f"line {lineno}: duplicate id {pid!r} "
+                    f"(first on line {first_line[pid]})"
+                )
+            first_line[pid] = lineno
+            feats.append(inst.features)
+            labels.append(inst.label)
+            actions.append(inst.correct_action)
+    if not first_line:
         raise DomainError(f"{path}: empty batch file")
     return PromptBatch(
-        ids=tuple(ids),
+        ids=tuple(first_line),
         features=np.asarray(feats, dtype=float),
         labels=np.asarray(labels),
         correct_actions=np.asarray(actions, dtype=int),

@@ -22,12 +22,11 @@ from .bandit import (
     DEFAULT_SEED,
     DEFAULT_SEPARATION,
     overlap_pair,
-    policy_regularity_constants,
     grad_success_probs,
     sample_prompts,
     success_probs,
 )
-from .conflict import conflict_bound, conflict_report, k_star
+from .conflict import conflict_bound, k_star
 from .errors import IdentityCheckError, PassKLabError
 from .gradlog import (
     FilterSpec,
@@ -37,11 +36,11 @@ from .gradlog import (
     load_gradlog,
     make_synthetic_conflict_log,
     report_rows_to_csv,
+    report_scatter_to_csv,
     report_to_json,
-    scatter_export,
 )
 from .interference import GradientTable, kernel_matrix, kernel_matrix_to_csv
-from .objectives import SuccessProfile, wk
+from .objectives import wk
 from .optimizer import ascent_step, evaluate_state, run_trajectory, trajectory_to_csv
 from .serialization import fmt, write_json
 
@@ -117,11 +116,6 @@ def cmd_toy_demo(args, config) -> int:
     psi_e, psi_h = batch.features
     g_e, g_h = g
     table = GradientTable.uniform(g, ids=batch.ids)
-    profile = SuccessProfile.uniform(p, ids=batch.ids)
-    report = conflict_report(
-        table, profile, k, margin=args.margin,
-        constants=policy_regularity_constants(batch),
-    )
 
     theta_plus, before = ascent_step(theta, batch, k, eta, margin=args.margin)
     after = evaluate_state(theta_plus, batch, k, margin=args.margin)
@@ -136,8 +130,8 @@ def cmd_toy_demo(args, config) -> int:
         "w_easy": wk(float(p[0]), k),
         "w_hard": wk(float(p[1]), k),
         "cos_grad_j1_grad_jk": _cosine(before.grad_k, table.mean_grad),
-        "inner_product": report.inner_product,
-        "delta_bound": report.delta_bound,
+        "inner_product": before.inner_product,
+        "delta_bound": before.delta_bound,
         "k": k,
         "eta": eta,
         "j1_before": before.j1_pop,
@@ -147,7 +141,7 @@ def cmd_toy_demo(args, config) -> int:
     }
     for key, value in result.items():
         print(f"{key} = {fmt(value) if isinstance(value, float) else value}")
-    direction = "conflict" if report.inner_product < 0 else "no conflict"
+    direction = "conflict" if before.inner_product < 0 else "no conflict"
     print(f"gradient direction: {direction}")
 
     if args.out is not None:
@@ -293,7 +287,7 @@ def cmd_diagnose(args, config) -> int:
     scatter_path = out_dir / "scatter.csv"
     report_to_json(report, report_path)
     report_rows_to_csv(report, rows_path)
-    scatter_export(filtered, args.k, scatter_path)
+    report_scatter_to_csv(report, scatter_path)
     params = dict(_params(args, DIAGNOSE_SPEC), input=str(args.input))
     _write_manifest(
         out_dir, "diagnose", params, [args.input],

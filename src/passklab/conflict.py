@@ -14,7 +14,7 @@ silently wrong report.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,12 +22,10 @@ from .errors import AlignmentError, DomainError, IdentityCheckError
 from .interference import (
     AgreementProfile,
     GradientTable,
-    agreement_scores,
     classify_interference,
     kernel_matrix,
 )
 from .objectives import (
-    PassKWeights,
     SuccessProfile,
     ordered_dot,
     weighted_row_sum,
@@ -46,8 +44,10 @@ class ConflictReport:
 
     inner_product, weighted_form, and cov_form are three routes to the
     same quantity and agree within ROUTE_RTOL of the computation scale.
-    Smoothness-dependent fields are None when no Hessian-norm bound f
-    was supplied (e.g. external gradient logs).
+    grad_k is the population k-attempt gradient of the direct route: the
+    ascent direction at this point.  Smoothness-dependent fields, among
+    them the certified step eta_max, are None when no Hessian-norm bound
+    f was supplied (e.g. external gradient logs).
     """
 
     k: int
@@ -72,9 +72,12 @@ class ConflictReport:
     lk: float | None
     c2: float | None
     eta_max: float | None
+    grad_k: np.ndarray
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "grad_k"
+        }
 
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())
@@ -116,16 +119,17 @@ def conflict_report(
 ) -> ConflictReport:
     """Compute the full conflict diagnostic, cross-checking all routes.
 
+    The population state (scores, weights, interfering set) comes from
+    one classify_interference call; the direct route still assembles
+    grad_k from the table on its own, so the routes stay independent.
     constants, when given, is the (g2, f) pair bounding the expected
     squared score norm and expected score-Hessian norm; g2 defaults to
     the max squared gradient row norm and f to None (smoothness fields
     then stay None).
     """
-    if tuple(profile.ids) != tuple(table.ids):
-        raise AlignmentError("profile and table must list the same prompt ids")
-    weights = PassKWeights.from_profile(profile, k).weights
-    scores = agreement_scores(table)
-    mass = table.mass
+    agreement = classify_interference(table, profile, margin, k)
+    weights, scores = agreement.weights, agreement.scores
+    mean_score, mass = agreement.mean_score, table.mass
 
     mean_weight = ordered_dot(mass, weights)
     if mean_weight == 0.0:
@@ -133,7 +137,6 @@ def conflict_report(
             "all pass@k weights are zero (every success probability is 1); "
             "the reweighted distribution is undefined"
         )
-    mean_score = ordered_dot(mass, scores)
     norm_sq = float(table.mean_grad @ table.mean_grad)
 
     weighted_form = ordered_dot(mass, weights * scores)
@@ -164,7 +167,6 @@ def conflict_report(
 
     reweighted_mean = weighted_form / mean_weight
 
-    agreement = classify_interference(table, profile, margin, k)
     if constants is None:
         g2, f = default_score_bound_sq(table), None
     else:
@@ -200,6 +202,7 @@ def conflict_report(
         lk=lk,
         c2=c2,
         eta_max=eta_max,
+        grad_k=grad_k,
     )
 
 

@@ -259,8 +259,12 @@ def diagnose(filtered: FilteredLog, k: int) -> DiagReport:
 
 
 def scatter_export(filtered: FilteredLog, k: int, path) -> None:
+    """Diagnose the filtered log and write its scatter CSV."""
+    report_scatter_to_csv(diagnose(filtered, k), path)
+
+
+def report_scatter_to_csv(report: DiagReport, path) -> None:
     """CSV backing a weight-vs-agreement scatter, one row per record."""
-    report = diagnose(filtered, k)
     rows = (
         (pid, agreement, weight, p1, tag)
         for pid, p1, agreement, weight, _, tag in report.rows

@@ -7,17 +7,17 @@ agreement score of a prompt is the same inner product taken against the
 population mean gradient.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AlignmentError, DomainError, IdentityCheckError
 from .objectives import (
-    PassKWeights,
     SuccessProfile,
     check_mass,
     ordered_dot,
     weighted_row_sum,
+    wk_array,
 )
 from .serialization import write_csv
 
@@ -31,7 +31,7 @@ class GradientTable:
     grads: np.ndarray  # (n, d)
     mass: np.ndarray  # (n,)
     ids: tuple
-    mean_grad: np.ndarray = None  # filled in __post_init__
+    mean_grad: np.ndarray = field(init=False)  # mass-weighted row sum
 
     def __post_init__(self):
         grads = np.asarray(self.grads, dtype=float)
@@ -45,15 +45,10 @@ class GradientTable:
         if np.any(~np.isfinite(grads)):
             raise DomainError("gradient entries must be finite")
         check_mass(mass)
-        mean = weighted_row_sum(mass, grads)
-        if self.mean_grad is not None:
-            supplied = np.asarray(self.mean_grad, dtype=float)
-            if supplied.shape != mean.shape or np.max(np.abs(supplied - mean)) > 1e-12:
-                raise DomainError("supplied mean_grad disagrees with the rows")
         object.__setattr__(self, "grads", grads)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "mean_grad", mean)
+        object.__setattr__(self, "mean_grad", weighted_row_sum(mass, grads))
 
     def __len__(self) -> int:
         return self.grads.shape[0]
@@ -107,21 +102,19 @@ def agreement_scores(table: GradientTable) -> np.ndarray:
     return table.grads @ table.mean_grad
 
 
-def mean_agreement_identity_scale(table: GradientTable, scores) -> float:
-    """Natural magnitude for relative checks on mean-agreement identities."""
-    return max(ordered_dot(table.mass, np.abs(scores)), 1e-300)
-
-
 @dataclass(frozen=True)
 class AgreementProfile:
-    """Agreement scores plus the margin-m negatively interfering set.
+    """Agreement scores, pass@k weights, and the margin-m negatively
+    interfering set: the population state at one point.
 
-    neg_set holds indices with score <= -margin; q is their probability
-    mass; w_minus / w_plus aggregate the pass@k weights inside and
-    outside the set.
+    mean_score is the mass-weighted mean agreement; neg_set holds indices
+    with score <= -margin; q is their probability mass; w_minus / w_plus
+    aggregate the pass@k weights inside and outside the set.
     """
 
     scores: np.ndarray
+    weights: np.ndarray
+    mean_score: float
     margin: float
     k: int
     neg_set: tuple
@@ -145,18 +138,20 @@ def classify_interference(
     scores = agreement_scores(table)
     mean_score = ordered_dot(table.mass, scores)
     norm_sq = float(table.mean_grad @ table.mean_grad)
-    scale = max(abs(norm_sq), mean_agreement_identity_scale(table, scores))
+    scale = max(abs(norm_sq), ordered_dot(table.mass, np.abs(scores)), 1e-300)
     if abs(mean_score - norm_sq) > 1e-10 * scale:
         raise IdentityCheckError(
             f"mean agreement {mean_score} != ||mean grad||^2 {norm_sq}"
         )
     neg = scores <= -margin
-    weights = PassKWeights.from_profile(profile, k).weights
+    weights = wk_array(profile.probs, k)
     q = ordered_dot(table.mass, neg.astype(float))
     w_minus = ordered_dot(table.mass, np.where(neg, weights, 0.0))
     w_plus = ordered_dot(table.mass, np.where(neg, 0.0, weights))
     return AgreementProfile(
         scores=scores,
+        weights=weights,
+        mean_score=mean_score,
         margin=float(margin),
         k=int(k),
         neg_set=tuple(int(i) for i in np.flatnonzero(neg)),

@@ -157,26 +157,6 @@ class SuccessProfile:
         return cls(probs=probs, mass=np.full(n, 1.0 / n), ids=tuple(ids))
 
 
-@dataclass(frozen=True)
-class PassKWeights:
-    """The weight vector w_k applied to each prompt of a profile."""
-
-    k: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        k = _check_k(self.k)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "weights", weights)
-        if np.any(~np.isfinite(weights)) or np.any(weights < 0) or np.any(weights > k):
-            raise DomainError("weights must lie in [0, k]")
-
-    @classmethod
-    def from_profile(cls, profile: SuccessProfile, k: int) -> "PassKWeights":
-        return cls(k=k, weights=wk_array(profile.probs, k))
-
-
 def pass_at_k(profile: SuccessProfile, k: int) -> float:
     """Population objective: mass-weighted mean of fk over the profile."""
     values = fk_array(profile.probs, k)

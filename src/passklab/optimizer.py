@@ -1,8 +1,9 @@
 """Gradient ascent on the k-attempt objective over a fixed toy batch.
 
 Each step evaluates the population once at the pre-update point: both
-objectives, their per-label restrictions, the conflict diagnostics, and
-the exact population k-attempt gradient that the step then moves along.
+objectives and their per-label restrictions, plus one conflict report
+that supplies the conflict diagnostics, the exact population k-attempt
+gradient the step moves along, and the certified step size.
 """
 
 from dataclasses import dataclass
@@ -19,12 +20,7 @@ from .bandit import (
     sample_prompts,
     success_probs,
 )
-from .conflict import (
-    assemble_passk_gradient,
-    conflict_report,
-    max_safe_step,
-    smoothness_constants,
-)
+from .conflict import conflict_report
 from .errors import DomainError
 from .interference import GradientTable
 from .objectives import SuccessProfile, fk_array, ordered_dot
@@ -56,6 +52,7 @@ class TrajectoryRecord:
     jk_hard: float
     inner_product: float
     delta_bound: float
+    eta_max: float | None  # certified step size; None once delta_bound <= 0
 
     def row(self) -> tuple:
         return tuple(getattr(self, name) for name in TRAJECTORY_COLUMNS)
@@ -90,7 +87,7 @@ def evaluate_state(
     return TrajectoryRecord(
         step=step,
         theta=theta.copy(),
-        grad_k=assemble_passk_gradient(table, profile, k),
+        grad_k=report.grad_k,
         j1_pop=ordered_dot(mass, f1),
         jk_pop=ordered_dot(mass, fkv),
         j1_easy=_label_mean(f1, ~hard),
@@ -99,6 +96,7 @@ def evaluate_state(
         jk_hard=_label_mean(fkv, hard),
         inner_product=report.inner_product,
         delta_bound=report.delta_bound,
+        eta_max=report.eta_max,
     )
 
 
@@ -132,30 +130,25 @@ def run_trajectory(
     """Iterate ascent from theta0 (default: the derived reference parameter)
     on one seeded batch, recording every visited parameter.
 
-    eta=None runs in certified mode: each step uses the largest step size
-    whose one-step degradation certificate holds, stopping early once the
-    certificate margin delta is no longer positive.  A pre-built batch may
-    be supplied instead of sampling n prompts from config.
+    eta=None runs in certified mode: each step uses the report's eta_max,
+    the largest step size whose one-step degradation certificate holds,
+    stopping early once the certificate margin delta is no longer positive.
+    A pre-built batch may be supplied instead of sampling n prompts from
+    config.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     if batch is None:
         batch = sample_prompts(config, n)
     theta = reference_theta() if theta0 is None else _check_theta(theta0)
-    g2, f = policy_regularity_constants(batch)
-    _, lk, c2 = smoothness_constants(g2, f, k)
 
     records: list[TrajectoryRecord] = []
     for t in range(steps):
         record = evaluate_state(theta, batch, k, margin=margin, step=t)
         records.append(record)
-        if eta is None:
-            if record.delta_bound <= 0:
-                return records
-            step_size = max_safe_step(record.delta_bound, c2, lk)
-        else:
-            step_size = eta
-        theta = _advance(record, step_size)
+        if eta is None and record.eta_max is None:
+            return records
+        theta = _advance(record, record.eta_max if eta is None else eta)
     records.append(evaluate_state(theta, batch, k, margin=margin, step=steps))
     return records
 

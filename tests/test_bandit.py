@@ -267,10 +267,24 @@ class TestBatchIO:
         np.testing.assert_array_equal(loaded.correct_actions, batch.correct_actions)
 
     def test_bad_record_reports_line(self, tmp_path):
+        good = '{"id": "a", "psi": [1.0, 0.2], "label": "easy", "correct_action": 0}\n'
+        bad_lines = [
+            '{"id": "a", "psi": [1.0, 0.2], "label": "easy"}',
+            '{"id": "b", "psi": [1.0, 0.2], "label": "medium", "correct_action": 0}',
+            '{"id": "b", "psi": [1.0, 0.2], "label": "easy", "correct_action": 1}',
+            '{"id": "b", "psi": [1.0, 0.2], "label": "hard", "correct_action": 1.7}',
+            '{"id": "a", "psi": [1.0, 0.3], "label": "easy", "correct_action": 0}',
+            '{"id": "b", "psi": [1.0, NaN], "label": "easy", "correct_action": 0}',
+            '{"id": "b", "psi": [1.0], "label": "easy", "correct_action": 0}',
+        ]
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": "a", "psi": [1.0, 0.2], "label": "easy"}\n')
+        path.write_text(bad_lines[0] + "\n")
         with pytest.raises(DomainError, match="line 1"):
             import_batch(path)
+        for bad in bad_lines[1:]:
+            path.write_text(good + bad + "\n")
+            with pytest.raises(DomainError, match="line 2"):
+                import_batch(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

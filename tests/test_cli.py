@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +178,24 @@ class TestDiagnose:
         for name in ("diagnose.json", "prompts.csv", "scatter.csv"):
             assert read(a / name) == read(b / name), name
 
+    def test_diagnose_runs_once(self, tmp_path, synth_log, capsys, monkeypatch):
+        import passklab.gradlog
+
+        calls = []
+        original = passklab.gradlog.diagnose
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr("passklab.cli.diagnose", counted)
+        monkeypatch.setattr("passklab.gradlog.diagnose", counted)
+        assert main(
+            ["diagnose", "--input", str(synth_log), "--out", str(tmp_path / "d")]
+        ) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
     def test_k1_zero_shift(self, tmp_path, synth_log, capsys):
         out = tmp_path / "diag1"
         assert main(
@@ -250,7 +270,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise IdentityCheckError("forced route disagreement")
 
-        monkeypatch.setattr("passklab.cli.conflict_report", broken)
+        monkeypatch.setattr("passklab.optimizer.conflict_report", broken)
         assert main(["toy-demo"]) == 1
         assert "internal check failed" in capsys.readouterr().err
 
@@ -285,10 +305,15 @@ class TestUsageErrorsExitTwo:
 
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
+        import passklab
+
+        # the child imports the same passklab as this process, installed or not
+        package_root = str(Path(passklab.__file__).resolve().parent.parent)
         proc = subprocess.run(
             [sys.executable, "-m", "passklab.cli", "kstar"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": package_root},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("k_star")

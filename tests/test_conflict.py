@@ -147,6 +147,7 @@ class TestConflictReportRoutes:
         assert loaded["weighted_form"] == r.weighted_form
         assert loaded["cov_form"] == r.cov_form
         assert loaded["eta_max"] == r.eta_max
+        assert "grad_k" not in loaded
 
 
 def report_weights(profile, k):

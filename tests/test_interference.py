@@ -198,6 +198,18 @@ class TestClassifyInterference:
             (w_e + w_h) / 2, abs=1e-12
         )
 
+    def test_profile_carries_weights_and_mean_score(self):
+        from passklab.objectives import wk_array
+
+        agreement, table, profile = self.two_point()
+        assert agreement.weights.tobytes() == wk_array(profile.probs, 10).tobytes()
+        assert agreement.mean_score == ordered_dot(table.mass, agreement.scores)
+        grads = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        profile = SuccessProfile.uniform([0.0, 0.5, 1.0])
+        table = GradientTable.uniform(grads)
+        agreement = classify_interference(table, profile, 1e-6, 3)
+        assert agreement.weights == pytest.approx([3.0, 0.75, 0.0])
+
     def test_all_positive_scores(self):
         grads = np.array([[1.0, 0.0], [0.9, 0.1]])
         table = GradientTable.uniform(grads)
@@ -274,16 +286,6 @@ class TestGradientTableValidation:
         table = GradientTable.uniform(np.ones((n, 2)))
         # the row sum is sequential, so only the n * eps error bound holds
         np.testing.assert_allclose(table.mean_grad, [1.0, 1.0], rtol=n * 2.0**-53)
-
-    def test_supplied_mean_checked(self):
-        grads = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(DomainError):
-            GradientTable(
-                grads=grads,
-                mass=np.array([0.5, 0.5]),
-                ids=(0, 1),
-                mean_grad=np.array([1.0, 1.0]),
-            )
 
     def test_mean_grad_computed(self):
         grads = np.array([[1.0, 0.0], [0.0, 1.0]])

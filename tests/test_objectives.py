@@ -8,7 +8,6 @@ import pytest
 
 from passklab import (
     DomainError,
-    PassKWeights,
     SuccessProfile,
     fk,
     pass_at_k,
@@ -175,17 +174,6 @@ class TestReductionPrimitives:
         got = weighted_row_sum(coef, rows)
         assert got.shape == (d,)
         assert got.tobytes() == expected.tobytes()
-
-
-class TestPassKWeights:
-    def test_from_profile(self):
-        prof = SuccessProfile.uniform([0.0, 0.5, 1.0])
-        w = PassKWeights.from_profile(prof, 3)
-        assert w.weights == pytest.approx([3.0, 0.75, 0.0])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            PassKWeights(k=2, weights=np.array([2.5]))
 
 
 class TestPassAtK:

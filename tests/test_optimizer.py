@@ -6,13 +6,22 @@ import pytest
 from passklab import (
     BanditConfig,
     DomainError,
+    PromptBatch,
+    SuccessProfile,
     ascent_step,
     evaluate_state,
+    grad_success_probs,
+    max_safe_step,
     overlap_pair,
+    policy_regularity_constants,
     run_trajectory,
     sample_prompts,
+    smoothness_constants,
+    success_probs,
 )
-from passklab.bandit import batch_objective, empirical_hard_fraction
+from passklab.bandit import EASY, HARD, batch_objective, empirical_hard_fraction
+from passklab.conflict import assemble_passk_gradient
+from passklab.interference import GradientTable, agreement_scores
 from passklab.optimizer import trajectory_to_csv
 
 
@@ -36,6 +45,15 @@ class TestAscentStep:
         _, record = ascent_step(theta, batch, 10, 5.0)
         np.testing.assert_array_equal(record.theta, theta)
         assert record.j1_pop == pytest.approx(0.48, abs=1e-12)
+
+    def test_record_direction_is_assembled_gradient(self):
+        cfg = BanditConfig(seed=3)
+        batch = sample_prompts(cfg, 300)
+        theta = np.array([-1.5, -2.5])
+        table = GradientTable.uniform(grad_success_probs(theta, batch), ids=batch.ids)
+        profile = SuccessProfile.uniform(success_probs(theta, batch), ids=batch.ids)
+        expected = assemble_passk_gradient(table, profile, 5)
+        assert evaluate_state(theta, batch, 5).grad_k.tobytes() == expected.tobytes()
 
     def test_eta_zero_rejected(self):
         batch, theta = overlap_pair()
@@ -87,18 +105,48 @@ class TestTrajectory:
         assert records[-1].jk_pop > records[0].jk_pop
         assert records[-1].j1_pop < records[0].j1_pop
 
+    @staticmethod
+    def certified_run(batch, theta, margin):
+        """Certified run whose every step is checked against max_safe_step."""
+        records = run_trajectory(
+            BanditConfig(), theta0=theta, k=10, eta=None, steps=25,
+            margin=margin, batch=batch,
+        )
+        g2, f = policy_regularity_constants(batch)
+        _, lk, c2 = smoothness_constants(g2, f, 10)
+        for prev, nxt in zip(records[:-1], records[1:]):
+            assert prev.delta_bound > 0
+            step = max_safe_step(prev.delta_bound, c2, lk)
+            assert prev.eta_max == step
+            assert nxt.theta.tobytes() == (prev.theta + step * prev.grad_k).tobytes()
+        return records
+
     def test_certified_mode_strictly_decreases_j1(self):
         # eta=None recomputes the certified step each iteration while the
         # certificate margin stays positive; every such step must lower
         # the 1-attempt objective
         batch, theta = overlap_pair()
-        records = run_trajectory(
-            BanditConfig(), theta0=theta, k=10, eta=None, steps=25,
-            margin=1e-3, batch=batch,
-        )
+        records = self.certified_run(batch, theta, 1e-3)
         assert len(records) >= 5
         j1 = [r.j1_pop for r in records]
         assert all(b < a for a, b in zip(j1[:-1], j1[1:], strict=True))
+
+    def test_certified_run_stops_at_first_nonpositive_delta(self):
+        # the hard prompt's agreement score starts just below -margin and
+        # rises past it after a few certified steps, so delta turns negative
+        batch = PromptBatch(
+            ids=("h", "e"),
+            features=[[1.0, 0.1], [1.0, 0.4]],
+            labels=[HARD, EASY],
+            correct_actions=[1, 0],
+        )
+        theta = np.array([0.4, 1.34])
+        table = GradientTable.uniform(grad_success_probs(theta, batch))
+        margin = float(-agreement_scores(table).min()) * (1 - 1e-6)
+        records = self.certified_run(batch, theta, margin)
+        assert 1 < len(records) < 26
+        assert records[-1].delta_bound <= 0
+        assert records[-1].eta_max is None
 
     def test_steps_validation(self):
         with pytest.raises(DomainError):

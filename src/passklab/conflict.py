@@ -23,7 +23,6 @@ from .interference import (
     AgreementProfile,
     GradientTable,
     classify_interference,
-    kernel_matrix,
 )
 from .objectives import (
     SuccessProfile,
@@ -36,6 +35,8 @@ from .serialization import write_json
 
 ROUTE_RTOL = 1e-10
 SIGMA_FLOOR = 1e-14
+# Kernel rows per block of the double-sum route in inner_product_k_m.
+KERNEL_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -308,15 +309,20 @@ def inner_product_k_m(
     """Inner product between the k- and m-attempt population gradients.
 
     The double-sum route contracts the pairwise kernel against both
-    weight vectors; the direct route assembles each gradient and dots
-    them.  Both are returned so callers can audit the agreement.
+    weight vectors, KERNEL_BLOCK_ROWS kernel rows at a time so memory
+    stays O(KERNEL_BLOCK_ROWS * n); the direct route assembles each
+    gradient and dots them.  Both are returned so callers can audit the
+    agreement.
     """
     if tuple(profile.ids) != tuple(table.ids):
         raise AlignmentError("profile and table must list the same prompt ids")
     wk_w = wk_array(profile.probs, k) * table.mass
     wm_w = wk_array(profile.probs, m_order) * table.mass
-    kmat = kernel_matrix(table)
-    double_sum = float(wk_w @ kmat @ wm_w)
+    grads, blocks = table.grads, []
+    for start in range(0, len(table), KERNEL_BLOCK_ROWS):
+        rows = slice(start, start + KERNEL_BLOCK_ROWS)
+        blocks.append(float(wk_w[rows] @ (grads[rows] @ grads.T) @ wm_w))
+    double_sum = math.fsum(blocks)
     direct = float(
         assemble_passk_gradient(table, profile, k)
         @ assemble_passk_gradient(table, profile, m_order)

@@ -150,7 +150,7 @@ def export_gradlog(records, path) -> None:
             obj = {
                 "prompt_id": rec.prompt_id,
                 "pass1": rec.pass1,
-                "grad": [float(v) for v in rec.grad],
+                "grad": rec.grad.tolist(),
             }
             if rec.label is not None:
                 obj["label"] = rec.label

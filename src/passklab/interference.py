@@ -154,7 +154,7 @@ def classify_interference(
         mean_score=mean_score,
         margin=float(margin),
         k=int(k),
-        neg_set=tuple(int(i) for i in np.flatnonzero(neg)),
+        neg_set=tuple(np.flatnonzero(neg).tolist()),
         q=q,
         w_minus=w_minus,
         w_plus=w_plus,

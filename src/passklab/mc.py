@@ -153,7 +153,7 @@ def export_samples(samples: SampleSet, path) -> None:
                     "prompt_id": block.prompt_id,
                     "action": int(block.actions[j]),
                     "reward": int(block.rewards[j]),
-                    "score": [float(v) for v in block.scores[j]],
+                    "score": block.scores[j].tolist(),
                 }
                 fh.write(json.dumps(rec) + "\n")
 

@@ -19,6 +19,11 @@ from .errors import DomainError
 # in this package needs k beyond a few dozen.
 MAX_K = 10**6
 
+# ordered_dot: extraction passes before fsum takes the remainder, and the
+# product size beyond which the extraction's sigma could overflow.
+EXTRACT_PASSES = 3
+EXTRACT_LIMIT = 2.0**960
+
 
 def _check_k(k: int) -> int:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
@@ -90,13 +95,38 @@ def wk_array(probs: np.ndarray, k: int) -> np.ndarray:
 def ordered_dot(a, b) -> float:
     """Correctly rounded sum of a[i] * b[i], for every scalar expectation.
 
-    math.fsum (Shewchuk 1997) rounds the exact sum once, so the result is
-    the same in any summation order, vector width or thread count.
+    The exact sum is rounded once, bit for bit as math.fsum (Shewchuk
+    1997) rounds it, so the result is the same in any summation order,
+    vector width or thread count.
+
+    Up to EXTRACT_PASSES error-free extractions (Rump, Ogita and Oishi,
+    "Accurate floating-point summation, part I", 2008) split the
+    products x into q + x'.  With sigma = 2**e >= 2**-1022, max|x| <
+    sigma / 2**M and 2**M >= n + 2, each q = (sigma + x) - sigma and
+    x' = x - q is exact, every q is a multiple of ulp(sigma) / 2 and
+    |sum q| < sigma, so numpy sums q exactly in any order.  fsum then
+    rounds the pass sums plus the few nonzero remainders.  Empty,
+    all-zero (fsum picks the sign of zero), non-finite and huge
+    (>= 2**960, where sigma could overflow) products go to fsum whole.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise DomainError(f"need two equal-length vectors, got {a.shape}, {b.shape}")
-    return math.fsum((a * b).tolist())
+    x = a * b
+    top = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < top < EXTRACT_LIMIT:
+        return math.fsum(memoryview(x))
+    shift = (x.size + 1).bit_length()  # ceil(log2(n + 2))
+    parts = []
+    for _ in range(EXTRACT_PASSES):
+        sigma = math.ldexp(1.0, max(shift + math.frexp(top)[1], -1022))
+        q = (sigma + x) - sigma
+        x -= q
+        parts.append(float(q.sum()))
+        top = float(np.max(np.abs(x)))
+        if top == 0.0:
+            break
+    return math.fsum(parts + x[x != 0].tolist())
 
 
 def weighted_row_sum(coef, rows) -> np.ndarray:

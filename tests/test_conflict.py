@@ -1,6 +1,7 @@
 """Conflict identities, certificates, thresholds, and smoothness bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from passklab import (
     grad_success_probs,
 )
 from passklab.bandit import batch_objective
-from passklab.interference import GradientTable
+from passklab.interference import GradientTable, kernel_matrix
 from passklab.objectives import ordered_dot, wk_array
 
 
@@ -387,6 +388,29 @@ class TestInnerProductKM:
             result = inner_product_k_m(table, profile, k, m_order)
             scale = max(abs(result.direct), abs(result.double_sum), 1e-300)
             assert abs(result.direct - result.double_sum) <= 1e-9 * scale
+
+    def test_double_sum_is_row_blocked(self):
+        # the full 6000 x 6000 kernel alone would take 288 MB
+        rng = np.random.default_rng(21)
+        n = 6000
+        raw = rng.random(n) + 1e-3
+        mass = raw / raw.sum()
+        ids = tuple(str(i) for i in range(n))
+        table = GradientTable(grads=rng.normal(size=(n, 2)), mass=mass, ids=ids)
+        profile = SuccessProfile(probs=rng.random(n), mass=mass, ids=ids)
+        tracemalloc.start()
+        try:
+            result = inner_product_k_m(table, profile, 4, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        scale = max(abs(result.direct), abs(result.double_sum), 1e-300)
+        assert abs(result.direct - result.double_sum) <= 1e-9 * scale
+        wk_w = wk_array(profile.probs, 4) * mass
+        wm_w = wk_array(profile.probs, 9) * mass
+        full = float(wk_w @ kernel_matrix(table) @ wm_w)
+        assert result.double_sum == pytest.approx(full, rel=1e-12)
 
     def test_nonnegative_kernel_implies_no_conflict(self):
         # gradients in the positive orthant give a nonnegative kernel, so

@@ -158,6 +158,69 @@ class TestReductionPrimitives:
         perm = rng.permutation(1000)
         assert ordered_dot(x, y) == ordered_dot(x[perm], y[perm])
         assert ordered_dot(x, y) == math.fsum((x * y).tolist())
+        # 10^5 terms spanning ~600 binades, in two orders
+        x = np.ldexp(rng.normal(size=10**5), rng.integers(-300, 300, size=10**5))
+        y = rng.random(10**5)
+        perm = rng.permutation(10**5)
+        assert ordered_dot(x, y) == ordered_dot(x[perm], y[perm])
+        assert ordered_dot(x, y) == math.fsum((x * y).tolist())
+
+    def test_ordered_dot_matches_fsum_bit_for_bit_on_fuzzed_vectors(self):
+        # float.hex tells -0.0 from 0.0, so the sign of a zero sum counts
+        rng = np.random.default_rng(11)
+
+        def mantissas(n):
+            return rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n)
+
+        for trial in range(6000):
+            n = 1 if trial % 10 == 0 else int(rng.integers(2, 400))
+            family = trial % 5
+            if family == 0:  # exponents anywhere in -1074..1000
+                lo, hi = np.sort(rng.integers(-1074, 1001, size=2))
+                a = np.ldexp(mantissas(n), rng.integers(lo, hi + 1, size=n))
+            elif family == 1:  # a narrow range
+                e = int(rng.integers(-1000, 900))
+                a = np.ldexp(mantissas(n), rng.integers(e, e + 8, size=n))
+            elif family == 2:  # x and -x + tiny: near-total cancellation
+                x = np.ldexp(mantissas(n), rng.integers(-500, 500, size=n))
+                tiny = math.ldexp(1.0, int(rng.integers(-1074, -500)))
+                a = rng.permutation(np.concatenate([x, -x + tiny]))
+            elif family == 3:  # subnormals only
+                a = rng.integers(-(2**52), 2**52, size=n) * 5e-324
+            else:  # mass * weight products, with signed zeros mixed in
+                a = rng.random(n) / n
+                a[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+            b = np.ones(a.size) if family < 4 else rng.normal(size=n) ** 9
+            got, want = ordered_dot(a, b), math.fsum((a * b).tolist())
+            assert got.hex() == want.hex(), (trial, family)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [-0.0],
+            [-0.0, -0.0],
+            [0.0, -0.0],
+            [5e-324, -5e-324],
+            [1.0, 1e-16, 1e-16],
+            [1.0, math.inf],
+            [-math.inf, 2.0, -1.0],
+            [1.0, math.nan],
+            [math.inf, math.nan],
+        ],
+    )
+    def test_ordered_dot_edge_cases_match_fsum(self, values):
+        a = np.array(values, dtype=float)
+        got, want = ordered_dot(a, np.ones(a.size)), math.fsum(values)
+        assert got.hex() == want.hex()
+
+    def test_ordered_dot_overflows_like_fsum(self):
+        values = [1e308, 1e308, -1e308]
+        with pytest.raises(OverflowError) as want:
+            math.fsum(values)
+        with pytest.raises(OverflowError) as got:
+            ordered_dot(values, np.ones(3))
+        assert str(got.value) == str(want.value)
 
     def test_ordered_dot_rejects_mismatched_lengths(self):
         with pytest.raises(DomainError):

@@ -284,15 +284,17 @@ def import_batch(path) -> PromptBatch:
                 continue
             try:
                 rec = json.loads(line)
-                pid, action = str(rec["id"]), rec["correct_action"]
+                pid, action, psi = str(rec["id"]), rec["correct_action"], rec["psi"]
+                if type(psi) is not list:
+                    raise TypeError(f"psi must be a list, got {type(psi).__name__}")
                 if action not in (0, 1):
                     raise ValueError(f"correct_action must be 0 or 1, got {action!r}")
                 inst = PromptInstance(
-                    features=[float(v) for v in rec["psi"]],
+                    features=[float(v) for v in psi],
                     label=str(rec["label"]),
                     correct_action=int(action),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DomainError(f"line {lineno}: bad batch record ({exc})") from exc
             if pid in first_line:
                 raise DomainError(

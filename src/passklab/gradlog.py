@@ -110,7 +110,7 @@ def load_gradlog(path) -> list[GradLogRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an int too long to parse
                 raise GradLogError(f"{path}: line {lineno}: invalid JSON ({exc})")
             if not isinstance(obj, dict):
                 raise GradLogError(f"{path}: line {lineno}: record must be an object")
@@ -122,7 +122,7 @@ def load_gradlog(path) -> list[GradLogRecord]:
                     label=obj.get("label"),
                     mass=obj.get("mass"),
                 )
-            except (KeyError, TypeError, ValueError, DomainError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise GradLogError(f"{path}: line {lineno}: {exc}") from exc
             if dim is None:
                 dim = rec.grad.size

@@ -9,6 +9,7 @@ perturbs existing streams.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,9 +34,9 @@ class PromptSamples:
         n = actions.shape[0]
         if n < 1:
             raise DomainError("each prompt needs at least one sample")
-        if rewards.shape != (n,) or scores.shape[:1] != (n,):
-            raise DomainError("actions, rewards, scores must share sample count")
-        if not np.all(np.isin(rewards, (0.0, 1.0))):
+        if rewards.shape != (n,) or scores.ndim != 2 or scores.shape[0] != n:
+            raise DomainError("need actions (n,), rewards (n,) and scores (n, d)")
+        if not ((rewards == 0.0) | (rewards == 1.0)).all():
             raise DomainError("rewards must be exactly 0 or 1")
         object.__setattr__(self, "prompt_id", str(self.prompt_id))
         object.__setattr__(self, "actions", actions)
@@ -94,25 +95,32 @@ def sample_actions(theta, batch: PromptBatch, n: int, seed: int) -> SampleSet:
     """Draw n policy actions per prompt with rewards and score vectors.
 
     For the logistic policy the score of action 1 is (1 - sigma) * psi
-    and of action 0 is -sigma * psi.
+    and of action 0 is -sigma * psi.  Only the uniform draws are taken
+    prompt by prompt, each from its own stream; everything else is one
+    array pass over the batch, and every block holds row views of those
+    arrays.
     """
     theta = _check_theta(theta)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    sigs = expit(batch.features @ theta).tolist()
-    blocks = []
+    sig = expit(batch.features @ theta)[:, None]
+    uniform = np.empty((len(batch), n))
     for i, pid in enumerate(batch.ids):
-        psi = batch.features[i]
-        sig = sigs[i]
-        rng = prompt_rng(seed, pid)
-        actions = (rng.random(n) < sig).astype(int)
-        rewards = (actions == batch.correct_actions[i]).astype(float)
-        coef = np.where(actions == 1, 1.0 - sig, -sig)
-        scores = coef[:, None] * psi[None, :]
-        blocks.append(
-            PromptSamples(prompt_id=pid, actions=actions, rewards=rewards, scores=scores)
+        uniform[i] = prompt_rng(seed, pid).random(n)
+    actions = (uniform < sig).astype(int)
+    del uniform  # spent: free it before the rewards and scores are allocated
+    rewards = (actions == batch.correct_actions[:, None]).astype(float)
+    # each prompt has two score vectors; picking them per draw gives the
+    # products a per-draw coefficient would, with no (P, n) temporary
+    score1 = ((1.0 - sig) * batch.features)[:, None, :]
+    score0 = (-sig * batch.features)[:, None, :]
+    scores = np.where((actions == 1)[:, :, None], score1, score0)
+    return SampleSet(
+        blocks=tuple(
+            PromptSamples(prompt_id=pid, actions=a, rewards=r, scores=s)
+            for pid, a, r, s in zip(batch.ids, actions, rewards, scores)
         )
-    return SampleSet(blocks=tuple(blocks))
+    )
 
 
 def mc_grad_pass1(samples: SampleSet, prompt_id: str) -> np.ndarray:
@@ -121,10 +129,39 @@ def mc_grad_pass1(samples: SampleSet, prompt_id: str) -> np.ndarray:
     return (block.rewards[:, None] * block.scores).mean(axis=0)
 
 
+# Prompts reduced per array pass: bounds the (chunk, n, d) temporaries, so
+# memory does not grow with the number of prompts.
+CHUNK_PROMPTS = 512
+
+
+def _prompt_means(samples: SampleSet, scored: bool) -> np.ndarray:
+    """Per-prompt mean of the rewards, or of reward * score when scored.
+
+    Prompts with equal draw counts are stacked CHUNK_PROMPTS at a time and
+    reduced along the draw axis, bit for bit what each block's own mean
+    gives; rows come back in block order.
+    """
+    blocks = samples.blocks
+    out = np.empty((len(blocks), samples.dim) if scored else len(blocks))
+    groups: dict[int, list] = {}  # draw count -> block indices, ascending
+    for i, b in enumerate(blocks):
+        groups.setdefault(b.n, []).append(i)
+    for n, idx in groups.items():
+        for lo in range(0, len(idx), CHUNK_PROMPTS):
+            chunk = idx[lo : lo + CHUNK_PROMPTS]
+            shape = (len(chunk), n, samples.dim)
+            r = np.concatenate([blocks[i].rewards for i in chunk]).reshape(shape[:2])
+            if scored:
+                s = np.concatenate([blocks[i].scores for i in chunk]).reshape(shape)
+                out[chunk] = (r[:, :, None] * s).mean(axis=1)
+            else:
+                out[chunk] = r.mean(axis=1)
+    return out
+
+
 def empirical_profile(samples: SampleSet) -> SuccessProfile:
     """Plug-in success probabilities c/n per prompt, uniform prompt mass."""
-    probs = np.array([b.rewards.mean() for b in samples.blocks])
-    return SuccessProfile.uniform(probs, ids=samples.ids)
+    return SuccessProfile.uniform(_prompt_means(samples, scored=False), ids=samples.ids)
 
 
 def mc_grad_passk(samples: SampleSet, profile: SuccessProfile, k: int) -> np.ndarray:
@@ -139,7 +176,7 @@ def mc_grad_passk(samples: SampleSet, profile: SuccessProfile, k: int) -> np.nda
     """
     if tuple(profile.ids) != samples.ids:
         raise DomainError("profile ids must match the sample set ids in order")
-    grads = np.stack([mc_grad_pass1(samples, pid) for pid in samples.ids])
+    grads = _prompt_means(samples, scored=True)
     return weighted_row_sum(profile.mass * wk_array(profile.probs, k), grads)
 
 
@@ -148,18 +185,26 @@ def export_samples(samples: SampleSet, path) -> None:
     path = Path(path)
     with path.open("w") as fh:
         for block in samples.blocks:
-            for j in range(block.n):
+            pid = block.prompt_id
+            for action, reward, score in zip(
+                block.actions.tolist(), block.rewards.tolist(), block.scores.tolist()
+            ):
                 rec = {
-                    "prompt_id": block.prompt_id,
-                    "action": int(block.actions[j]),
-                    "reward": int(block.rewards[j]),
-                    "score": block.scores[j].tolist(),
+                    "prompt_id": pid,
+                    "action": action,
+                    "reward": int(reward),
+                    "score": score,
                 }
                 fh.write(json.dumps(rec) + "\n")
 
 
 def import_samples(path) -> SampleSet:
-    """Read a sample set written by export_samples (order-preserving)."""
+    """Read a sample set written by export_samples (order-preserving).
+
+    action must be the JSON integer 0 or 1, reward the number 0 or 1, and
+    score a nonempty list of finite numbers of one length throughout; a
+    bad record raises DomainError naming its line.
+    """
     path = Path(path)
     acc: dict[str, list] = {}  # prompt_id -> rows, in first-seen order
     dim: int | None = None
@@ -171,19 +216,29 @@ def import_samples(path) -> SampleSet:
             try:
                 rec = json.loads(line)
                 pid = str(rec["prompt_id"])
-                action, reward = rec["action"], float(rec["reward"])
-                score = [float(v) for v in rec["score"]]
-            except (KeyError, TypeError, ValueError) as exc:
+                action, reward, score = rec["action"], rec["reward"], rec["score"]
+                if type(score) is not list:
+                    raise TypeError(f"score must be a list, got {type(score).__name__}")
+                # one C pass over the row: a non-number entry raises TypeError
+                # here, and only a sum that is not finite needs the entrywise test
+                finite = math.isfinite(sum(score)) or all(map(math.isfinite, score))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DomainError(f"line {lineno}: bad sample record ({exc})") from exc
-            if action not in (0, 1):
+            if type(action) is not int or action not in (0, 1):
                 raise DomainError(f"line {lineno}: action must be 0 or 1, got {action!r}")
+            if type(reward) not in (int, float) or reward not in (0, 1):
+                raise DomainError(f"line {lineno}: reward must be 0 or 1, got {reward!r}")
+            if not score:
+                raise DomainError(f"line {lineno}: score must be nonempty")
+            if not finite:
+                raise DomainError(f"line {lineno}: score entries must be finite")
             if dim is None:
                 dim = len(score)
             elif len(score) != dim:
                 raise DomainError(
                     f"line {lineno}: score dimension {len(score)} differs from {dim}"
                 )
-            acc.setdefault(pid, []).append((int(action), reward, score))
+            acc.setdefault(pid, []).append((action, float(reward), score))
     if not acc:
         raise DomainError(f"{path}: empty sample file")
     return SampleSet(

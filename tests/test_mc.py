@@ -1,5 +1,8 @@
 """Monte Carlo estimator tests against the exact closed forms."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -16,15 +19,18 @@ from passklab import (
     sample_prompts,
     success_probs,
 )
+from passklab.bandit import PromptBatch, expit
 from passklab.conflict import assemble_passk_gradient
 from passklab.interference import GradientTable
 from passklab.mc import (
+    CHUNK_PROMPTS,
     PromptSamples,
     SampleSet,
     export_samples,
     import_samples,
     prompt_rng,
 )
+from passklab.objectives import weighted_row_sum, wk_array
 
 
 def make_samples(rewards, scores, pid="p"):
@@ -51,6 +57,10 @@ class TestSampleSetValidation:
         b = PromptSamples("b", np.zeros(1, int), np.zeros(1), np.zeros((1, 3)))
         with pytest.raises(DomainError):
             SampleSet(blocks=(a, b))
+
+    def test_rejects_scores_without_a_draw_axis(self):
+        with pytest.raises(DomainError, match="scores"):
+            PromptSamples("a", np.zeros(2, int), np.zeros(2), np.zeros(2))
 
     def test_unknown_prompt(self):
         ss = make_samples([1.0], [[1.0, 2.0]])
@@ -198,8 +208,6 @@ class TestStreams:
         batch = sample_prompts(cfg, 6)
         theta = np.array([0.2, -0.2])
         full = sample_actions(theta, batch, 50, seed=99)
-        from passklab.bandit import PromptBatch
-
         subset = PromptBatch(
             ids=batch.ids[2:4],
             features=batch.features[2:4],
@@ -254,3 +262,139 @@ class TestSampleIO:
         )
         with pytest.raises(DomainError, match="line 2: score dimension 1"):
             import_samples(path)
+
+    def test_reward_outside_zero_one_names_line(self, tmp_path):
+        path = tmp_path / "reward.jsonl"
+        path.write_text(
+            '{"prompt_id": "a", "action": 1, "reward": 1, "score": [0.5, 0.1]}\n'
+            '{"prompt_id": "a", "action": 0, "reward": 2, "score": [0.5, 0.1]}\n'
+        )
+        with pytest.raises(DomainError, match="line 2: reward must be 0 or 1, got 2"):
+            import_samples(path)
+
+    def test_nan_score_names_line(self, tmp_path):
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            '{"prompt_id": "a", "action": 1, "reward": 1, "score": [0.5, 0.1]}\n'
+            '{"prompt_id": "b", "action": 0, "reward": 0, "score": [NaN, 0.1]}\n'
+        )
+        with pytest.raises(DomainError, match="line 2: score entries must be finite"):
+            import_samples(path)
+
+    def test_boolean_action_names_line(self, tmp_path):
+        path = tmp_path / "bool.jsonl"
+        path.write_text(
+            '{"prompt_id": "a", "action": true, "reward": 1, "score": [0.5, 0.1]}\n'
+        )
+        with pytest.raises(DomainError, match="line 1: action must be 0 or 1, got True"):
+            import_samples(path)
+
+    def test_empty_score_names_line(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text('{"prompt_id": "a", "action": 1, "reward": 1, "score": []}\n')
+        with pytest.raises(DomainError, match="line 1: score must be nonempty"):
+            import_samples(path)
+
+    def test_export_matches_per_record_reference(self, tmp_path):
+        # one json.dumps per draw over numpy scalars, as a plain loop would
+        batch = sample_prompts(BanditConfig(seed=8), 30)
+        ss = sample_actions(np.array([0.3, -0.7]), batch, 7, seed=12)
+        expected = "".join(
+            json.dumps(
+                {
+                    "prompt_id": b.prompt_id,
+                    "action": int(b.actions[j]),
+                    "reward": int(b.rewards[j]),
+                    "score": [float(v) for v in b.scores[j]],
+                }
+            )
+            + "\n"
+            for b in ss.blocks
+            for j in range(b.n)
+        )
+        path = tmp_path / "samples.jsonl"
+        export_samples(ss, path)
+        assert path.read_bytes() == expected.encode()
+
+
+def reference_sample_actions(theta, batch, n, seed):
+    """Prompt-by-prompt sampling: one stream, comparison and score per prompt."""
+    sigs = expit(batch.features @ theta).tolist()
+    blocks = []
+    for i, pid in enumerate(batch.ids):
+        sig = sigs[i]
+        actions = (prompt_rng(seed, pid).random(n) < sig).astype(int)
+        rewards = (actions == batch.correct_actions[i]).astype(float)
+        coef = np.where(actions == 1, 1.0 - sig, -sig)
+        scores = coef[:, None] * batch.features[i][None, :]
+        blocks.append(PromptSamples(pid, actions.copy(), rewards.copy(), scores.copy()))
+    return SampleSet(blocks=tuple(blocks))
+
+
+def reference_estimates(samples, profile, k):
+    """Per-prompt means, one block at a time, then the weighted row sum."""
+    probs = np.array([b.rewards.mean() for b in samples.blocks])
+    grads = np.stack([mc_grad_pass1(samples, pid) for pid in samples.ids])
+    return probs, weighted_row_sum(profile.mass * wk_array(profile.probs, k), grads)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestVectorisedEstimators:
+    # sha256 of the concatenated actions (little-endian int64) of
+    # sample_actions([0.3, -0.7], sample_prompts(BanditConfig(seed=11), 40),
+    # 16, seed=2024), recorded from the prompt-by-prompt sampler
+    STREAM_SHA256 = "526bbcfb5ac03a4ada83b58f606db15b2447007e880e7c38105b4cd347705441"
+
+    def test_streams_are_pinned(self):
+        batch = sample_prompts(BanditConfig(seed=11), 40)
+        ss = sample_actions(np.array([0.3, -0.7]), batch, 16, seed=2024)
+        actions = np.concatenate([b.actions for b in ss.blocks]).astype("<i8")
+        assert hashlib.sha256(actions.tobytes()).hexdigest() == self.STREAM_SHA256
+
+    @pytest.mark.parametrize(
+        "n_prompts,draws", [(7, 1), (CHUNK_PROMPTS + 88, 1), (1100, 9)]
+    )
+    def test_matches_prompt_by_prompt_reference(self, n_prompts, draws):
+        batch = sample_prompts(BanditConfig(seed=21), n_prompts)
+        theta = np.array([0.3, -0.7])
+        ss = sample_actions(theta, batch, draws, seed=33)
+        ref = reference_sample_actions(theta, batch, draws, seed=33)
+        assert ss.ids == ref.ids
+        for got, want in zip(ss.blocks, ref.blocks):
+            assert_same_bits(got.actions, want.actions)
+            assert_same_bits(got.rewards, want.rewards)
+            assert_same_bits(got.scores, want.scores)
+        emp = empirical_profile(ss)
+        exact = SuccessProfile.uniform(success_probs(theta, batch), ids=batch.ids)
+        for prof in (emp, exact):
+            probs, grad = reference_estimates(ref, prof, 5)
+            assert_same_bits(emp.probs, probs)
+            assert_same_bits(mc_grad_passk(ss, prof, 5), grad)
+
+    def test_unequal_draw_counts_interleaved(self):
+        # draw counts cycle 3, 1, 20, so every group spans the whole set and
+        # takes more than one chunk; normal scores at 20 draws tell a
+        # sequential sum from numpy's pairwise one
+        rng = np.random.default_rng(6)
+        blocks = []
+        for i in range(3 * CHUNK_PROMPTS + 30):
+            m = (3, 1, 20)[i % 3]
+            blocks.append(
+                PromptSamples(
+                    f"q{i}",
+                    rng.integers(0, 2, m),
+                    rng.integers(0, 2, m).astype(float),
+                    rng.normal(size=(m, 3)),
+                )
+            )
+        ss = SampleSet(blocks=tuple(blocks))
+        emp = empirical_profile(ss)
+        for k in (1, 4):
+            probs, grad = reference_estimates(ss, emp, k)
+            assert_same_bits(emp.probs, probs)
+            assert_same_bits(mc_grad_passk(ss, emp, k), grad)

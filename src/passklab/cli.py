@@ -102,7 +102,6 @@ TOY_DEMO_SPEC = {
     "k": (int, 10),
     "eta": (float, 5.0),
     "margin": (float, 1e-3),
-    "seed": (int, DEFAULT_SEED),
 }
 
 
@@ -245,7 +244,6 @@ KSTAR_SPEC = {
     "m": (float, 0.01),
     "g2": (float, 1.0),
     "k_max": (int, 0),  # 0 means 2 * ceil(k_star)
-    "seed": (int, DEFAULT_SEED),
 }
 
 
@@ -268,7 +266,6 @@ DIAGNOSE_SPEC = {
     "k": (int, 32),
     "delta1": (float, 0.85),
     "delta2": (float, 0.10),
-    "seed": (int, DEFAULT_SEED),
 }
 
 

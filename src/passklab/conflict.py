@@ -46,9 +46,11 @@ class ConflictReport:
     inner_product, weighted_form, and cov_form are three routes to the
     same quantity and agree within ROUTE_RTOL of the computation scale.
     grad_k is the population k-attempt gradient of the direct route: the
-    ascent direction at this point.  Smoothness-dependent fields, among
-    them the certified step eta_max, are None when no Hessian-norm bound
-    f was supplied (e.g. external gradient logs).
+    ascent direction at this point.  agreement is the population state
+    (scores, weights, interfering set) the other two routes read from.
+    Neither array-valued field goes into to_dict.  Smoothness-dependent
+    fields, among them the certified step eta_max, are None when no
+    Hessian-norm bound f was supplied (e.g. external gradient logs).
     """
 
     k: int
@@ -74,10 +76,13 @@ class ConflictReport:
     c2: float | None
     eta_max: float | None
     grad_k: np.ndarray
+    agreement: AgreementProfile
 
     def to_dict(self) -> dict:
         return {
-            f.name: getattr(self, f.name) for f in fields(self) if f.name != "grad_k"
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("grad_k", "agreement")
         }
 
     def to_json(self, path) -> None:
@@ -204,6 +209,7 @@ def conflict_report(
         c2=c2,
         eta_max=eta_max,
         grad_k=grad_k,
+        agreement=agreement,
     )
 
 
@@ -312,7 +318,9 @@ def inner_product_k_m(
     weight vectors, KERNEL_BLOCK_ROWS kernel rows at a time so memory
     stays O(KERNEL_BLOCK_ROWS * n); the direct route assembles each
     gradient and dots them.  Both are returned so callers can audit the
-    agreement.
+    agreement.  The double sum still forms every kernel entry, so its
+    time is O(n^2 * d): an audit for subsamples, not for n = 10^6
+    (where only the direct route, O(n * d), is affordable).
     """
     if tuple(profile.ids) != tuple(table.ids):
         raise AlignmentError("profile and table must list the same prompt ids")

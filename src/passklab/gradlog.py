@@ -18,8 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, GradLogError, IdentityCheckError
-from .objectives import ordered_dot, weighted_row_sum, wk_array
+from .conflict import conflict_report
+from .errors import DomainError, GradLogError
+from .interference import GradientTable
+from .objectives import SuccessProfile, ordered_dot
 from .serialization import write_csv, write_json
 
 
@@ -196,42 +198,33 @@ def _prompt_masses(records) -> np.ndarray:
 
 
 def diagnose(filtered: FilteredLog, k: int) -> DiagReport:
-    """Agreement/weight/contribution analysis of a filtered log.
+    """Agreement/weight/contribution view of one conflict_report.
 
-    The reference direction is the mean gradient of the filtered records
-    (uniform unless the log carries explicit masses); the weighted mean
-    agreement is the mean of weight times agreement divided by the mean
-    weight, so its product with the mean weight reproduces the
-    inner-product estimate exactly.
+    The filtered records become one table and profile (uniform mass
+    unless the log carries explicit masses), so the report inherits
+    conflict_report's cross-checks: three inner-product routes and the
+    mean-agreement identity.  The reference direction is the mean
+    gradient of the filtered records; the weighted mean agreement is
+    the mean of weight times agreement divided by the mean weight.
     """
     n = len(filtered.records)
     if n < 2:
         raise DomainError(f"diagnose needs at least 2 records, got {n}")
-    grads = np.stack([rec.grad for rec in filtered.records])
+    ids = tuple(rec.prompt_id for rec in filtered.records)
     pass1 = np.array([rec.pass1 for rec in filtered.records])
     mass = _prompt_masses(filtered.records)
-    agreements = grads @ weighted_row_sum(mass, grads)
-    weights = wk_array(pass1, k)
+    table = GradientTable(np.stack([rec.grad for rec in filtered.records]), mass, ids)
+    report = conflict_report(table, SuccessProfile(pass1, mass, ids), k)
+    agreements, weights = report.agreement.scores, report.agreement.weights
     contributions = weights * agreements
 
     # expectations normalized by the float mass total, so constant weights
     # give a mean of exactly 1 and the k=1 shift is exactly zero
     denom = ordered_dot(mass, np.ones(n))
-    unweighted = ordered_dot(mass, agreements) / denom
-    mean_weight = ordered_dot(mass, weights) / denom
-    inner_product = ordered_dot(mass, contributions) / denom
-    if mean_weight == 0.0:
-        raise DomainError("all pass@k weights are zero on the filtered set")
+    unweighted = report.agreement.mean_score / denom
+    mean_weight = report.mean_weight / denom
+    inner_product = report.weighted_form / denom
     weighted = inner_product / mean_weight
-    shift = weighted - unweighted
-
-    scale = max(
-        abs(inner_product),
-        ordered_dot(mass, weights * np.abs(agreements)) / denom,
-        1e-300,
-    )
-    if abs(weighted * mean_weight - inner_product) > 1e-10 * scale:
-        raise IdentityCheckError("weighted mean times mean weight != inner product")
 
     rows = tuple(
         (
@@ -251,7 +244,7 @@ def diagnose(filtered: FilteredLog, k: int) -> DiagReport:
         ratio=filtered.ratio,
         unweighted_mean_agreement=unweighted,
         weighted_mean_agreement=weighted,
-        mean_shift=shift,
+        mean_shift=weighted - unweighted,
         mean_weight=mean_weight,
         inner_product=inner_product,
         rows=rows,

@@ -167,7 +167,3 @@ def kernel_matrix_to_csv(matrix: np.ndarray, ids, path) -> None:
     header = ["id", *ids]
     rows = ([ids[i], *matrix[i]] for i in range(len(ids)))
     write_csv(path, header, rows)
-
-
-def scores_to_csv(scores: np.ndarray, ids, path) -> None:
-    write_csv(path, ["id", "agreement"], zip(ids, scores))

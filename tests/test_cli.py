@@ -12,6 +12,10 @@ import pytest
 from passklab.cli import main
 
 
+# seeded command on a batch small enough for precedence checks
+SMALL_HEATMAP = ["--n", "200", "--subsample", "20"]
+
+
 def read(path):
     return path.read_bytes()
 
@@ -213,6 +217,20 @@ class TestDiagnose:
         assert rc == 2
         capsys.readouterr()
 
+    def test_route_disagreement_exits_one(
+        self, tmp_path, synth_log, capsys, monkeypatch
+    ):
+        import passklab.conflict
+
+        original = passklab.conflict.assemble_passk_gradient
+        monkeypatch.setattr(
+            "passklab.conflict.assemble_passk_gradient",
+            lambda *args: (1.0 + 1e-6) * original(*args),
+        )
+        rc = main(["diagnose", "--input", str(synth_log), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "internal check failed" in capsys.readouterr().err
+
     def test_missing_input_exit_nonzero(self, tmp_path, capsys):
         rc = main(
             ["diagnose", "--input", str(tmp_path / "nope.jsonl"), "--out",
@@ -246,8 +264,8 @@ class TestPrecedence:
 
     def test_env_seed_overrides_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PASSK_SEED", "1234")
-        out = tmp_path / "demo"
-        assert main(["toy-demo", "--out", str(out)]) == 0
+        out = tmp_path / "hm"
+        assert main(["heatmap", *SMALL_HEATMAP, "--out", str(out)]) == 0
         capsys.readouterr()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["seed"] == 1234
@@ -256,8 +274,9 @@ class TestPrecedence:
         monkeypatch.setenv("PASSK_SEED", "1234")
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 55\n")
-        out = tmp_path / "demo"
-        assert main(["--config", str(cfg), "toy-demo", "--out", str(out)]) == 0
+        out = tmp_path / "hm"
+        argv = ["--config", str(cfg), "heatmap", *SMALL_HEATMAP, "--out", str(out)]
+        assert main(argv) == 0
         capsys.readouterr()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["seed"] == 55
@@ -298,9 +317,10 @@ class TestUsageErrorsExitTwo:
         cfg.write_text("k = five\n")
         self.assert_one_line_error(["--config", str(cfg), "toy-demo"], capsys, "'five'")
 
-    def test_bad_env_seed(self, capsys, monkeypatch):
+    def test_bad_env_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PASSK_SEED", "x")
-        self.assert_one_line_error(["kstar"], capsys, "PASSK_SEED")
+        argv = ["heatmap", *SMALL_HEATMAP, "--out", str(tmp_path / "hm")]
+        self.assert_one_line_error(argv, capsys, "PASSK_SEED")
 
 
 class TestConsoleScript:

@@ -21,6 +21,7 @@ from passklab import (
     max_safe_step,
     overlap_pair,
     policy_regularity_constants,
+    reference_theta,
     reweighted_distribution,
     sample_prompts,
     smoothness_constants,
@@ -28,6 +29,7 @@ from passklab import (
     grad_success_probs,
 )
 from passklab.bandit import batch_objective
+from passklab.conflict import ROUTE_RTOL
 from passklab.interference import GradientTable, kernel_matrix
 from passklab.objectives import ordered_dot, wk_array
 
@@ -94,6 +96,24 @@ class TestConflictReportRoutes:
             threshold = -r.mean_weight * r.norm_sq_mean_grad / (r.sigma_w * r.sigma_a)
             assert (r.correlation < threshold) == (r.inner_product < 0)
             checked += 1
+
+    def test_routes_agree_at_a_million_prompts(self):
+        batch = sample_prompts(BanditConfig(seed=0), 10**6)
+        theta = reference_theta()
+        table = GradientTable.uniform(grad_success_probs(theta, batch), ids=batch.ids)
+        profile = SuccessProfile.uniform(success_probs(theta, batch), ids=batch.ids)
+        report = conflict_report(  # raises IdentityCheckError on disagreement
+            table, profile, 5, constants=policy_regularity_constants(batch)
+        )
+        agreement = report.agreement
+        scale = max(
+            abs(report.inner_product),
+            abs(report.weighted_form),
+            abs(report.cov_form),
+            ordered_dot(table.mass, agreement.weights * np.abs(agreement.scores)),
+        )
+        routes = (report.inner_product, report.weighted_form, report.cov_form)
+        assert max(routes) - min(routes) <= ROUTE_RTOL * scale
 
     def test_k1_no_covariance(self):
         rng = np.random.default_rng(13)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from passklab import (
     FilterSpec,
     GradLogError,
     GradLogRecord,
+    IdentityCheckError,
     SuccessProfile,
     conflict_report,
     diagnose,
@@ -156,11 +158,17 @@ class TestDiagnose:
         assert report.mean_shift < 0
 
     def test_k1_no_shift(self, conflict_filtered):
-        report = diagnose(conflict_filtered, 1)
-        assert report.mean_shift == 0.0
-        assert report.weighted_mean_agreement == pytest.approx(
-            report.unweighted_mean_agreement, rel=1e-12
+        # 49 uniform masses of 1/49 sum to 1 - 2**-53, not 1
+        small = filter_by_difficulty(
+            make_synthetic_conflict_log(n=49, d=8, seed=3), FilterSpec(0.85, 0.10)
         )
+        assert math.fsum([1.0 / 49] * 49) == 1.0 - 2.0**-53
+        for filtered in (conflict_filtered, small):
+            report = diagnose(filtered, 1)
+            assert report.mean_shift == 0.0
+            assert report.weighted_mean_agreement == pytest.approx(
+                report.unweighted_mean_agreement, rel=1e-12
+            )
 
     def test_weighted_identity(self, conflict_filtered):
         report = diagnose(conflict_filtered, 32)
@@ -170,6 +178,17 @@ class TestDiagnose:
         assert report.mean_shift == (
             report.weighted_mean_agreement - report.unweighted_mean_agreement
         )
+
+    def test_inherits_route_cross_check(self, conflict_filtered, monkeypatch):
+        import passklab.conflict
+
+        original = passklab.conflict.assemble_passk_gradient
+        monkeypatch.setattr(
+            "passklab.conflict.assemble_passk_gradient",
+            lambda *args: (1.0 + 1e-6) * original(*args),
+        )
+        with pytest.raises(IdentityCheckError, match="routes disagree"):
+            diagnose(conflict_filtered, 32)
 
     def test_needs_two_records(self):
         records = [GradLogRecord("only", 0.05, np.ones(2))]

@@ -21,11 +21,7 @@ from passklab import (
     success_probs,
 )
 from passklab.bandit import sigmoid_slope
-from passklab.interference import (
-    GradientTable,
-    kernel_matrix_to_csv,
-    scores_to_csv,
-)
+from passklab.interference import GradientTable, kernel_matrix_to_csv
 from passklab.objectives import ordered_dot
 
 
@@ -305,14 +301,3 @@ class TestCsvExports:
         assert rows[0] == ["id"] + [str(i) for i in table.ids]
         parsed = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
         np.testing.assert_allclose(parsed, mat, rtol=0, atol=0)
-
-    def test_scores_csv(self, tmp_path):
-        rng = np.random.default_rng(8)
-        table = random_table(rng, n=4, d=2)
-        scores = agreement_scores(table)
-        path = tmp_path / "scores.csv"
-        scores_to_csv(scores, table.ids, path)
-        with path.open() as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["id", "agreement"]
-        assert [float(r[1]) for r in rows[1:]] == pytest.approx(list(scores))

@@ -94,8 +94,10 @@ def default_score_bound_sq(table: GradientTable) -> float:
 
     Valid because every agreement score is bounded by the product of a
     row norm and the mean-gradient norm, both at most the max row norm.
+    Floored at the smallest normal double, so that it stays a positive
+    bound when every row is zero (and every score with it).
     """
-    return float(np.max(np.sum(table.grads**2, axis=1)))
+    return float(max(np.max(np.sum(table.grads**2, axis=1)), np.finfo(float).tiny))
 
 
 def _routes_agree(values: dict[str, float], scale: float) -> None:

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,11 @@ from .errors import DomainError
 from .objectives import SuccessProfile, weighted_row_sum, wk_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromptSamples:
+    """One prompt's draws.  Built directly, it checks its own arrays; the
+    blocks a SampleSet hands out are views of the set's checked arrays."""
+
     prompt_id: str
     actions: np.ndarray  # (n,) of {0, 1}
     rewards: np.ndarray  # (n,) of {0, 1}
@@ -48,12 +52,18 @@ class PromptSamples:
         return self.actions.shape[0]
 
 
-@dataclass(frozen=True)
 class SampleSet:
-    blocks: tuple
+    """The draws of a set of prompts, stored as whole arrays.
 
-    def __post_init__(self):
-        blocks = tuple(self.blocks)
+    Row j of ``actions`` (N,), ``rewards`` (N,) and ``scores`` (N, d) is one
+    draw; prompt i owns rows ``offsets[i]:offsets[i + 1]``, so prompts may
+    have different draw counts.  The arrays are checked once, when the set
+    is built; ``blocks`` and ``set[prompt_id]`` are views of them.
+    """
+
+    def __init__(self, blocks):
+        """A set of the given PromptSamples, in order."""
+        blocks = tuple(blocks)
         if not blocks:
             raise DomainError("sample set must contain at least one prompt")
         d = blocks[0].scores.shape[1]
@@ -63,22 +73,89 @@ class SampleSet:
                     f"prompt {b.prompt_id}: score dimension {b.scores.shape[1]} "
                     f"differs from {d}"
                 )
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_by_id", {b.prompt_id: b for b in blocks})
+        self._store(
+            [b.prompt_id for b in blocks],
+            np.cumsum([0] + [b.n for b in blocks]),
+            np.concatenate([b.actions for b in blocks]),
+            np.concatenate([b.rewards for b in blocks]),
+            np.concatenate([b.scores for b in blocks]),
+        )
+
+    @classmethod
+    def from_arrays(cls, ids, offsets, actions, rewards, scores) -> "SampleSet":
+        """A set over draw arrays; prompt i owns rows offsets[i]:offsets[i + 1]."""
+        samples = cls.__new__(cls)
+        samples._store(ids, offsets, actions, rewards, scores)
+        return samples
+
+    def _store(self, ids, offsets, actions, rewards, scores) -> None:
+        ids = tuple(map(str, ids))
+        try:
+            offsets = np.asarray(offsets, dtype=np.int64)
+            actions = np.asarray(actions, dtype=int)
+            rewards = np.asarray(rewards, dtype=float)
+            scores = np.asarray(scores, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"bad sample arrays ({exc})") from exc
+        if not ids:
+            raise DomainError("sample set must contain at least one prompt")
+        if actions.ndim != 1 or rewards.shape != actions.shape:
+            raise DomainError("need actions (N,) and rewards (N,) over all draws")
+        if scores.ndim != 2 or scores.shape[0] != actions.shape[0]:
+            raise DomainError(
+                "scores must be (N, d): one score dimension for all draws"
+            )
+        if (
+            offsets.shape != (len(ids) + 1,)
+            or offsets[0] != 0
+            or offsets[-1] != actions.shape[0]
+            or (np.diff(offsets) < 1).any()
+        ):
+            raise DomainError(
+                "offsets must rise from 0 to the number of draws, "
+                "with at least one sample per prompt"
+            )
+        if not ((rewards == 0.0) | (rewards == 1.0)).all():
+            raise DomainError("rewards must be exactly 0 or 1")
+        self.ids, self.offsets = ids, offsets
+        self.actions, self.rewards, self.scores = actions, rewards, scores
 
     @property
     def dim(self) -> int:
-        return self.blocks[0].scores.shape[1]
+        return self.scores.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _block(self, i: int) -> PromptSamples:
+        """Prompt i's draws as a view, built unchecked: the set's arrays
+        were checked when it was built."""
+        rows = slice(self.offsets[i], self.offsets[i + 1])
+        block = object.__new__(PromptSamples)
+        object.__setattr__(block, "prompt_id", self.ids[i])
+        object.__setattr__(block, "actions", self.actions[rows])
+        object.__setattr__(block, "rewards", self.rewards[rows])
+        object.__setattr__(block, "scores", self.scores[rows])
+        return block
 
     @property
-    def ids(self) -> tuple:
-        return tuple(b.prompt_id for b in self.blocks)
+    def blocks(self) -> tuple:
+        return tuple(map(self._block, range(len(self.ids))))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {pid: i for i, pid in enumerate(self.ids)}
 
     def __getitem__(self, prompt_id: str) -> PromptSamples:
         try:
-            return self._by_id[str(prompt_id)]
+            return self._block(self._index[str(prompt_id)])
         except KeyError:
             raise DomainError(f"unknown prompt id {prompt_id!r}") from None
+
+
+# Prompts per array pass in the chunked loops: bounds their temporaries, so
+# memory does not grow with the number of prompts.
+CHUNK_PROMPTS = 512
 
 
 def _stream_key(prompt_id: str) -> int:
@@ -88,38 +165,165 @@ def _stream_key(prompt_id: str) -> int:
 
 
 def prompt_rng(seed: int, prompt_id: str) -> np.random.Generator:
+    """The stream of one prompt: the definition sample_actions reproduces."""
     return np.random.default_rng(np.random.SeedSequence([seed, _stream_key(prompt_id)]))
+
+
+# SeedSequence's hash constants (pool of 4 uint32 words) and PCG64's LCG
+# multiplier, as numpy defines them; tests check the result against
+# prompt_rng bit for bit.
+POOL_WORDS = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK32, MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _words(x: int) -> list:
+    """SeedSequence's split of an integer >= 0 into 32-bit words, low first."""
+    words = [x & MASK32]
+    while x > MASK32:
+        x >>= 32
+        words.append(x & MASK32)
+    return words
+
+
+def _seed_states(entropy: list) -> list:
+    """SeedSequence(entropy).generate_state(8, uint32) for many columns.
+
+    ``entropy`` holds one (P,) uint32 array per entropy word.  The hash
+    constants depend only on the number of words, so the mix is the same
+    uint32 arithmetic for every column and runs as array operations.
+    """
+    h = INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * MULT_A & MASK32
+        value = value * np.uint32(h)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else zero) for i in range(POOL_WORDS)
+    ]
+    for src in range(POOL_WORDS):
+        for dst in range(POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[POOL_WORDS:]:
+        for dst in range(POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % POOL_WORDS] ^ np.uint32(h)
+        h = h * MULT_B & MASK32
+        value = value * np.uint32(h)
+        state.append(value ^ (value >> np.uint32(16)))
+    return state
+
+
+def _pcg64_seeds(seed: int, ids) -> np.ndarray:
+    """(4, P) uint64 whose column i is SeedSequence([seed, key_i])
+    .generate_state(4, uint64), the words that seed prompt i's PCG64.
+
+    The mix runs over all prompts at once, grouped by entropy word count:
+    a key below 2**32 has one word, not two.
+    """
+    keys = np.array([_stream_key(pid) for pid in ids], dtype=np.uint64)
+    key_words = [
+        (keys & np.uint64(MASK32)).astype(np.uint32),
+        (keys >> np.uint64(32)).astype(np.uint32),
+    ]
+    seed_words = _words(seed)
+    out = np.empty((4, keys.size), dtype=np.uint64)
+    two = key_words[1] != 0
+    for group, count in ((~two, 1), (two, 2)):
+        if not group.any():
+            continue
+        entropy = [np.full(int(group.sum()), w, dtype=np.uint32) for w in seed_words]
+        entropy += [kw[group] for kw in key_words[:count]]
+        state = [s.astype(np.uint64) for s in _seed_states(entropy)]
+        for j in range(4):
+            out[j, group] = state[2 * j] | (state[2 * j + 1] << np.uint64(32))
+    return out
+
+
+def _uniform_draws(seed: int, ids, n: int) -> np.ndarray:
+    """(P, n) array whose row i is prompt_rng(seed, ids[i]).random(n), bit for bit.
+
+    Each PCG64 is seeded in Python integers as pcg_setseq_128_srandom_r
+    does (two LCG steps), and one reused bit generator takes its raw
+    outputs.  They become doubles as Generator.random makes them,
+    (raw >> 11) * 2**-53, in place: CHUNK_PROMPTS rows at a time, so that
+    neither the Python integers nor the cast's temporaries span the batch.
+    """
+    seeds = _pcg64_seeds(seed, ids)
+    bitgen = np.random.PCG64(0)
+    config = bitgen.state
+    stream = config["state"]
+    raw = np.empty((len(ids), n), dtype=np.uint64)
+    uniform = raw.view(np.float64)
+    for lo in range(0, len(raw), CHUNK_PROMPTS):
+        rows = slice(lo, lo + CHUNK_PROMPTS)
+        for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(zip(*seeds[:, rows].tolist()), lo):
+            inc = ((((q_hi << 64) | q_lo) << 1) | 1) & MASK128
+            state = ((s_hi << 64) | s_lo) + inc
+            stream["state"] = (state * PCG64_MULT + inc) & MASK128
+            stream["inc"] = inc
+            bitgen.state = config
+            raw[i] = bitgen.random_raw(n)
+        np.multiply(
+            raw[rows] >> np.uint64(11), 2.0**-53, out=uniform[rows], casting="unsafe"
+        )
+    return uniform
+
+
+def _check_seed(seed) -> int:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
 
 
 def sample_actions(theta, batch: PromptBatch, n: int, seed: int) -> SampleSet:
     """Draw n policy actions per prompt with rewards and score vectors.
 
     For the logistic policy the score of action 1 is (1 - sigma) * psi
-    and of action 0 is -sigma * psi.  Only the uniform draws are taken
-    prompt by prompt, each from its own stream; everything else is one
-    array pass over the batch, and every block holds row views of those
-    arrays.
+    and of action 0 is -sigma * psi.  Prompt i's uniform draws are
+    prompt_rng(seed, prompt id).random(n), computed for the whole batch in
+    arrays; the actions, rewards and scores are one array pass each, and
+    the set stores those arrays.  seed must be an integer >= 0.
     """
     theta = _check_theta(theta)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    seed = _check_seed(seed)
     sig = expit(batch.features @ theta)[:, None]
-    uniform = np.empty((len(batch), n))
-    for i, pid in enumerate(batch.ids):
-        uniform[i] = prompt_rng(seed, pid).random(n)
+    uniform = _uniform_draws(seed, batch.ids, n)
     actions = (uniform < sig).astype(int)
-    del uniform  # spent: free it before the rewards and scores are allocated
-    rewards = (actions == batch.correct_actions[:, None]).astype(float)
-    # each prompt has two score vectors; picking them per draw gives the
-    # products a per-draw coefficient would, with no (P, n) temporary
-    score1 = ((1.0 - sig) * batch.features)[:, None, :]
-    score0 = (-sig * batch.features)[:, None, :]
-    scores = np.where((actions == 1)[:, :, None], score1, score0)
-    return SampleSet(
-        blocks=tuple(
-            PromptSamples(prompt_id=pid, actions=a, rewards=r, scores=s)
-            for pid, a, r, s in zip(batch.ids, actions, rewards, scores)
-        )
+    # written over the spent uniform draws: one (P, n) array fewer
+    rewards = np.equal(actions, batch.correct_actions[:, None], out=uniform)
+    del uniform
+    # each prompt has two score vectors, rows 2i and 2i + 1 of the table;
+    # taking one per draw gives the products a per-draw coefficient would
+    p = len(batch)
+    table = np.stack([-sig * batch.features, (1.0 - sig) * batch.features], axis=1)
+    scores = np.take(
+        table.reshape(2 * p, -1), actions + 2 * np.arange(p)[:, None], axis=0
+    )
+    return SampleSet.from_arrays(
+        batch.ids,
+        np.arange(p + 1) * n,
+        actions.reshape(p * n),
+        rewards.reshape(p * n),
+        scores.reshape(p * n, -1),
     )
 
 
@@ -129,30 +333,28 @@ def mc_grad_pass1(samples: SampleSet, prompt_id: str) -> np.ndarray:
     return (block.rewards[:, None] * block.scores).mean(axis=0)
 
 
-# Prompts reduced per array pass: bounds the (chunk, n, d) temporaries, so
-# memory does not grow with the number of prompts.
-CHUNK_PROMPTS = 512
-
-
 def _prompt_means(samples: SampleSet, scored: bool) -> np.ndarray:
     """Per-prompt mean of the rewards, or of reward * score when scored.
 
-    Prompts with equal draw counts are stacked CHUNK_PROMPTS at a time and
-    reduced along the draw axis, bit for bit what each block's own mean
-    gives; rows come back in block order.
+    Prompts with equal draw counts are taken CHUNK_PROMPTS at a time as
+    (chunk, n) rows and reduced along the draw axis, bit for bit what each
+    block's own mean gives.  A chunk of consecutive prompts is a slice of
+    the stored arrays; any other chunk is gathered.
     """
-    blocks = samples.blocks
-    out = np.empty((len(blocks), samples.dim) if scored else len(blocks))
-    groups: dict[int, list] = {}  # draw count -> block indices, ascending
-    for i, b in enumerate(blocks):
-        groups.setdefault(b.n, []).append(i)
-    for n, idx in groups.items():
-        for lo in range(0, len(idx), CHUNK_PROMPTS):
+    offsets, d = samples.offsets, samples.dim
+    counts = np.diff(offsets)
+    out = np.empty((len(samples), d) if scored else len(samples))
+    for n in np.unique(counts).tolist():
+        idx = np.flatnonzero(counts == n)
+        for lo in range(0, idx.size, CHUNK_PROMPTS):
             chunk = idx[lo : lo + CHUNK_PROMPTS]
-            shape = (len(chunk), n, samples.dim)
-            r = np.concatenate([blocks[i].rewards for i in chunk]).reshape(shape[:2])
+            if chunk[-1] - chunk[0] == chunk.size - 1:
+                rows = slice(offsets[chunk[0]], offsets[chunk[-1] + 1])
+            else:
+                rows = (offsets[chunk, None] + np.arange(n)).reshape(-1)
+            r = samples.rewards[rows].reshape(chunk.size, n)
             if scored:
-                s = np.concatenate([blocks[i].scores for i in chunk]).reshape(shape)
+                s = samples.scores[rows].reshape(chunk.size, n, d)
                 out[chunk] = (r[:, :, None] * s).mean(axis=1)
             else:
                 out[chunk] = r.mean(axis=1)
@@ -203,10 +405,12 @@ def import_samples(path) -> SampleSet:
 
     action must be the JSON integer 0 or 1, reward the number 0 or 1, and
     score a nonempty list of finite numbers of one length throughout; a
-    bad record raises DomainError naming its line.
+    bad record raises DomainError naming its line.  Prompts come in order
+    of first appearance, each with its draws in file order.
     """
     path = Path(path)
-    acc: dict[str, list] = {}  # prompt_id -> rows, in first-seen order
+    index: dict[str, int] = {}  # prompt_id -> position, in first-seen order
+    owner, actions, rewards, scores = [], [], [], []
     dim: int | None = None
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -238,17 +442,18 @@ def import_samples(path) -> SampleSet:
                 raise DomainError(
                     f"line {lineno}: score dimension {len(score)} differs from {dim}"
                 )
-            acc.setdefault(pid, []).append((action, float(reward), score))
-    if not acc:
+            owner.append(index.setdefault(pid, len(index)))
+            actions.append(action)
+            rewards.append(reward)
+            scores.append(score)
+    if not index:
         raise DomainError(f"{path}: empty sample file")
-    return SampleSet(
-        blocks=tuple(
-            PromptSamples(
-                prompt_id=pid,
-                actions=np.array([r[0] for r in rows]),
-                rewards=np.array([r[1] for r in rows]),
-                scores=np.array([r[2] for r in rows], dtype=float),
-            )
-            for pid, rows in acc.items()
-        )
+    owner = np.array(owner)
+    order = np.argsort(owner, kind="stable")  # group each prompt's draws
+    return SampleSet.from_arrays(
+        index,
+        np.concatenate([[0], np.cumsum(np.bincount(owner))]),
+        np.array(actions)[order],
+        np.array(rewards, dtype=float)[order],
+        np.array(scores, dtype=float)[order],
     )

@@ -10,6 +10,7 @@ function over immutable inputs.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -218,6 +219,13 @@ def unbiased_pass_at_k(n: int, c: int, k: int) -> float:
         raise DomainError(
             f"require 0 <= c <= n and 1 <= k <= n, got n={n} c={c} k={k}"
         )
+    return _unbiased_pass_at_k(int(n), int(c), int(k))
+
+
+@lru_cache(maxsize=4096)
+def _unbiased_pass_at_k(n: int, c: int, k: int) -> float:
+    """unbiased_pass_at_k's arithmetic, memoised: the n draws of a sample
+    set give at most n + 1 distinct counts, however many prompts it has."""
     if n - c < k:
         return 1.0
     return float(1.0 - np.prod(1.0 - k / np.arange(n - c + 1, n + 1, dtype=float)))

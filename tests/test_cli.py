@@ -231,6 +231,23 @@ class TestDiagnose:
         assert rc == 1
         assert "internal check failed" in capsys.readouterr().err
 
+    def test_all_zero_gradients_exit_zero(self, tmp_path, capsys):
+        from passklab.gradlog import GradLogRecord, export_gradlog
+
+        log = tmp_path / "zeros.jsonl"
+        export_gradlog(
+            [
+                GradLogRecord(f"p{i}", pass1, [0.0, 0.0, 0.0])
+                for i, pass1 in enumerate((0.02, 0.05, 0.08, 0.9, 0.95, 0.98))
+            ],
+            log,
+        )
+        out = tmp_path / "d"
+        assert main(["diagnose", "--input", str(log), "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "diagnose.json").read_text())
+        assert report["inner_product"] == 0.0
+
     def test_missing_input_exit_nonzero(self, tmp_path, capsys):
         rc = main(
             ["diagnose", "--input", str(tmp_path / "nope.jsonl"), "--out",

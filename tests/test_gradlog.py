@@ -190,6 +190,15 @@ class TestDiagnose:
         with pytest.raises(IdentityCheckError, match="routes disagree"):
             diagnose(conflict_filtered, 32)
 
+    def test_all_zero_gradients(self):
+        # the fallback g2 stays positive, so a log of zero rows is reported
+        records = [GradLogRecord(f"p{i}", 0.3 + i / 100, np.zeros(3)) for i in range(6)]
+        report = diagnose(filter_by_difficulty(records, FilterSpec(0.9, 0.5)), 8)
+        assert all(row[2] == 0.0 for row in report.rows)
+        assert report.unweighted_mean_agreement == 0.0
+        assert report.weighted_mean_agreement == 0.0
+        assert report.inner_product == 0.0
+
     def test_needs_two_records(self):
         records = [GradLogRecord("only", 0.05, np.ones(2))]
         filtered = filter_by_difficulty(records, FilterSpec(0.85, 0.10))

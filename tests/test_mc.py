@@ -19,6 +19,7 @@ from passklab import (
     sample_prompts,
     success_probs,
 )
+from passklab import mc
 from passklab.bandit import PromptBatch, expit
 from passklab.conflict import assemble_passk_gradient
 from passklab.interference import GradientTable
@@ -61,6 +62,53 @@ class TestSampleSetValidation:
     def test_rejects_scores_without_a_draw_axis(self):
         with pytest.raises(DomainError, match="scores"):
             PromptSamples("a", np.zeros(2, int), np.zeros(2), np.zeros(2))
+
+    def test_unequal_draw_counts_from_arrays(self):
+        ss = SampleSet.from_arrays(
+            ("a", "b", "c"),
+            [0, 2, 3, 7],
+            [1, 0, 1, 0, 0, 1, 1],
+            [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0],
+            np.arange(14.0).reshape(7, 2),
+        )
+        assert [b.n for b in ss.blocks] == [2, 1, 4]
+        assert len(ss) == 3 and ss.dim == 2
+        np.testing.assert_array_equal(ss["c"].scores, np.arange(6.0, 14.0).reshape(4, 2))
+        assert_same_bits(empirical_profile(ss).probs, [0.5, 1.0, 0.5])
+
+    def test_unequal_draw_counts_from_file(self, tmp_path):
+        # prompt b's draws are split by a's; the set groups them in file order
+        path = tmp_path / "unequal.jsonl"
+        rows = [("a", 1, 1, [0.5, 1.0]), ("b", 0, 0, [2.0, 3.0]),
+                ("a", 0, 0, [4.0, 5.0]), ("b", 1, 1, [6.0, 7.0]),
+                ("b", 1, 0, [8.0, 9.0])]
+        path.write_text("".join(
+            json.dumps({"prompt_id": p, "action": a, "reward": r, "score": s}) + "\n"
+            for p, a, r, s in rows
+        ))
+        ss = import_samples(path)
+        assert ss.ids == ("a", "b")
+        assert ss.offsets.tolist() == [0, 2, 5]
+        assert ss.actions.tolist() == [1, 0, 0, 1, 1]
+        assert ss.rewards.tolist() == [1.0, 0.0, 0.0, 1.0, 0.0]
+        assert ss["b"].scores.tolist() == [[2.0, 3.0], [6.0, 7.0], [8.0, 9.0]]
+
+    @pytest.mark.parametrize(
+        "ids,offsets,actions,rewards,scores",
+        [
+            (("a",), [0, 2], [0, 1], [0.0, 0.5], [[1.0], [2.0]]),  # bad reward
+            (("a",), [0, 2], [0, 1], [0.0, 1.0], [[1.0, 2.0], [3.0]]),  # ragged
+            ((), [0], [], [], np.zeros((0, 2))),  # empty
+            (("a", "b"), [0, 2, 2], [0, 1], [0.0, 1.0], [[1.0], [2.0]]),  # no draws
+        ],
+    )
+    def test_from_arrays_rejects(self, ids, offsets, actions, rewards, scores):
+        with pytest.raises(DomainError):
+            SampleSet.from_arrays(ids, offsets, actions, rewards, scores)
+
+    def test_rejects_empty_block_list(self):
+        with pytest.raises(DomainError, match="at least one prompt"):
+            SampleSet(blocks=())
 
     def test_unknown_prompt(self):
         ss = make_samples([1.0], [[1.0, 2.0]])
@@ -217,6 +265,51 @@ class TestStreams:
         partial = sample_actions(theta, subset, 50, seed=99)
         for pid in subset.ids:
             np.testing.assert_array_equal(full[pid].actions, partial[pid].actions)
+
+    # keys across the one-word / two-word boundary; the seeds give one,
+    # two and three entropy words (3 + 2 > 4 runs SeedSequence's second
+    # mixing loop)
+    EDGE_KEYS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("key", EDGE_KEYS)
+    def test_edge_key_one_long_stream(self, monkeypatch, seed, key):
+        monkeypatch.setattr(mc, "_stream_key", lambda pid: key)
+        got = mc._uniform_draws(seed, ("p",), 1000)
+        assert_same_bits(got[0], prompt_rng(seed, "p").random(1000))
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5])
+    def test_edge_keys_many_short_streams(self, monkeypatch, seed):
+        # word counts interleave across the batch, so every group is scattered
+        monkeypatch.setattr(
+            mc, "_stream_key", lambda pid: self.EDGE_KEYS[int(pid) % len(self.EDGE_KEYS)]
+        )
+        ids = tuple(str(i) for i in range(1500))
+        got = mc._uniform_draws(seed, ids, 1)
+        for pid, row in zip(ids, got):
+            assert_same_bits(row, prompt_rng(seed, pid).random(1))
+
+    def test_edge_keys_through_sample_actions(self, monkeypatch):
+        monkeypatch.setattr(
+            mc, "_stream_key", lambda pid: self.EDGE_KEYS[int(pid) % len(self.EDGE_KEYS)]
+        )
+        batch = sample_prompts(BanditConfig(seed=4), 12)
+        theta = np.array([0.3, -0.7])
+        ss = sample_actions(theta, batch, 9, seed=2**64 + 5)
+        ref = reference_sample_actions(theta, batch, 9, seed=2**64 + 5)
+        assert_same_bits(ss.actions, np.concatenate([b.actions for b in ref.blocks]))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_bad_seed(self, seed):
+        batch = sample_prompts(BanditConfig(seed=4), 3)
+        with pytest.raises(DomainError, match="seed"):
+            sample_actions(np.array([0.3, -0.7]), batch, 4, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        batch = sample_prompts(BanditConfig(seed=4), 3)
+        theta = np.array([0.3, -0.7])
+        a = sample_actions(theta, batch, 4, seed=np.uint64(7))
+        assert_same_bits(a.actions, sample_actions(theta, batch, 4, seed=7).actions)
 
     def test_prompt_rng_deterministic(self):
         a = prompt_rng(5, "abc").random(4)

@@ -310,6 +310,16 @@ class TestUnbiasedPassAtK:
                         enumeration_oracle(n, c, k), abs=1e-12
                     ), (n, c, k)
 
+    def test_memoised_value_is_the_formula(self):
+        # numpy and Python integers share one cache entry and one value
+        for c in range(65):
+            expected = 1.0 if 64 - c < 5 else float(
+                1.0 - np.prod(1.0 - 5 / np.arange(64 - c + 1, 65, dtype=float))
+            )
+            for args in ((64, c, 5), (np.int64(64), np.int64(c), np.int32(5))):
+                got = unbiased_pass_at_k(*args)
+                assert type(got) is float and got == expected
+
     def test_returns_one_when_failures_below_k(self):
         assert unbiased_pass_at_k(10, 8, 3) == 1.0
 

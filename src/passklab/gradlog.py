@@ -34,6 +34,10 @@ class GradLogRecord:
     mass: float | None = None  # optional prompt weight; uniform when absent
 
     def __post_init__(self):
+        if type(self.pass1) is bool:
+            raise DomainError("pass1 must be a number, not true/false")
+        if type(self.mass) is bool:
+            raise DomainError("mass must be a number, not true/false")
         grad = np.asarray(self.grad, dtype=float)
         object.__setattr__(self, "prompt_id", str(self.prompt_id))
         object.__setattr__(self, "pass1", float(self.pass1))

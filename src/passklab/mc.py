@@ -11,7 +11,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,9 @@ class SampleSet:
     Row j of ``actions`` (N,), ``rewards`` (N,) and ``scores`` (N, d) is one
     draw; prompt i owns rows ``offsets[i]:offsets[i + 1]``, so prompts may
     have different draw counts.  The arrays are checked once, when the set
-    is built; ``blocks`` and ``set[prompt_id]`` are views of them.
+    is built; ``blocks`` and ``set[prompt_id]`` are views of them.  They
+    are not to be changed afterwards: the per-prompt means that
+    ``mc_grad_passk`` reads are reduced once per set and kept.
     """
 
     def __init__(self, blocks):
@@ -143,6 +146,14 @@ class SampleSet:
         return tuple(map(self._block, range(len(self.ids))))
 
     @cached_property
+    def _scored_means(self) -> np.ndarray:
+        """(P, d) per-prompt mean of reward * score, reduced once per set and
+        read-only, so every estimate over the set shares it."""
+        means = _prompt_means(self, scored=True)
+        means.flags.writeable = False
+        return means
+
+    @cached_property
     def _index(self) -> dict:
         return {pid: i for i, pid in enumerate(self.ids)}
 
@@ -156,12 +167,25 @@ class SampleSet:
 # Prompts per array pass in the chunked loops: bounds their temporaries, so
 # memory does not grow with the number of prompts.
 CHUNK_PROMPTS = 512
+# PCG64 lanes per array pass of the stream kernel: bounds its temporaries, so
+# memory grows with neither the number of prompts nor the number of draws.
+LANES = 1 << 12
 
 
 def _stream_key(prompt_id: str) -> int:
     """Stable 64-bit key for a prompt id, independent of batch position."""
     digest = hashlib.sha256(str(prompt_id).encode()).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+@lru_cache(maxsize=8)
+def _stream_keys(ids: tuple, key) -> np.ndarray:
+    """Read-only uint64 array of key(pid) for pid in ids, hashed once per
+    ids tuple and shared by every seed.  Callers pass the current
+    _stream_key, so replacing it takes effect."""
+    keys = np.array([key(pid) for pid in ids], dtype=np.uint64)
+    keys.flags.writeable = False
+    return keys
 
 
 def prompt_rng(seed: int, prompt_id: str) -> np.random.Generator:
@@ -177,7 +201,7 @@ INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-MASK32, MASK128 = 2**32 - 1, 2**128 - 1
+MASK32, MASK64, MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 
 def _words(x: int) -> list:
@@ -237,7 +261,7 @@ def _pcg64_seeds(seed: int, ids) -> np.ndarray:
     The mix runs over all prompts at once, grouped by entropy word count:
     a key below 2**32 has one word, not two.
     """
-    keys = np.array([_stream_key(pid) for pid in ids], dtype=np.uint64)
+    keys = _stream_keys(tuple(ids), _stream_key)
     key_words = [
         (keys & np.uint64(MASK32)).astype(np.uint32),
         (keys >> np.uint64(32)).astype(np.uint32),
@@ -256,34 +280,112 @@ def _pcg64_seeds(seed: int, ids) -> np.ndarray:
     return out
 
 
+# PCG64 in uint64 words.  numpy has no 128-bit integers, so a 128-bit value
+# is a (hi, lo) pair of uint64 arrays or scalars, and the high half of a
+# 64 x 64-bit product is assembled from 32-bit limbs.
+_U1, _U11, _U32, _U58, _U63, _U64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(MASK32)
+_ZERO = (np.uint64(0), np.uint64(0))
+
+
+def _mulhi(a, b):
+    """High 64 bits of the 128-bit product of uint64 a and b."""
+    a0, a1 = a & _LOW32, a >> _U32
+    b0, b1 = b & _LOW32, b >> _U32
+    t = a1 * b0 + (a0 * b0 >> _U32)
+    w = (t & _LOW32) + a0 * b1
+    return a1 * b1 + (t >> _U32) + (w >> _U32)
+
+
+def _muladd(a, x, c):
+    """(a * x + c) mod 2**128 for (hi, lo) pairs; the words broadcast."""
+    (a_hi, a_lo), (x_hi, x_lo), (c_hi, c_lo) = a, x, c
+    lo = a_lo * x_lo + c_lo
+    hi = _mulhi(a_lo, x_lo) + a_lo * x_hi + a_hi * x_lo + c_hi + (lo < c_lo)
+    return hi, lo
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's output word of a state: hi ^ lo rotated right by hi's top 6 bits."""
+    v = hi ^ lo
+    rot = hi >> _U58
+    return (v >> rot) | (v << ((_U64 - rot) & _U63))
+
+
+def _as_words(values) -> tuple:
+    """Python ints below 2**128 as a (hi, lo) pair of read-only uint64 arrays."""
+    words = (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & MASK64 for v in values], dtype=np.uint64),
+    )
+    for w in words:
+        w.flags.writeable = False
+    return words
+
+
+@lru_cache(maxsize=32)
+def _jump_tables(phases: int) -> tuple:
+    """Jump-ahead coefficients of the LCG x -> M x + inc for ``phases`` lanes.
+
+    j steps take x to A_j x + C_j inc, with A_j = M**j and
+    C_j = sum_{i<j} M**i (mod 2**128).  Returns (A_{j+2}, C_{j+2}) for
+    j < phases, which start the lanes, and (A_phases, C_phases), which
+    advance them, all as (hi, lo) words.
+    """
+    a, c, table = 1, 0, []
+    for _ in range(phases + 2):
+        table.append((a, c))
+        a, c = a * PCG64_MULT & MASK128, (c * PCG64_MULT + 1) & MASK128
+    a_step, c_step = table[phases]
+    starts = table[2:]
+    return (
+        _as_words([a for a, _ in starts]),
+        _as_words([c for _, c in starts]),
+        _as_words([a_step]),
+        _as_words([c_step]),
+    )
+
+
+def _pcg64_doubles(seeds: np.ndarray, out: np.ndarray) -> None:
+    """Fill the (p, n) ``out`` with the doubles of the p PCG64 streams that
+    ``seeds`` (4, p) seeds, as Generator.random(n) makes them.
+
+    Lane (i, j) runs stream i from its draw j, J draws apart, so one array
+    pass advances all p * J lanes and yields columns tJ..tJ + J - 1.
+    Seeding (pcg_setseq_128_srandom_r) sets inc = (initseq << 1) | 1 and
+    leaves the state one LCG step past y = inc + initstate, and each draw
+    steps first, so draw j is the output of A_{j+2} y + C_{j+2} inc.
+    """
+    p, n = out.shape
+    phases = min(n, -(-LANES // p))
+    start_a, start_c, step_a, step_c = _jump_tables(phases)
+    s_hi, s_lo, q_hi, q_lo = seeds[:, :, None]
+    inc = ((q_hi << _U1) | (q_lo >> _U63), (q_lo << _U1) | _U1)
+    y_lo = inc[1] + s_lo
+    y = (inc[0] + s_hi + (y_lo < s_lo), y_lo)
+    lanes = _muladd(start_a, y, _muladd(start_c, inc, _ZERO))
+    step_inc = _muladd(step_c, inc, _ZERO)
+    for t in range(0, n, phases):
+        w = min(phases, n - t)
+        raw = _xsl_rr(*lanes)[:, :w]
+        np.multiply(raw >> _U11, 2.0**-53, out=out[:, t : t + w], casting="unsafe")
+        if t + phases < n:
+            lanes = _muladd(step_a, lanes, step_inc)
+
+
 def _uniform_draws(seed: int, ids, n: int) -> np.ndarray:
     """(P, n) array whose row i is prompt_rng(seed, ids[i]).random(n), bit for bit.
 
-    Each PCG64 is seeded in Python integers as pcg_setseq_128_srandom_r
-    does (two LCG steps), and one reused bit generator takes its raw
-    outputs.  They become doubles as Generator.random makes them,
-    (raw >> 11) * 2**-53, in place: CHUNK_PROMPTS rows at a time, so that
-    neither the Python integers nor the cast's temporaries span the batch.
+    Prompts are taken LANES at a time; a batch of p of them runs
+    J = min(n, ceil(LANES / p)) lanes per prompt, so each array pass covers
+    about LANES draws however few prompts or many draws there are.
     """
     seeds = _pcg64_seeds(seed, ids)
-    bitgen = np.random.PCG64(0)
-    config = bitgen.state
-    stream = config["state"]
-    raw = np.empty((len(ids), n), dtype=np.uint64)
-    uniform = raw.view(np.float64)
-    for lo in range(0, len(raw), CHUNK_PROMPTS):
-        rows = slice(lo, lo + CHUNK_PROMPTS)
-        for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(zip(*seeds[:, rows].tolist()), lo):
-            inc = ((((q_hi << 64) | q_lo) << 1) | 1) & MASK128
-            state = ((s_hi << 64) | s_lo) + inc
-            stream["state"] = (state * PCG64_MULT + inc) & MASK128
-            stream["inc"] = inc
-            bitgen.state = config
-            raw[i] = bitgen.random_raw(n)
-        np.multiply(
-            raw[rows] >> np.uint64(11), 2.0**-53, out=uniform[rows], casting="unsafe"
-        )
-    return uniform
+    out = np.empty((len(ids), n))
+    for lo in range(0, len(ids), LANES):
+        rows = slice(lo, lo + LANES)
+        _pcg64_doubles(seeds[:, rows], out[rows])
+    return out
 
 
 def _check_seed(seed) -> int:
@@ -378,35 +480,43 @@ def mc_grad_passk(samples: SampleSet, profile: SuccessProfile, k: int) -> np.nda
     """
     if tuple(profile.ids) != samples.ids:
         raise DomainError("profile ids must match the sample set ids in order")
-    grads = _prompt_means(samples, scored=True)
-    return weighted_row_sum(profile.mass * wk_array(profile.probs, k), grads)
+    return weighted_row_sum(
+        profile.mass * wk_array(profile.probs, k), samples._scored_means
+    )
 
 
 def export_samples(samples: SampleSet, path) -> None:
-    """One JSON record per sampled action: {prompt_id, action, reward, score}."""
+    """One JSON record per sampled action: {prompt_id, action, reward, score}.
+
+    Each line holds the bytes json.dumps gives for the record: a per-prompt
+    prefix with the JSON-escaped id, then repr of each score, which is how
+    json writes a finite float.  Scores must be finite, as import_samples
+    requires.
+    """
+    if not np.isfinite(samples.scores).all():
+        raise DomainError("score entries must be finite")
     path = Path(path)
+    rows = zip(
+        samples.actions.tolist(),
+        samples.rewards.astype(int).tolist(),
+        samples.scores.tolist(),
+    )
+    score = ", ".join(["%r"] * samples.dim)
+    fields = ', "action": %d, "reward": %d, "score": [' + score + "]}\n"
     with path.open("w") as fh:
-        for block in samples.blocks:
-            pid = block.prompt_id
-            for action, reward, score in zip(
-                block.actions.tolist(), block.rewards.tolist(), block.scores.tolist()
-            ):
-                rec = {
-                    "prompt_id": pid,
-                    "action": action,
-                    "reward": int(reward),
-                    "score": score,
-                }
-                fh.write(json.dumps(rec) + "\n")
+        for pid, count in zip(samples.ids, np.diff(samples.offsets).tolist()):
+            # a % in the id is doubled, so the format reads it as text
+            line = '{"prompt_id": ' + json.dumps(pid).replace("%", "%%") + fields
+            fh.write("".join([line % (a, r, *s) for a, r, s in islice(rows, count)]))
 
 
 def import_samples(path) -> SampleSet:
     """Read a sample set written by export_samples (order-preserving).
 
     action must be the JSON integer 0 or 1, reward the number 0 or 1, and
-    score a nonempty list of finite numbers of one length throughout; a
-    bad record raises DomainError naming its line.  Prompts come in order
-    of first appearance, each with its draws in file order.
+    score a nonempty list of finite numbers (not true/false) of one length
+    throughout; a bad record raises DomainError naming its line.  Prompts
+    come in order of first appearance, each with its draws in file order.
     """
     path = Path(path)
     index: dict[str, int] = {}  # prompt_id -> position, in first-seen order
@@ -436,6 +546,10 @@ def import_samples(path) -> SampleSet:
                 raise DomainError(f"line {lineno}: score must be nonempty")
             if not finite:
                 raise DomainError(f"line {lineno}: score entries must be finite")
+            if bool in map(type, score):
+                raise DomainError(
+                    f"line {lineno}: score entries must be numbers, not true/false"
+                )
             if dim is None:
                 dim = len(score)
             elif len(score) != dim:

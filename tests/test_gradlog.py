@@ -98,6 +98,20 @@ class TestLoadGradlog:
         with pytest.raises(GradLogError, match="line 1"):
             load_gradlog(path)
 
+    @pytest.mark.parametrize(
+        "fields,name", [('"pass1": true', "pass1"), ('"pass1": 1, "mass": false', "mass")]
+    )
+    def test_boolean_pass1_or_mass_names_line(self, tmp_path, fields, name):
+        path = tmp_path / "bool.jsonl"
+        path.write_text(
+            '{"prompt_id": "a", "pass1": 0.5, "grad": [1.0]}\n'
+            '{"prompt_id": "b", ' + fields + ', "grad": [1.0]}\n'
+        )
+        with pytest.raises(
+            GradLogError, match=f"line 2: {name} must be a number, not true/false"
+        ):
+            load_gradlog(path)
+
 
 class TestFilterByDifficulty:
     def test_threshold_bands(self):

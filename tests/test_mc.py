@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,22 @@ class TestMcGradPassK:
         with pytest.raises(DomainError):
             mc_grad_passk(ss, prof, 3)
 
+    def test_scored_means_reduced_once_per_set(self, monkeypatch):
+        batch, theta = overlap_pair()
+        ss = sample_actions(theta, batch, 50, seed=3)
+        emp = empirical_profile(ss)
+        exact = SuccessProfile.uniform(success_probs(theta, batch), ids=batch.ids)
+        reduce = mc._prompt_means
+        calls = []
+        monkeypatch.setattr(
+            mc, "_prompt_means", lambda s, scored: calls.append(scored) or reduce(s, scored)
+        )
+        mc_grad_passk(ss, emp, 3)
+        mc_grad_passk(ss, exact, 3)
+        assert calls == [True]
+        with pytest.raises(ValueError):
+            ss._scored_means[0, 0] = 1.0
+
     def test_inverse_sqrt_rate(self):
         # squared-error RMS over 50 seeds should halve when n quadruples
         batch, theta = overlap_pair()
@@ -319,6 +336,137 @@ class TestStreams:
         assert not np.array_equal(a, c)
 
 
+def pcg64_ints(state, inc, steps):
+    """The LCG x -> M x + inc stepped ``steps`` times, in Python integers."""
+    for _ in range(steps):
+        state = (state * mc.PCG64_MULT + inc) & mc.MASK128
+    return state
+
+
+def xsl_rr_int(state):
+    hi, lo = state >> 64, state & mc.MASK64
+    v, rot = hi ^ lo, hi >> 58
+    return ((v >> rot) | (v << (64 - rot))) & mc.MASK64
+
+
+def word_ints(hi, lo):
+    return [(int(h) << 64) | int(l) for h, l in zip(np.ravel(hi), np.ravel(lo))]
+
+
+class TestStreamKernel:
+    # (state, inc) pairs at the edges of the (hi, lo) word arithmetic: a low
+    # word of all ones (a carry out of it whenever a low product is added),
+    # inc with bit 127 set, states at and near 2**128 - 1, a zero high word
+    # (rotation by 0) and a high word with its top 6 bits set (rotation by 63)
+    EDGES = [
+        (2**64 - 1, 2**64 - 1),
+        (2**64 - 1, 2**127 | 1),
+        (2**128 - 1, 2**127 | 1),
+        (2**128 - 2, 2**128 - 1),
+        (2**128 - 2**64, 2**127 + 2**64 - 1),
+        (0, 1),
+        (12345, 2**64 + 1),
+        (0xFC00000000000000 << 64 | 7, 3),
+    ]
+
+    def test_muladd_matches_python_ints(self):
+        rng = np.random.default_rng(3)
+        extra = [int(v) << 64 | int(w) for v, w in rng.integers(0, 2**63, (6, 2))]
+        values = [v for pair in self.EDGES for v in pair] + extra
+        xs = mc._as_words(values)
+        for a in (mc.PCG64_MULT, 2**128 - 1, 2**64 + 3, 1):
+            for c in (0, 2**64 - 1, 2**128 - 1, 2**127 | 1):
+                got = mc._muladd(mc._as_words([a]), xs, mc._as_words([c]))
+                want = [(a * x + c) & mc.MASK128 for x in values]
+                assert word_ints(*got) == want
+
+    @pytest.mark.parametrize("phases", [1, 3, 7, 64])
+    def test_jump_ahead_matches_stepping(self, phases):
+        start_a, start_c, step_a, step_c = mc._jump_tables(phases)
+        states, incs = zip(*self.EDGES)
+        x = tuple(w[:, None] for w in mc._as_words(states))
+        inc = tuple(w[:, None] for w in mc._as_words(incs))
+        lanes = mc._muladd(start_a, x, mc._muladd(start_c, inc, mc._ZERO))
+        assert word_ints(*lanes) == [
+            pcg64_ints(s, q, j + 2) for s, q in self.EDGES for j in range(phases)
+        ]
+        advanced = mc._muladd(step_a, lanes, mc._muladd(step_c, inc, mc._ZERO))
+        assert word_ints(*advanced) == [
+            pcg64_ints(s, q, j + 2 + phases) for s, q in self.EDGES for j in range(phases)
+        ]
+
+    def test_output_matches_python_ints(self):
+        states = [s for pair in self.EDGES for s in pair]
+        got = mc._xsl_rr(*mc._as_words(states))
+        assert got.tolist() == [xsl_rr_int(s) for s in states]
+
+    def test_kernel_matches_numpy_bit_generator(self, monkeypatch):
+        # seed words (initstate, initseq) at the edges; with 11 prompts,
+        # LANES = 24 gives 3 lanes per prompt, so 37 draws end on a
+        # partial pass
+        monkeypatch.setattr(mc, "LANES", 24)
+        pairs = [(2**128 - 1, 2**127 - 1), (2**128 - 1, 2**126), (0, 2**127 | 5)]
+        pairs += [(s, q >> 1) for s, q in self.EDGES]
+        seeds = np.array(
+            [[s >> 64, s & mc.MASK64, q >> 64, q & mc.MASK64] for s, q in pairs],
+            dtype=np.uint64,
+        ).T
+        out = np.empty((len(pairs), 37))
+        mc._pcg64_doubles(seeds, out)
+        bitgen = np.random.PCG64(0)
+        for row, (initstate, initseq) in zip(out, pairs):
+            inc = (initseq << 1 | 1) & mc.MASK128
+            config = bitgen.state
+            config["state"] = {"state": pcg64_ints(initstate + inc, inc, 1), "inc": inc}
+            bitgen.state = config
+            assert_same_bits(row, np.random.Generator(bitgen).random(37))
+
+    @pytest.mark.parametrize("n_prompts,draws", [(3, 5000), (700, 9), (1, 1), (6000, 1)])
+    def test_uniform_draws_match_prompt_rng(self, n_prompts, draws):
+        phases = min(draws, -(-mc.LANES // n_prompts))
+        if draws > 1:
+            assert draws % phases, "the case should end on a partial pass"
+        ids = tuple(f"p{i}" for i in range(n_prompts))
+        got = mc._uniform_draws(9, ids, draws)
+        for pid, row in zip(ids, got):
+            assert_same_bits(row, prompt_rng(9, pid).random(draws))
+
+    def test_key_cache_honours_patched_key(self, monkeypatch):
+        ids = ("a", "b", "c")
+        real = mc._uniform_draws(5, ids, 4)  # caches the sha256 keys of ids
+        monkeypatch.setattr(mc, "_stream_key", lambda pid: 2**40 + ord(pid))
+        patched = mc._uniform_draws(5, ids, 4)
+        expected = [np.random.default_rng([5, 2**40 + ord(p)]).random(4) for p in ids]
+        assert_same_bits(patched, np.stack(expected))
+        assert not np.array_equal(real, patched)
+
+    def test_cached_keys_are_shared_and_read_only(self):
+        ids = ("a", "b")
+        keys = mc._stream_keys(ids, mc._stream_key)
+        assert mc._stream_keys(tuple(["a", "b"]), mc._stream_key) is keys
+        assert keys.tolist() == [mc._stream_key(p) for p in ids]
+        with pytest.raises(ValueError):
+            keys[0] = 1
+
+    def test_temporaries_do_not_scale_with_draws(self):
+        # the kernel's arrays are bounded by LANES, so past the (P, n)
+        # output the traced peak is the same at 64 and at 1024 draws
+        ids = tuple(str(i) for i in range(6000))
+
+        def peak_past_output(draws):
+            mc._uniform_draws(0, ids, draws)  # fills the key and table caches
+            tracemalloc.start()
+            try:
+                mc._uniform_draws(0, ids, draws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - len(ids) * draws * 8
+
+        small, large = peak_past_output(64), peak_past_output(1024)
+        assert large <= small + 64 * 1024, (small, large)
+
+
 class TestSampleIO:
     def test_round_trip(self, tmp_path):
         batch, theta = overlap_pair()
@@ -382,6 +530,17 @@ class TestSampleIO:
         with pytest.raises(DomainError, match="line 1: action must be 0 or 1, got True"):
             import_samples(path)
 
+    def test_boolean_score_entry_names_line(self, tmp_path):
+        path = tmp_path / "bool_score.jsonl"
+        path.write_text(
+            '{"prompt_id": "a", "action": 1, "reward": 1, "score": [0.5, 0.1]}\n'
+            '{"prompt_id": "a", "action": 0, "reward": 0, "score": [true, 0.5]}\n'
+        )
+        with pytest.raises(
+            DomainError, match="line 2: score entries must be numbers, not true/false"
+        ):
+            import_samples(path)
+
     def test_empty_score_names_line(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text('{"prompt_id": "a", "action": 1, "reward": 1, "score": []}\n')
@@ -391,23 +550,49 @@ class TestSampleIO:
     def test_export_matches_per_record_reference(self, tmp_path):
         # one json.dumps per draw over numpy scalars, as a plain loop would
         batch = sample_prompts(BanditConfig(seed=8), 30)
-        ss = sample_actions(np.array([0.3, -0.7]), batch, 7, seed=12)
-        expected = "".join(
-            json.dumps(
-                {
-                    "prompt_id": b.prompt_id,
-                    "action": int(b.actions[j]),
-                    "reward": int(b.rewards[j]),
-                    "score": [float(v) for v in b.scores[j]],
-                }
-            )
-            + "\n"
-            for b in ss.blocks
-            for j in range(b.n)
+        sampled = sample_actions(np.array([0.3, -0.7]), batch, 7, seed=12)
+        # ids that JSON escapes (and a % that a format string must not read),
+        # scores whose shortest repr has a sign, a subnormal or an exponent
+        edge = SampleSet.from_arrays(
+            ['a"b', "back\\slash", "\u00e9", "tab\there", "50%d"],
+            [0, 2, 3, 4, 5, 8],
+            [0, 1, 1, 0, 1, 0, 0, 1],
+            [1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0],
+            [
+                [-0.0, 5e-324],
+                [1e-5, 1e16],
+                [5e-324, -0.0],
+                [1e16, 1e-5],
+                [-1e16, -5e-324],
+                [0.1, -1e-5],
+                [-0.0, -0.0],
+                [1e16, 5e-324],
+            ],
         )
-        path = tmp_path / "samples.jsonl"
-        export_samples(ss, path)
-        assert path.read_bytes() == expected.encode()
+        for name, ss in (("sampled", sampled), ("edge", edge)):
+            expected = "".join(
+                json.dumps(
+                    {
+                        "prompt_id": b.prompt_id,
+                        "action": int(b.actions[j]),
+                        "reward": int(b.rewards[j]),
+                        "score": [float(v) for v in b.scores[j]],
+                    }
+                )
+                + "\n"
+                for b in ss.blocks
+                for j in range(b.n)
+            )
+            path = tmp_path / f"{name}.jsonl"
+            export_samples(ss, path)
+            assert path.read_bytes() == expected.encode()
+            assert import_samples(path).ids == ss.ids
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_export_rejects_nonfinite_scores(self, tmp_path, bad):
+        ss = SampleSet.from_arrays(["a"], [0, 2], [0, 1], [0.0, 1.0], [[0.5], [bad]])
+        with pytest.raises(DomainError, match="finite"):
+            export_samples(ss, tmp_path / "bad.jsonl")
 
 
 def reference_sample_actions(theta, batch, n, seed):

@@ -57,7 +57,6 @@ from .interference import (
     GradientTable,
     agreement_scores,
     classify_interference,
-    kernel,
     kernel_matrix,
 )
 from .mc import (

@@ -247,10 +247,6 @@ def policy_regularity_constants(batch: PromptBatch) -> tuple[float, float]:
     return bound, bound
 
 
-def empirical_hard_fraction(batch: PromptBatch) -> float:
-    return float(np.mean(batch.hard_mask))
-
-
 def batch_objective(theta, batch: PromptBatch, k: int) -> float:
     """Mass-uniform k-attempt objective over the batch (exact closed form)."""
     p = success_probs(theta, batch)

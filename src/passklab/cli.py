@@ -170,6 +170,8 @@ HEATMAP_SPEC = {
 
 def cmd_heatmap(args, config) -> int:
     _resolve(args, HEATMAP_SPEC, config)
+    if args.subsample < 1:
+        raise PassKLabError(f"subsample must be >= 1, got {args.subsample}")
     cfg = BanditConfig(
         separation=args.separation, hard_fraction=args.hard_fraction, seed=args.seed
     )

@@ -63,19 +63,7 @@ class GradientTable:
         n = grads.shape[0]
         if ids is None:
             ids = tuple(str(i) for i in range(n))
-        return cls(grads=grads, mass=np.full(n, 1.0 / n), ids=tuple(ids))
-
-
-def kernel(g1, g2) -> float:
-    """Inner product of two per-prompt gradients."""
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    if g1.shape != g2.shape or g1.ndim != 1:
-        raise AlignmentError(
-            f"kernel arguments must be 1-d vectors of equal length, "
-            f"got {g1.shape} and {g2.shape}"
-        )
-    return float(g1 @ g2)
+        return cls(grads=grads, mass=np.full(n, 1.0) / n, ids=tuple(ids))
 
 
 def kernel_matrix(table: GradientTable, normalize: bool = False) -> np.ndarray:

@@ -10,10 +10,10 @@ perturbs existing streams.
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,31 +22,13 @@ from .errors import DomainError
 from .objectives import SuccessProfile, weighted_row_sum, wk_array
 
 
-@dataclass(frozen=True, slots=True)
-class PromptSamples:
-    """One prompt's draws.  Built directly, it checks its own arrays; the
-    blocks a SampleSet hands out are views of the set's checked arrays."""
+class PromptSamples(NamedTuple):
+    """One prompt's draws: views of its rows in a SampleSet's arrays."""
 
     prompt_id: str
     actions: np.ndarray  # (n,) of {0, 1}
     rewards: np.ndarray  # (n,) of {0, 1}
     scores: np.ndarray  # (n, d) score vectors
-
-    def __post_init__(self):
-        actions = np.asarray(self.actions, dtype=int)
-        rewards = np.asarray(self.rewards, dtype=float)
-        scores = np.asarray(self.scores, dtype=float)
-        n = actions.shape[0]
-        if n < 1:
-            raise DomainError("each prompt needs at least one sample")
-        if rewards.shape != (n,) or scores.ndim != 2 or scores.shape[0] != n:
-            raise DomainError("need actions (n,), rewards (n,) and scores (n, d)")
-        if not ((rewards == 0.0) | (rewards == 1.0)).all():
-            raise DomainError("rewards must be exactly 0 or 1")
-        object.__setattr__(self, "prompt_id", str(self.prompt_id))
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "rewards", rewards)
-        object.__setattr__(self, "scores", scores)
 
     @property
     def n(self) -> int:
@@ -57,41 +39,15 @@ class SampleSet:
     """The draws of a set of prompts, stored as whole arrays.
 
     Row j of ``actions`` (N,), ``rewards`` (N,) and ``scores`` (N, d) is one
-    draw; prompt i owns rows ``offsets[i]:offsets[i + 1]``, so prompts may
-    have different draw counts.  The arrays are checked once, when the set
-    is built; ``blocks`` and ``set[prompt_id]`` are views of them.  They
-    are not to be changed afterwards: the per-prompt means that
-    ``mc_grad_passk`` reads are reduced once per set and kept.
+    draw; prompt ``ids[i]`` owns rows ``offsets[i]:offsets[i + 1]``, so prompts
+    may have different draw counts, and no id may repeat.  The arrays are
+    checked once, when the set is built; ``blocks`` and ``set[prompt_id]``
+    are views of them.  They are not to be changed afterwards: the
+    per-prompt means that ``mc_grad_passk`` reads are reduced once per set
+    and kept.
     """
 
-    def __init__(self, blocks):
-        """A set of the given PromptSamples, in order."""
-        blocks = tuple(blocks)
-        if not blocks:
-            raise DomainError("sample set must contain at least one prompt")
-        d = blocks[0].scores.shape[1]
-        for b in blocks:
-            if b.scores.shape[1] != d:
-                raise DomainError(
-                    f"prompt {b.prompt_id}: score dimension {b.scores.shape[1]} "
-                    f"differs from {d}"
-                )
-        self._store(
-            [b.prompt_id for b in blocks],
-            np.cumsum([0] + [b.n for b in blocks]),
-            np.concatenate([b.actions for b in blocks]),
-            np.concatenate([b.rewards for b in blocks]),
-            np.concatenate([b.scores for b in blocks]),
-        )
-
-    @classmethod
-    def from_arrays(cls, ids, offsets, actions, rewards, scores) -> "SampleSet":
-        """A set over draw arrays; prompt i owns rows offsets[i]:offsets[i + 1]."""
-        samples = cls.__new__(cls)
-        samples._store(ids, offsets, actions, rewards, scores)
-        return samples
-
-    def _store(self, ids, offsets, actions, rewards, scores) -> None:
+    def __init__(self, ids, offsets, actions, rewards, scores):
         ids = tuple(map(str, ids))
         try:
             offsets = np.asarray(offsets, dtype=np.int64)
@@ -120,7 +76,12 @@ class SampleSet:
             )
         if not ((rewards == 0.0) | (rewards == 1.0)).all():
             raise DomainError("rewards must be exactly 0 or 1")
-        self.ids, self.offsets = ids, offsets
+        index = {pid: i for i, pid in enumerate(ids)}
+        if len(index) < len(ids):
+            # index keeps each id's last position, so the first mismatch is a repeat
+            dup = next(pid for i, pid in enumerate(ids) if index[pid] != i)
+            raise DomainError(f"prompt id {dup!r} appears more than once")
+        self.ids, self.offsets, self._index = ids, offsets, index
         self.actions, self.rewards, self.scores = actions, rewards, scores
 
     @property
@@ -131,15 +92,10 @@ class SampleSet:
         return len(self.ids)
 
     def _block(self, i: int) -> PromptSamples:
-        """Prompt i's draws as a view, built unchecked: the set's arrays
-        were checked when it was built."""
         rows = slice(self.offsets[i], self.offsets[i + 1])
-        block = object.__new__(PromptSamples)
-        object.__setattr__(block, "prompt_id", self.ids[i])
-        object.__setattr__(block, "actions", self.actions[rows])
-        object.__setattr__(block, "rewards", self.rewards[rows])
-        object.__setattr__(block, "scores", self.scores[rows])
-        return block
+        return PromptSamples(
+            self.ids[i], self.actions[rows], self.rewards[rows], self.scores[rows]
+        )
 
     @property
     def blocks(self) -> tuple:
@@ -149,13 +105,9 @@ class SampleSet:
     def _scored_means(self) -> np.ndarray:
         """(P, d) per-prompt mean of reward * score, reduced once per set and
         read-only, so every estimate over the set shares it."""
-        means = _prompt_means(self, scored=True)
+        means = _reward_score_means(self)
         means.flags.writeable = False
         return means
-
-    @cached_property
-    def _index(self) -> dict:
-        return {pid: i for i, pid in enumerate(self.ids)}
 
     def __getitem__(self, prompt_id: str) -> PromptSamples:
         try:
@@ -420,7 +372,7 @@ def sample_actions(theta, batch: PromptBatch, n: int, seed: int) -> SampleSet:
     scores = np.take(
         table.reshape(2 * p, -1), actions + 2 * np.arange(p)[:, None], axis=0
     )
-    return SampleSet.from_arrays(
+    return SampleSet(
         batch.ids,
         np.arange(p + 1) * n,
         actions.reshape(p * n),
@@ -435,17 +387,17 @@ def mc_grad_pass1(samples: SampleSet, prompt_id: str) -> np.ndarray:
     return (block.rewards[:, None] * block.scores).mean(axis=0)
 
 
-def _prompt_means(samples: SampleSet, scored: bool) -> np.ndarray:
-    """Per-prompt mean of the rewards, or of reward * score when scored.
+def _reward_score_means(samples: SampleSet) -> np.ndarray:
+    """(P, d) per-prompt mean of reward * score.
 
     Prompts with equal draw counts are taken CHUNK_PROMPTS at a time as
-    (chunk, n) rows and reduced along the draw axis, bit for bit what each
+    (chunk, n, d) rows and reduced along the draw axis, bit for bit what each
     block's own mean gives.  A chunk of consecutive prompts is a slice of
     the stored arrays; any other chunk is gathered.
     """
     offsets, d = samples.offsets, samples.dim
     counts = np.diff(offsets)
-    out = np.empty((len(samples), d) if scored else len(samples))
+    out = np.empty((len(samples), d))
     for n in np.unique(counts).tolist():
         idx = np.flatnonzero(counts == n)
         for lo in range(0, idx.size, CHUNK_PROMPTS):
@@ -455,17 +407,16 @@ def _prompt_means(samples: SampleSet, scored: bool) -> np.ndarray:
             else:
                 rows = (offsets[chunk, None] + np.arange(n)).reshape(-1)
             r = samples.rewards[rows].reshape(chunk.size, n)
-            if scored:
-                s = samples.scores[rows].reshape(chunk.size, n, d)
-                out[chunk] = (r[:, :, None] * s).mean(axis=1)
-            else:
-                out[chunk] = r.mean(axis=1)
+            s = samples.scores[rows].reshape(chunk.size, n, d)
+            out[chunk] = (r[:, :, None] * s).mean(axis=1)
     return out
 
 
 def empirical_profile(samples: SampleSet) -> SuccessProfile:
     """Plug-in success probabilities c/n per prompt, uniform prompt mass."""
-    return SuccessProfile.uniform(_prompt_means(samples, scored=False), ids=samples.ids)
+    # the sums c are exact integers, so c/n has each block's mean's bits
+    c = np.add.reduceat(samples.rewards, samples.offsets[:-1])
+    return SuccessProfile.uniform(c / np.diff(samples.offsets), ids=samples.ids)
 
 
 def mc_grad_passk(samples: SampleSet, profile: SuccessProfile, k: int) -> np.ndarray:
@@ -564,7 +515,7 @@ def import_samples(path) -> SampleSet:
         raise DomainError(f"{path}: empty sample file")
     owner = np.array(owner)
     order = np.argsort(owner, kind="stable")  # group each prompt's draws
-    return SampleSet.from_arrays(
+    return SampleSet(
         index,
         np.concatenate([[0], np.cumsum(np.bincount(owner))]),
         np.array(actions)[order],

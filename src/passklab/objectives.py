@@ -185,7 +185,7 @@ class SuccessProfile:
         n = probs.size
         if ids is None:
             ids = tuple(str(i) for i in range(n))
-        return cls(probs=probs, mass=np.full(n, 1.0 / n), ids=tuple(ids))
+        return cls(probs=probs, mass=np.full(n, 1.0) / n, ids=tuple(ids))
 
 
 def pass_at_k(profile: SuccessProfile, k: int) -> float:

@@ -138,6 +138,8 @@ def run_trajectory(
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
+    if eta is not None and not eta > 0:
+        raise DomainError(f"eta must be > 0, got {eta}")
     if batch is None:
         batch = sample_prompts(config, n)
     theta = reference_theta() if theta0 is None else _check_theta(theta0)

@@ -25,7 +25,6 @@ from passklab.bandit import (
     EASY,
     HARD,
     batch_objective,
-    empirical_hard_fraction,
     expit,
     export_batch,
     import_batch,
@@ -57,7 +56,7 @@ class TestConfigAndSampling:
     def test_law_of_large_numbers_hard_fraction(self):
         cfg = BanditConfig(separation=0.2, hard_fraction=0.5, seed=7)
         batch = sample_prompts(cfg, 6000)
-        assert abs(empirical_hard_fraction(batch) - 0.5) < 0.02
+        assert abs(batch.hard_mask.mean() - 0.5) < 0.02
 
     def test_single_prompt(self):
         cfg = BanditConfig(seed=1)

@@ -339,6 +339,19 @@ class TestUsageErrorsExitTwo:
         argv = ["heatmap", *SMALL_HEATMAP, "--out", str(tmp_path / "hm")]
         self.assert_one_line_error(argv, capsys, "PASSK_SEED")
 
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_heatmap_subsample_below_one(self, tmp_path, capsys, value):
+        argv = ["heatmap", "--n", "300", "--subsample", value, "--out", str(tmp_path)]
+        self.assert_one_line_error(argv, capsys, f"subsample must be >= 1, got {value}")
+        assert not (tmp_path / "heatmap.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_trajectory_eta_not_positive(self, tmp_path, capsys, value):
+        argv = ["trajectory", "--eta", value, "--steps", "3", "--n", "200",
+                "--out", str(tmp_path)]
+        self.assert_one_line_error(argv, capsys, "eta must be > 0")
+        assert not (tmp_path / "trajectory.csv").exists()
+
 
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):

@@ -13,7 +13,6 @@ from passklab import (
     agreement_scores,
     classify_interference,
     grad_success_probs,
-    kernel,
     kernel_matrix,
     overlap_pair,
     reference_theta,
@@ -36,25 +35,20 @@ def random_table(rng, n=None, d=None):
 class TestKernel:
     def test_self_similarity(self):
         g = np.array([0.3, -1.2, 0.5])
-        assert kernel(g, g) == pytest.approx(float(g @ g))
-        assert kernel(g, g) >= 0
+        assert g @ g >= 0
 
     def test_overlap_pair_value(self):
         batch, theta = overlap_pair()
         g = grad_success_probs(theta, batch)
-        assert kernel(g[0], g[1]) == pytest.approx(-0.01, abs=0.005)
+        assert g[0] @ g[1] == pytest.approx(-0.01, abs=0.005)
 
     def test_toy_closed_form(self):
-        # kernel(x_e, x_h) = -z_e * z_h * <psi_e, psi_h> for opposite labels
+        # <g(x_e), g(x_h)> = -z_e * z_h * <psi_e, psi_h> for opposite labels
         batch, theta = overlap_pair()
         g = grad_success_probs(theta, batch)
         z = sigmoid_slope(theta, batch.features)
         expected = -z[0] * z[1] * float(batch.features[0] @ batch.features[1])
-        assert kernel(g[0], g[1]) == pytest.approx(expected, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(AlignmentError):
-            kernel(np.ones(2), np.ones(3))
+        assert g[0] @ g[1] == pytest.approx(expected, abs=1e-12)
 
     def test_sign_law(self):
         # opposite labels with positively aligned features conflict;
@@ -69,8 +63,8 @@ class TestKernel:
                 continue
             z1 = float(sigmoid_slope(theta, psi1))
             z2 = float(sigmoid_slope(theta, psi2))
-            opposite = kernel(-z1 * psi1, z2 * psi2)
-            matching = kernel(z1 * psi1, z2 * psi2)
+            opposite = (-z1 * psi1) @ (z2 * psi2)
+            matching = (z1 * psi1) @ (z2 * psi2)
             assert opposite < 0
             assert matching > 0
 
@@ -96,7 +90,7 @@ class TestKernelMatrix:
         for i in range(10):
             for j in range(10):
                 assert mat[i, j] == pytest.approx(
-                    kernel(table.grads[i], table.grads[j]), rel=1e-12
+                    table.grads[i] @ table.grads[j], rel=1e-12
                 )
 
     def test_toy_block_sign_pattern(self):
@@ -276,6 +270,10 @@ class TestGradientTableValidation:
         # a NaN mass used to pass validation and give mean_grad = [nan, nan]
         with pytest.raises(DomainError):
             GradientTable(grads=np.ones((3, 2)), mass=[0.5, np.nan, 0.5], ids=(0, 1, 2))
+
+    def test_uniform_needs_a_prompt(self):
+        with pytest.raises(DomainError, match="nonempty"):
+            GradientTable.uniform([])
 
     def test_uniform_at_a_million_prompts(self):
         n = 10**6

@@ -26,7 +26,6 @@ from passklab.conflict import assemble_passk_gradient
 from passklab.interference import GradientTable
 from passklab.mc import (
     CHUNK_PROMPTS,
-    PromptSamples,
     SampleSet,
     export_samples,
     import_samples,
@@ -36,17 +35,8 @@ from passklab.objectives import weighted_row_sum, wk_array
 
 
 def make_samples(rewards, scores, pid="p"):
-    rewards = np.asarray(rewards, dtype=float)
-    return SampleSet(
-        blocks=(
-            PromptSamples(
-                prompt_id=pid,
-                actions=np.zeros(rewards.size, dtype=int),
-                rewards=rewards,
-                scores=np.asarray(scores, dtype=float),
-            ),
-        )
-    )
+    n = len(rewards)
+    return SampleSet([pid], [0, n], np.zeros(n, dtype=int), rewards, scores)
 
 
 class TestSampleSetValidation:
@@ -54,18 +44,8 @@ class TestSampleSetValidation:
         with pytest.raises(DomainError):
             make_samples([0.5], [[1.0, 2.0]])
 
-    def test_rejects_mixed_dimensions(self):
-        a = PromptSamples("a", np.zeros(1, int), np.zeros(1), np.zeros((1, 2)))
-        b = PromptSamples("b", np.zeros(1, int), np.zeros(1), np.zeros((1, 3)))
-        with pytest.raises(DomainError):
-            SampleSet(blocks=(a, b))
-
-    def test_rejects_scores_without_a_draw_axis(self):
-        with pytest.raises(DomainError, match="scores"):
-            PromptSamples("a", np.zeros(2, int), np.zeros(2), np.zeros(2))
-
     def test_unequal_draw_counts_from_arrays(self):
-        ss = SampleSet.from_arrays(
+        ss = SampleSet(
             ("a", "b", "c"),
             [0, 2, 3, 7],
             [1, 0, 1, 0, 0, 1, 1],
@@ -101,15 +81,24 @@ class TestSampleSetValidation:
             (("a",), [0, 2], [0, 1], [0.0, 1.0], [[1.0, 2.0], [3.0]]),  # ragged
             ((), [0], [], [], np.zeros((0, 2))),  # empty
             (("a", "b"), [0, 2, 2], [0, 1], [0.0, 1.0], [[1.0], [2.0]]),  # no draws
+            (("a",), [0, 2], [0, 1], [0.0, 1.0], [1.0, 2.0]),  # no draw axis
+            (("a", "b", "a"), [0, 1, 2, 3], [0, 1, 0], [0.0, 1.0, 0.0], [[1.0]] * 3),
         ],
     )
     def test_from_arrays_rejects(self, ids, offsets, actions, rewards, scores):
         with pytest.raises(DomainError):
-            SampleSet.from_arrays(ids, offsets, actions, rewards, scores)
+            SampleSet(ids, offsets, actions, rewards, scores)
 
-    def test_rejects_empty_block_list(self):
-        with pytest.raises(DomainError, match="at least one prompt"):
-            SampleSet(blocks=())
+    def test_repeated_prompt_id_rejected(self):
+        batch = sample_prompts(BanditConfig(seed=4), 3)
+        repeated = PromptBatch(
+            ids=("x", "y", "x"),
+            features=batch.features,
+            labels=batch.labels,
+            correct_actions=batch.correct_actions,
+        )
+        with pytest.raises(DomainError, match="prompt id 'x' appears more than once"):
+            sample_actions(np.array([0.3, -0.7]), repeated, 4, seed=0)
 
     def test_unknown_prompt(self):
         ss = make_samples([1.0], [[1.0, 2.0]])
@@ -168,12 +157,8 @@ class TestMcGradPassK:
         np.testing.assert_allclose(mc_grad_passk(ss, prof, 1), expected, rtol=1e-12)
 
     def test_all_success_zero_vector(self):
-        ss = SampleSet(
-            blocks=(
-                PromptSamples("a", np.ones(3, int), np.ones(3), np.full((3, 2), 0.5)),
-                PromptSamples("b", np.ones(3, int), np.ones(3), np.full((3, 2), 0.5)),
-            )
-        )
+        ss = SampleSet(("a", "b"), [0, 3, 6], np.ones(6, int), np.ones(6),
+                       np.full((6, 2), 0.5))
         prof = SuccessProfile.uniform([1.0, 1.0], ids=("a", "b"))
         np.testing.assert_array_equal(mc_grad_passk(ss, prof, 4), [0.0, 0.0])
 
@@ -209,14 +194,14 @@ class TestMcGradPassK:
         ss = sample_actions(theta, batch, 50, seed=3)
         emp = empirical_profile(ss)
         exact = SuccessProfile.uniform(success_probs(theta, batch), ids=batch.ids)
-        reduce = mc._prompt_means
+        reduce = mc._reward_score_means
         calls = []
         monkeypatch.setattr(
-            mc, "_prompt_means", lambda s, scored: calls.append(scored) or reduce(s, scored)
+            mc, "_reward_score_means", lambda s: calls.append(s) or reduce(s)
         )
         mc_grad_passk(ss, emp, 3)
         mc_grad_passk(ss, exact, 3)
-        assert calls == [True]
+        assert calls == [ss]
         with pytest.raises(ValueError):
             ss._scored_means[0, 0] = 1.0
 
@@ -553,7 +538,7 @@ class TestSampleIO:
         sampled = sample_actions(np.array([0.3, -0.7]), batch, 7, seed=12)
         # ids that JSON escapes (and a % that a format string must not read),
         # scores whose shortest repr has a sign, a subnormal or an exponent
-        edge = SampleSet.from_arrays(
+        edge = SampleSet(
             ['a"b', "back\\slash", "\u00e9", "tab\there", "50%d"],
             [0, 2, 3, 4, 5, 8],
             [0, 1, 1, 0, 1, 0, 0, 1],
@@ -590,7 +575,7 @@ class TestSampleIO:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_export_rejects_nonfinite_scores(self, tmp_path, bad):
-        ss = SampleSet.from_arrays(["a"], [0, 2], [0, 1], [0.0, 1.0], [[0.5], [bad]])
+        ss = SampleSet(["a"], [0, 2], [0, 1], [0.0, 1.0], [[0.5], [bad]])
         with pytest.raises(DomainError, match="finite"):
             export_samples(ss, tmp_path / "bad.jsonl")
 
@@ -598,15 +583,20 @@ class TestSampleIO:
 def reference_sample_actions(theta, batch, n, seed):
     """Prompt-by-prompt sampling: one stream, comparison and score per prompt."""
     sigs = expit(batch.features @ theta).tolist()
-    blocks = []
+    actions, rewards, scores = [], [], []
     for i, pid in enumerate(batch.ids):
         sig = sigs[i]
-        actions = (prompt_rng(seed, pid).random(n) < sig).astype(int)
-        rewards = (actions == batch.correct_actions[i]).astype(float)
-        coef = np.where(actions == 1, 1.0 - sig, -sig)
-        scores = coef[:, None] * batch.features[i][None, :]
-        blocks.append(PromptSamples(pid, actions.copy(), rewards.copy(), scores.copy()))
-    return SampleSet(blocks=tuple(blocks))
+        actions.append((prompt_rng(seed, pid).random(n) < sig).astype(int))
+        rewards.append((actions[-1] == batch.correct_actions[i]).astype(float))
+        coef = np.where(actions[-1] == 1, 1.0 - sig, -sig)
+        scores.append(coef[:, None] * batch.features[i][None, :])
+    return SampleSet(
+        batch.ids,
+        np.arange(len(batch) + 1) * n,
+        np.concatenate(actions),
+        np.concatenate(rewards),
+        np.concatenate(scores),
+    )
 
 
 def reference_estimates(samples, profile, k):
@@ -659,18 +649,15 @@ class TestVectorisedEstimators:
         # takes more than one chunk; normal scores at 20 draws tell a
         # sequential sum from numpy's pairwise one
         rng = np.random.default_rng(6)
-        blocks = []
-        for i in range(3 * CHUNK_PROMPTS + 30):
-            m = (3, 1, 20)[i % 3]
-            blocks.append(
-                PromptSamples(
-                    f"q{i}",
-                    rng.integers(0, 2, m),
-                    rng.integers(0, 2, m).astype(float),
-                    rng.normal(size=(m, 3)),
-                )
-            )
-        ss = SampleSet(blocks=tuple(blocks))
+        counts = np.resize([3, 1, 20], 3 * CHUNK_PROMPTS + 30)
+        total = int(counts.sum())
+        ss = SampleSet(
+            [f"q{i}" for i in range(counts.size)],
+            np.concatenate([[0], np.cumsum(counts)]),
+            rng.integers(0, 2, total),
+            rng.integers(0, 2, total).astype(float),
+            rng.normal(size=(total, 3)),
+        )
         emp = empirical_profile(ss)
         for k in (1, 4):
             probs, grad = reference_estimates(ss, emp, k)

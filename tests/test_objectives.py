@@ -142,6 +142,10 @@ class TestSuccessProfile:
         assert prof.mass == pytest.approx([1 / 3] * 3)
         assert prof.ids == ("0", "1", "2")
 
+    def test_uniform_needs_a_prompt(self):
+        with pytest.raises(DomainError, match="nonempty"):
+            SuccessProfile.uniform([])
+
     def test_uniform_mass_sums_to_one_at_a_million_prompts(self):
         # sequential summation drifts past 1e-12 from n = 10**5 on
         prof = SuccessProfile.uniform(np.full(10**6, 0.5))

@@ -19,7 +19,7 @@ from passklab import (
     smoothness_constants,
     success_probs,
 )
-from passklab.bandit import EASY, HARD, batch_objective, empirical_hard_fraction
+from passklab.bandit import EASY, HARD, batch_objective
 from passklab.conflict import assemble_passk_gradient
 from passklab.interference import GradientTable, agreement_scores
 from passklab.optimizer import trajectory_to_csv
@@ -90,7 +90,7 @@ class TestTrajectory:
         # population value = hard_frac * hard mean + (1 - hard_frac) * easy mean
         cfg = BanditConfig(seed=7)
         batch = sample_prompts(cfg, 500)
-        hf = empirical_hard_fraction(batch)
+        hf = batch.hard_mask.mean()
         records = run_trajectory(cfg, k=5, eta=1.0, steps=3, n=500)
         for r in records:
             recombined = hf * r.j1_hard + (1 - hf) * r.j1_easy

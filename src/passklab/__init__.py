@@ -52,13 +52,7 @@ from .gradlog import (
     make_synthetic_conflict_log,
     scatter_export,
 )
-from .interference import (
-    AgreementProfile,
-    GradientTable,
-    agreement_scores,
-    classify_interference,
-    kernel_matrix,
-)
+from .interference import GradientTable, agreement_scores, kernel_matrix
 from .mc import (
     SampleSet,
     empirical_profile,

@@ -86,6 +86,7 @@ class PromptBatch:
             raise DomainError("batch must be nonempty")
         if np.any(feats[:, 0] != 1.0):
             raise DomainError("features[:, 0] must be exactly 1")
+        _id_index(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -100,6 +101,16 @@ class PromptBatch:
     @property
     def hard_mask(self) -> np.ndarray:
         return self.labels == HARD
+
+
+def _id_index(ids: tuple) -> dict:
+    """Map each id to its position, rejecting an id that appears twice."""
+    index = {pid: i for i, pid in enumerate(ids)}
+    if len(index) < len(ids):
+        # index keeps each id's last position, so the first mismatch is a repeat
+        dup = next(pid for i, pid in enumerate(ids) if index[pid] != i)
+        raise DomainError(f"prompt id {dup!r} appears more than once")
+    return index
 
 
 def expit(u):
@@ -123,18 +134,15 @@ def _check_theta(theta) -> np.ndarray:
     return theta
 
 
-def sample_prompts(
-    config: BanditConfig, n: int, rng: np.random.Generator | None = None
-) -> PromptBatch:
+def sample_prompts(config: BanditConfig, n: int) -> PromptBatch:
     """Draw n prompts: label ~ Bernoulli(hard_fraction), then the scalar
     feature from N(+sep/2, std) for hard and N(-sep/2, std) for easy.
 
-    Deterministic for a given config.seed when rng is not supplied.
+    Deterministic for a given config.seed.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     hard = rng.random(n) < config.hard_fraction
     centers = np.where(hard, config.separation / 2.0, -config.separation / 2.0)
     s = rng.normal(centers, config.feature_std)

@@ -192,7 +192,7 @@ def cmd_heatmap(args, config) -> int:
             file=sys.stderr,
         )
     table = GradientTable.uniform(grads[sub], ids=[batch.ids[i] for i in sub])
-    cos = kernel_matrix(table, normalize=True)
+    cos = kernel_matrix(table)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

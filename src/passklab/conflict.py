@@ -19,11 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import AlignmentError, DomainError, IdentityCheckError
-from .interference import (
-    AgreementProfile,
-    GradientTable,
-    classify_interference,
-)
+from .interference import GradientTable, agreement_scores
 from .objectives import (
     SuccessProfile,
     ordered_dot,
@@ -46,11 +42,14 @@ class ConflictReport:
     inner_product, weighted_form, and cov_form are three routes to the
     same quantity and agree within ROUTE_RTOL of the computation scale.
     grad_k is the population k-attempt gradient of the direct route: the
-    ascent direction at this point.  agreement is the population state
-    (scores, weights, interfering set) the other two routes read from.
-    Neither array-valued field goes into to_dict.  Smoothness-dependent
-    fields, among them the certified step eta_max, are None when no
-    Hessian-norm bound f was supplied (e.g. external gradient logs).
+    ascent direction at this point.  The other two routes read the
+    per-prompt agreement scores and pass@k weights, and mean_score, the
+    mass-weighted mean agreement.  neg_set holds the indices with score
+    <= -margin, q their mass, and w_minus / w_plus the weights inside and
+    outside it.  scores, weights, mean_score, neg_set and grad_k stay out
+    of to_dict.  Smoothness-dependent fields, among them the certified
+    step eta_max, are None when no Hessian-norm bound f was supplied
+    (e.g. external gradient logs).
     """
 
     k: int
@@ -76,13 +75,16 @@ class ConflictReport:
     c2: float | None
     eta_max: float | None
     grad_k: np.ndarray
-    agreement: AgreementProfile
+    scores: np.ndarray
+    weights: np.ndarray
+    mean_score: float
+    neg_set: tuple
 
     def to_dict(self) -> dict:
         return {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.name not in ("grad_k", "agreement")
+            if f.name not in ("grad_k", "scores", "weights", "mean_score", "neg_set")
         }
 
     def to_json(self, path) -> None:
@@ -111,6 +113,14 @@ def _routes_agree(values: dict[str, float], scale: float) -> None:
                 )
 
 
+def _check_aligned(table: GradientTable, profile: SuccessProfile) -> None:
+    """Same prompt ids and mass; one shared mass array skips the compare."""
+    if profile.ids is not table.ids and profile.ids != table.ids:
+        raise AlignmentError("profile and table must list the same prompt ids")
+    if profile.mass is not table.mass and not np.array_equal(profile.mass, table.mass):
+        raise AlignmentError("profile and table must carry the same prompt mass")
+
+
 def assemble_passk_gradient(
     table: GradientTable, profile: SuccessProfile, k: int
 ) -> np.ndarray:
@@ -127,17 +137,31 @@ def conflict_report(
 ) -> ConflictReport:
     """Compute the full conflict diagnostic, cross-checking all routes.
 
-    The population state (scores, weights, interfering set) comes from
-    one classify_interference call; the direct route still assembles
-    grad_k from the table on its own, so the routes stay independent.
+    The mass-weighted mean agreement must equal ||mean grad||^2
+    (IdentityCheckError otherwise).  The direct route assembles grad_k
+    with its own weights, so the three routes stay independent.
     constants, when given, is the (g2, f) pair bounding the expected
     squared score norm and expected score-Hessian norm; g2 defaults to
     the max squared gradient row norm and f to None (smoothness fields
     then stay None).
     """
-    agreement = classify_interference(table, profile, margin, k)
-    weights, scores = agreement.weights, agreement.scores
-    mean_score, mass = agreement.mean_score, table.mass
+    if not margin > 0:
+        raise DomainError(f"margin must be > 0, got {margin}")
+    _check_aligned(table, profile)
+    margin, mass = float(margin), table.mass
+    scores = agreement_scores(table)
+    mean_score = ordered_dot(mass, scores)
+    norm_sq = float(table.mean_grad @ table.mean_grad)
+    identity_scale = max(abs(norm_sq), ordered_dot(mass, np.abs(scores)), 1e-300)
+    if abs(mean_score - norm_sq) > 1e-10 * identity_scale:
+        raise IdentityCheckError(
+            f"mean agreement {mean_score} != ||mean grad||^2 {norm_sq}"
+        )
+    neg = scores <= -margin
+    weights = wk_array(profile.probs, k)
+    q = ordered_dot(mass, neg.astype(float))
+    w_minus = ordered_dot(mass, np.where(neg, weights, 0.0))
+    w_plus = ordered_dot(mass, np.where(neg, 0.0, weights))
 
     mean_weight = ordered_dot(mass, weights)
     if mean_weight == 0.0:
@@ -145,7 +169,6 @@ def conflict_report(
             "all pass@k weights are zero (every success probability is 1); "
             "the reweighted distribution is undefined"
         )
-    norm_sq = float(table.mean_grad @ table.mean_grad)
 
     weighted_form = ordered_dot(mass, weights * scores)
     grad_k = assemble_passk_gradient(table, profile, k)
@@ -179,7 +202,7 @@ def conflict_report(
         g2, f = default_score_bound_sq(table), None
     else:
         g2, f = float(constants[0]), float(constants[1])
-    delta = delta_bound(agreement, g2)
+    delta = delta_bound(margin, w_minus, w_plus, g2)
 
     l1 = lk = c2 = eta_max = None
     if f is not None:
@@ -189,7 +212,7 @@ def conflict_report(
 
     return ConflictReport(
         k=int(k),
-        margin=float(margin),
+        margin=margin,
         inner_product=inner_product,
         weighted_form=weighted_form,
         cov_form=cov_form,
@@ -200,9 +223,9 @@ def conflict_report(
         sigma_a=sigma_a,
         norm_sq_mean_grad=norm_sq,
         reweighted_mean_agreement=reweighted_mean,
-        q=agreement.q,
-        w_minus=agreement.w_minus,
-        w_plus=agreement.w_plus,
+        q=q,
+        w_minus=w_minus,
+        w_plus=w_plus,
         delta_bound=delta,
         g2=g2,
         f=f,
@@ -211,7 +234,10 @@ def conflict_report(
         c2=c2,
         eta_max=eta_max,
         grad_k=grad_k,
-        agreement=agreement,
+        scores=scores,
+        weights=weights,
+        mean_score=mean_score,
+        neg_set=tuple(np.flatnonzero(neg).tolist()),
     )
 
 
@@ -228,7 +254,7 @@ def reweighted_distribution(profile: SuccessProfile, k: int) -> np.ndarray:
     return tilted / total
 
 
-def delta_bound(agreement: AgreementProfile, g2: float) -> float:
+def delta_bound(margin: float, w_minus: float, w_plus: float, g2: float) -> float:
     """Conflict certificate margin*W- - g2*W+.
 
     When positive, the population inner product is at most its negative,
@@ -236,7 +262,7 @@ def delta_bound(agreement: AgreementProfile, g2: float) -> float:
     """
     if not g2 > 0:
         raise DomainError(f"g2 must be > 0, got {g2}")
-    return agreement.margin * agreement.w_minus - g2 * agreement.w_plus
+    return margin * w_minus - g2 * w_plus
 
 
 def conflict_bound(
@@ -324,8 +350,7 @@ def inner_product_k_m(
     time is O(n^2 * d): an audit for subsamples, not for n = 10^6
     (where only the direct route, O(n * d), is affordable).
     """
-    if tuple(profile.ids) != tuple(table.ids):
-        raise AlignmentError("profile and table must list the same prompt ids")
+    _check_aligned(table, profile)
     wk_w = wk_array(profile.probs, k) * table.mass
     wm_w = wk_array(profile.probs, m_order) * table.mass
     grads, blocks = table.grads, []

@@ -24,6 +24,9 @@ from .interference import GradientTable
 from .objectives import SuccessProfile, ordered_dot
 from .serialization import write_csv, write_json
 
+ANTI_ALIGNMENT = 3.0  # synthetic log: hard-gradient scale against the easy one
+NOISE = 0.05  # synthetic log: per-entry gradient noise
+
 
 @dataclass(frozen=True)
 class GradLogRecord:
@@ -219,13 +222,13 @@ def diagnose(filtered: FilteredLog, k: int) -> DiagReport:
     mass = _prompt_masses(filtered.records)
     table = GradientTable(np.stack([rec.grad for rec in filtered.records]), mass, ids)
     report = conflict_report(table, SuccessProfile(pass1, mass, ids), k)
-    agreements, weights = report.agreement.scores, report.agreement.weights
+    agreements, weights = report.scores, report.weights
     contributions = weights * agreements
 
     # expectations normalized by the float mass total, so constant weights
     # give a mean of exactly 1 and the k=1 shift is exactly zero
     denom = ordered_dot(mass, np.ones(n))
-    unweighted = report.agreement.mean_score / denom
+    unweighted = report.mean_score / denom
     mean_weight = report.mean_weight / denom
     inner_product = report.weighted_form / denom
     weighted = inner_product / mean_weight
@@ -282,18 +285,14 @@ def report_to_json(report: DiagReport, path) -> None:
 
 
 def make_synthetic_conflict_log(
-    n: int = 600,
-    d: int = 64,
-    seed: int = 0,
-    hard_fraction: float = 0.15,
-    anti_alignment: float = 3.0,
-    noise: float = 0.05,
+    n: int = 600, d: int = 64, seed: int = 0, hard_fraction: float = 0.15
 ) -> list[GradLogRecord]:
     """Construct a log whose hard minority provably flips the weighted mean.
 
     Easy records (majority) have high pass1 and gradients clustered along
     a common direction; hard records have low pass1 and gradients
-    anti-aligned with that direction, scaled by anti_alignment.  The mean
+    anti-aligned with that direction, scaled by ANTI_ALIGNMENT; every
+    gradient gets Gaussian noise of scale NOISE.  The mean
     gradient stays aligned with the easy cluster, so easy agreements are
     positive, hard agreements negative, and the k-attempt weights (which
     concentrate on low pass1) drag the weighted mean below zero.
@@ -311,10 +310,10 @@ def make_synthetic_conflict_log(
         hard = i < n_hard
         if hard:
             pass1 = rng.uniform(0.002, 0.08)
-            grad = -anti_alignment * direction + noise * rng.normal(size=d)
+            grad = -ANTI_ALIGNMENT * direction + NOISE * rng.normal(size=d)
         else:
             pass1 = rng.uniform(0.86, 0.995)
-            grad = direction + noise * rng.normal(size=d)
+            grad = direction + NOISE * rng.normal(size=d)
         records.append(
             GradLogRecord(
                 prompt_id=f"p{i:04d}",

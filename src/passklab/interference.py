@@ -1,4 +1,4 @@
-"""Prompt-similarity kernel, agreement scores, and interfering-set masses.
+"""Prompt-similarity kernel and agreement scores.
 
 Two prompts interfere through the inner product of their per-prompt
 success-probability gradients: positive means an update helping one
@@ -11,14 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, DomainError, IdentityCheckError
-from .objectives import (
-    SuccessProfile,
-    check_mass,
-    ordered_dot,
-    weighted_row_sum,
-    wk_array,
-)
+from .errors import DomainError
+from .objectives import check_mass, weighted_row_sum
 from .serialization import write_csv
 
 ZERO_NORM = 1e-15
@@ -60,21 +54,19 @@ class GradientTable:
     @classmethod
     def uniform(cls, grads, ids=None) -> "GradientTable":
         grads = np.asarray(grads, dtype=float)
-        n = grads.shape[0]
+        n = grads.shape[0] if grads.ndim else 0  # a scalar fails the constructor
         if ids is None:
             ids = tuple(str(i) for i in range(n))
         return cls(grads=grads, mass=np.full(n, 1.0) / n, ids=tuple(ids))
 
 
-def kernel_matrix(table: GradientTable, normalize: bool = False) -> np.ndarray:
-    """Full pairwise kernel; cosine-normalized rows when normalize is set.
+def kernel_matrix(table: GradientTable) -> np.ndarray:
+    """Full pairwise cosine kernel of the gradient rows.
 
     Rows with norm below 1e-15 carry no update direction, so their
-    normalized entries are defined as 0.
+    entries are defined as 0.
     """
     raw = table.grads @ table.grads.T
-    if not normalize:
-        return raw
     norms = np.linalg.norm(table.grads, axis=1)
     safe = np.where(norms < ZERO_NORM, 1.0, norms)
     cos = raw / np.outer(safe, safe)
@@ -88,65 +80,6 @@ def kernel_matrix(table: GradientTable, normalize: bool = False) -> np.ndarray:
 def agreement_scores(table: GradientTable) -> np.ndarray:
     """Inner product of each gradient row with the population mean gradient."""
     return table.grads @ table.mean_grad
-
-
-@dataclass(frozen=True)
-class AgreementProfile:
-    """Agreement scores, pass@k weights, and the margin-m negatively
-    interfering set: the population state at one point.
-
-    mean_score is the mass-weighted mean agreement; neg_set holds indices
-    with score <= -margin; q is their probability mass; w_minus / w_plus
-    aggregate the pass@k weights inside and outside the set.
-    """
-
-    scores: np.ndarray
-    weights: np.ndarray
-    mean_score: float
-    margin: float
-    k: int
-    neg_set: tuple
-    q: float
-    w_minus: float
-    w_plus: float
-
-
-def classify_interference(
-    table: GradientTable, profile: SuccessProfile, margin: float, k: int
-) -> AgreementProfile:
-    """Split the prompt distribution by agreement sign at the given margin.
-
-    Also verifies the identity that the mass-weighted mean agreement
-    equals the squared norm of the mean gradient.
-    """
-    if not margin > 0:
-        raise DomainError(f"margin must be > 0, got {margin}")
-    if tuple(profile.ids) != tuple(table.ids):
-        raise AlignmentError("profile and table must list the same prompt ids")
-    scores = agreement_scores(table)
-    mean_score = ordered_dot(table.mass, scores)
-    norm_sq = float(table.mean_grad @ table.mean_grad)
-    scale = max(abs(norm_sq), ordered_dot(table.mass, np.abs(scores)), 1e-300)
-    if abs(mean_score - norm_sq) > 1e-10 * scale:
-        raise IdentityCheckError(
-            f"mean agreement {mean_score} != ||mean grad||^2 {norm_sq}"
-        )
-    neg = scores <= -margin
-    weights = wk_array(profile.probs, k)
-    q = ordered_dot(table.mass, neg.astype(float))
-    w_minus = ordered_dot(table.mass, np.where(neg, weights, 0.0))
-    w_plus = ordered_dot(table.mass, np.where(neg, 0.0, weights))
-    return AgreementProfile(
-        scores=scores,
-        weights=weights,
-        mean_score=mean_score,
-        margin=float(margin),
-        k=int(k),
-        neg_set=tuple(np.flatnonzero(neg).tolist()),
-        q=q,
-        w_minus=w_minus,
-        w_plus=w_plus,
-    )
 
 
 def kernel_matrix_to_csv(matrix: np.ndarray, ids, path) -> None:

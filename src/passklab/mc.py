@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bandit import PromptBatch, _check_theta, expit
+from .bandit import PromptBatch, _check_theta, _id_index, expit
 from .errors import DomainError
 from .objectives import SuccessProfile, weighted_row_sum, wk_array
 
@@ -76,11 +76,7 @@ class SampleSet:
             )
         if not ((rewards == 0.0) | (rewards == 1.0)).all():
             raise DomainError("rewards must be exactly 0 or 1")
-        index = {pid: i for i, pid in enumerate(ids)}
-        if len(index) < len(ids):
-            # index keeps each id's last position, so the first mismatch is a repeat
-            dup = next(pid for i, pid in enumerate(ids) if index[pid] != i)
-            raise DomainError(f"prompt id {dup!r} appears more than once")
+        index = _id_index(ids)
         self.ids, self.offsets, self._index = ids, offsets, index
         self.actions, self.rewards, self.scores = actions, rewards, scores
 

@@ -11,7 +11,6 @@ from passklab import (
     DomainError,
     SuccessProfile,
     ascent_step,
-    classify_interference,
     conflict_bound,
     conflict_report,
     delta_bound,
@@ -30,7 +29,7 @@ from passklab import (
 )
 from passklab.bandit import batch_objective
 from passklab.conflict import ROUTE_RTOL
-from passklab.interference import GradientTable, kernel_matrix
+from passklab.interference import GradientTable
 from passklab.objectives import ordered_dot, wk_array
 
 
@@ -105,12 +104,11 @@ class TestConflictReportRoutes:
         report = conflict_report(  # raises IdentityCheckError on disagreement
             table, profile, 5, constants=policy_regularity_constants(batch)
         )
-        agreement = report.agreement
         scale = max(
             abs(report.inner_product),
             abs(report.weighted_form),
             abs(report.cov_form),
-            ordered_dot(table.mass, agreement.weights * np.abs(agreement.scores)),
+            ordered_dot(table.mass, report.weights * np.abs(report.scores)),
         )
         routes = (report.inner_product, report.weighted_form, report.cov_form)
         assert max(routes) - min(routes) <= ROUTE_RTOL * scale
@@ -155,6 +153,23 @@ class TestConflictReportRoutes:
 
         with pytest.raises(AlignmentError):
             conflict_report(table, bad, k)
+
+    def test_profile_mass_must_match_table(self):
+        # a profile whose mass differs from the table's describes another
+        # population, whatever the table's rows say
+        from passklab import AlignmentError, pass_at_k
+
+        grads = np.array([[1.0, 0.0], [0.2, 1.0], [-0.5, 0.3]])
+        probs = np.array([0.9, 0.4, 0.1])
+        table = GradientTable.uniform(grads)
+        skewed = SuccessProfile(probs=probs, mass=[0.8, 0.1, 0.1], ids=table.ids)
+        assert pass_at_k(skewed, 5) != pass_at_k(SuccessProfile.uniform(probs), 5)
+        with pytest.raises(AlignmentError, match="mass"):
+            conflict_report(table, skewed, 5)
+        with pytest.raises(AlignmentError, match="mass"):
+            inner_product_k_m(table, skewed, 5, 1)
+        # equal mass held in a separate array still aligns
+        conflict_report(table, SuccessProfile.uniform(probs), 5)
 
     def test_json_round_trip(self, tmp_path):
         import json
@@ -223,9 +238,9 @@ class TestDeltaBound:
         grads = np.array([[1.0, 0.0], [0.8, 0.1]])
         table = GradientTable.uniform(grads)
         profile = SuccessProfile.uniform([0.3, 0.6])
-        agreement = classify_interference(table, profile, 1e-6, 5)
-        assert agreement.q == 0.0
-        assert delta_bound(agreement, 2.0) <= 0.0
+        report = conflict_report(table, profile, 5, margin=1e-6)
+        assert report.q == 0.0
+        assert delta_bound(report.margin, report.w_minus, report.w_plus, 2.0) <= 0.0
 
     def test_constructed_certificate(self):
         # all weight mass inside the negative set: p = 0 there, p = 1 outside
@@ -235,9 +250,9 @@ class TestDeltaBound:
         scores = table.grads @ table.mean_grad
         assert scores[2] < 0
         m = -scores[2] * 0.99
-        agreement = classify_interference(table, profile, m, 6)
+        report = conflict_report(table, profile, 6, margin=m)
         g2 = float(np.max(np.sum(grads**2, axis=1)))
-        delta = delta_bound(agreement, g2)
+        delta = delta_bound(report.margin, report.w_minus, report.w_plus, g2)
         assert delta > 0
         r = conflict_report(table, profile, 6, margin=m, constants=(g2, g2))
         assert r.inner_product <= -delta + 1e-12
@@ -251,9 +266,9 @@ class TestDeltaBound:
         grads = np.array([[1.0], [-1.0]])
         table = GradientTable.uniform(grads)
         profile = SuccessProfile.uniform([0.5, 0.5])
-        agreement = classify_interference(table, profile, 1e-3, 2)
+        report = conflict_report(table, profile, 2, margin=1e-3)
         with pytest.raises(DomainError):
-            delta_bound(agreement, 0.0)
+            delta_bound(report.margin, report.w_minus, report.w_plus, 0.0)
 
 
 class TestKStar:
@@ -429,7 +444,7 @@ class TestInnerProductKM:
         assert abs(result.direct - result.double_sum) <= 1e-9 * scale
         wk_w = wk_array(profile.probs, 4) * mass
         wm_w = wk_array(profile.probs, 9) * mass
-        full = float(wk_w @ kernel_matrix(table) @ wm_w)
+        full = float(wk_w @ (table.grads @ table.grads.T) @ wm_w)
         assert result.double_sum == pytest.approx(full, rel=1e-12)
 
     def test_nonnegative_kernel_implies_no_conflict(self):

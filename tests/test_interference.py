@@ -11,7 +11,7 @@ from passklab import (
     DomainError,
     SuccessProfile,
     agreement_scores,
-    classify_interference,
+    conflict_report,
     grad_success_probs,
     kernel_matrix,
     overlap_pair,
@@ -73,20 +73,22 @@ class TestKernelMatrix:
     def test_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(1)
         table = random_table(rng, n=20, d=5)
-        cos = kernel_matrix(table, normalize=True)
+        cos = kernel_matrix(table)
         np.testing.assert_allclose(cos, cos.T, atol=1e-12)
         np.testing.assert_allclose(np.diag(cos), 1.0, atol=1e-12)
 
     def test_zero_rows_get_zero_cosine(self):
         grads = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
         table = GradientTable.uniform(grads)
-        cos = kernel_matrix(table, normalize=True)
+        cos = kernel_matrix(table)
         assert np.all(cos[1, :] == 0.0) and np.all(cos[:, 1] == 0.0)
 
     def test_raw_matches_pairwise_kernel(self):
+        # the cosine kernel scaled back by the row norms is the raw kernel
         rng = np.random.default_rng(2)
         table = random_table(rng, n=10, d=4)
-        mat = kernel_matrix(table)
+        norms = np.linalg.norm(table.grads, axis=1)
+        mat = kernel_matrix(table) * np.outer(norms, norms)
         for i in range(10):
             for j in range(10):
                 assert mat[i, j] == pytest.approx(
@@ -104,7 +106,7 @@ class TestKernelMatrix:
         hard_idx = np.flatnonzero(batch.hard_mask)[:80]
         sub = np.concatenate([easy_idx, hard_idx])
         table = GradientTable.uniform(grads[sub])
-        cos = kernel_matrix(table, normalize=True)
+        cos = kernel_matrix(table)
         ee = cos[:120, :120]
         hh = cos[120:, 120:]
         eh = cos[:120, 120:]
@@ -126,7 +128,7 @@ class TestAgreementScores:
         for _ in range(50):
             table = random_table(rng)
             direct = agreement_scores(table)
-            via_kernel = kernel_matrix(table) @ table.mass
+            via_kernel = (table.grads @ table.grads.T) @ table.mass
             np.testing.assert_allclose(direct, via_kernel, rtol=1e-12, atol=1e-14)
 
     def test_mean_agreement_identity(self):
@@ -167,51 +169,53 @@ class TestAgreementScores:
 
 
 class TestClassifyInterference:
+    """The interfering set and weight split that conflict_report classifies."""
+
     def two_point(self, k=10, margin=1e-3):
         batch, theta = overlap_pair()
         table = GradientTable.uniform(grad_success_probs(theta, batch), ids=batch.ids)
         profile = SuccessProfile.uniform(success_probs(theta, batch), ids=batch.ids)
-        return classify_interference(table, profile, margin, k), table, profile
+        return conflict_report(table, profile, k, margin=margin), table, profile
 
     def test_two_point_sets_and_masses(self):
         from passklab import wk
 
-        agreement, table, profile = self.two_point()
+        report, table, profile = self.two_point()
         # the hard prompt (index 1) carries the negative score
-        assert agreement.neg_set == (1,)
-        assert agreement.q == pytest.approx(0.5)
+        assert report.neg_set == (1,)
+        assert report.q == pytest.approx(0.5)
         w_e = wk(float(profile.probs[0]), 10)
         w_h = wk(float(profile.probs[1]), 10)
-        assert agreement.w_minus == pytest.approx(w_h / 2, rel=1e-12)
-        assert agreement.w_plus == pytest.approx(w_e / 2, rel=1e-12)
-        assert agreement.w_minus + agreement.w_plus == pytest.approx(
+        assert report.w_minus == pytest.approx(w_h / 2, rel=1e-12)
+        assert report.w_plus == pytest.approx(w_e / 2, rel=1e-12)
+        assert report.w_minus + report.w_plus == pytest.approx(
             (w_e + w_h) / 2, abs=1e-12
         )
 
     def test_profile_carries_weights_and_mean_score(self):
         from passklab.objectives import wk_array
 
-        agreement, table, profile = self.two_point()
-        assert agreement.weights.tobytes() == wk_array(profile.probs, 10).tobytes()
-        assert agreement.mean_score == ordered_dot(table.mass, agreement.scores)
+        report, table, profile = self.two_point()
+        assert report.weights.tobytes() == wk_array(profile.probs, 10).tobytes()
+        assert report.mean_score == ordered_dot(table.mass, report.scores)
         grads = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         profile = SuccessProfile.uniform([0.0, 0.5, 1.0])
         table = GradientTable.uniform(grads)
-        agreement = classify_interference(table, profile, 1e-6, 3)
-        assert agreement.weights == pytest.approx([3.0, 0.75, 0.0])
+        report = conflict_report(table, profile, 3, margin=1e-6)
+        assert report.weights == pytest.approx([3.0, 0.75, 0.0])
 
     def test_all_positive_scores(self):
         grads = np.array([[1.0, 0.0], [0.9, 0.1]])
         table = GradientTable.uniform(grads)
         profile = SuccessProfile.uniform([0.2, 0.8])
-        agreement = classify_interference(table, profile, 1e-6, 5)
-        assert agreement.neg_set == ()
-        assert agreement.q == 0.0
-        assert agreement.w_minus == 0.0
+        report = conflict_report(table, profile, 5, margin=1e-6)
+        assert report.neg_set == ()
+        assert report.q == 0.0
+        assert report.w_minus == 0.0
 
     def test_margin_beyond_all_scores(self):
-        agreement, table, profile = self.two_point(margin=10.0)
-        assert agreement.neg_set == ()
+        report, table, profile = self.two_point(margin=10.0)
+        assert report.neg_set == ()
 
     def test_weight_split_totals(self):
         rng = np.random.default_rng(5)
@@ -222,9 +226,9 @@ class TestClassifyInterference:
             probs = rng.random(len(table))
             profile = SuccessProfile(probs=probs, mass=table.mass, ids=table.ids)
             k = int(rng.integers(1, 20))
-            agreement = classify_interference(table, profile, 1e-4, k)
+            report = conflict_report(table, profile, k, margin=1e-4)
             total = ordered_dot(table.mass, wk_array(probs, k))
-            assert agreement.w_minus + agreement.w_plus == pytest.approx(
+            assert report.w_minus + report.w_plus == pytest.approx(
                 total, abs=1e-12
             )
 
@@ -233,7 +237,7 @@ class TestClassifyInterference:
         table = random_table(rng, n=12, d=3)
         probs = rng.random(12)
         profile = SuccessProfile(probs=probs, mass=table.mass, ids=table.ids)
-        base = classify_interference(table, profile, 1e-3, 7)
+        base = conflict_report(table, profile, 7, margin=1e-3)
         perm = rng.permutation(12)
         table_p = GradientTable(
             grads=table.grads[perm],
@@ -243,7 +247,7 @@ class TestClassifyInterference:
         profile_p = SuccessProfile(
             probs=probs[perm], mass=table.mass[perm], ids=[table.ids[i] for i in perm]
         )
-        shuffled = classify_interference(table_p, profile_p, 1e-3, 7)
+        shuffled = conflict_report(table_p, profile_p, 7, margin=1e-3)
         assert {table_p.ids[i] for i in shuffled.neg_set} == {
             table.ids[i] for i in base.neg_set
         }
@@ -254,13 +258,13 @@ class TestClassifyInterference:
     def test_margin_validation(self):
         _, table, profile = self.two_point()
         with pytest.raises(DomainError):
-            classify_interference(table, profile, 0.0, 5)
+            conflict_report(table, profile, 5, margin=0.0)
 
     def test_alignment_checked(self):
         _, table, profile = self.two_point()
         bad = SuccessProfile.uniform(profile.probs, ids=("a", "b"))
         with pytest.raises(AlignmentError):
-            classify_interference(table, bad, 1e-3, 5)
+            conflict_report(table, bad, 5, margin=1e-3)
 
 
 class TestGradientTableValidation:
@@ -272,8 +276,10 @@ class TestGradientTableValidation:
             GradientTable(grads=np.ones((3, 2)), mass=[0.5, np.nan, 0.5], ids=(0, 1, 2))
 
     def test_uniform_needs_a_prompt(self):
-        with pytest.raises(DomainError, match="nonempty"):
-            GradientTable.uniform([])
+        # a scalar is no (n, d) matrix either
+        for grads in ([], 5.0):
+            with pytest.raises(DomainError, match="nonempty"):
+                GradientTable.uniform(grads)
 
     def test_uniform_at_a_million_prompts(self):
         n = 10**6
@@ -291,7 +297,7 @@ class TestCsvExports:
     def test_kernel_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         table = random_table(rng, n=5, d=3)
-        mat = kernel_matrix(table, normalize=True)
+        mat = kernel_matrix(table)
         path = tmp_path / "kernel.csv"
         kernel_matrix_to_csv(mat, table.ids, path)
         with path.open() as fh:

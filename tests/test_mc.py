@@ -90,15 +90,15 @@ class TestSampleSetValidation:
             SampleSet(ids, offsets, actions, rewards, scores)
 
     def test_repeated_prompt_id_rejected(self):
+        # the batch refuses the repeat, so sample_actions never streams it
         batch = sample_prompts(BanditConfig(seed=4), 3)
-        repeated = PromptBatch(
-            ids=("x", "y", "x"),
-            features=batch.features,
-            labels=batch.labels,
-            correct_actions=batch.correct_actions,
-        )
         with pytest.raises(DomainError, match="prompt id 'x' appears more than once"):
-            sample_actions(np.array([0.3, -0.7]), repeated, 4, seed=0)
+            PromptBatch(
+                ids=("x", "y", "x"),
+                features=batch.features,
+                labels=batch.labels,
+                correct_actions=batch.correct_actions,
+            )
 
     def test_unknown_prompt(self):
         ss = make_samples([1.0], [[1.0, 2.0]])

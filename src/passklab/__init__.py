@@ -11,16 +11,12 @@ __version__ = "0.1.0"
 from .bandit import (
     BanditConfig,
     PromptBatch,
-    PromptInstance,
-    action_prob,
     derive_reference_theta,
-    grad_success_prob,
     grad_success_probs,
     overlap_pair,
     policy_regularity_constants,
     reference_theta,
     sample_prompts,
-    success_prob,
     success_probs,
 )
 from .conflict import (

@@ -8,14 +8,11 @@ forms, which is what makes this environment usable as a ground-truth
 oracle for every estimator and bound in the package.
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError
-from .objectives import fk_array, ordered_dot
 
 EASY, HARD = "easy", "hard"
 
@@ -43,28 +40,12 @@ class BanditConfig:
 
 
 @dataclass(frozen=True)
-class PromptInstance:
-    features: np.ndarray  # [1.0, s]
-    label: str  # EASY or HARD
-    correct_action: int  # 0 for easy, 1 for hard
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        object.__setattr__(self, "features", feats)
-        if feats.shape != (2,) or feats[0] != 1.0:
-            raise DomainError("features must be [1.0, s]")
-        if not np.isfinite(feats[1]):
-            raise DomainError(f"feature s must be finite, got {feats[1]}")
-        if self.label not in (EASY, HARD):
-            raise DomainError(f"label must be easy or hard, got {self.label!r}")
-        expected = 0 if self.label == EASY else 1
-        if self.correct_action != expected:
-            raise DomainError("correct_action must be 0 iff label is easy")
-
-
-@dataclass(frozen=True)
 class PromptBatch:
-    """Column-oriented batch of prompt instances."""
+    """Column-oriented batch of prompts.
+
+    Row i is one prompt: features [1.0, s] with s finite, a label EASY or
+    HARD, and correct action 0 for easy and 1 for hard.  Ids are unique.
+    """
 
     ids: tuple
     features: np.ndarray  # (n, 2)
@@ -74,11 +55,8 @@ class PromptBatch:
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
         labels = np.asarray(self.labels)
-        actions = np.asarray(self.correct_actions, dtype=int)
+        actions = np.asarray(self.correct_actions)
         object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "correct_actions", actions)
         n = len(self.ids)
         if feats.shape != (n, 2) or labels.shape != (n,) or actions.shape != (n,):
             raise DomainError("batch columns must share length n")
@@ -86,17 +64,23 @@ class PromptBatch:
             raise DomainError("batch must be nonempty")
         if np.any(feats[:, 0] != 1.0):
             raise DomainError("features[:, 0] must be exactly 1")
+        if not np.all(np.isfinite(feats)):
+            raise DomainError("features must be finite")
+        hard = labels == HARD
+        unknown = np.flatnonzero(~hard & (labels != EASY))
+        if unknown.size:
+            raise DomainError(
+                f"label must be easy or hard, got {str(labels[unknown[0]])!r}"
+            )
+        if not np.array_equal(actions, hard):
+            raise DomainError("correct_action must be 1 iff label is hard")
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "correct_actions", hard.astype(int))
         _id_index(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i: int) -> PromptInstance:
-        return PromptInstance(
-            features=self.features[i],
-            label=str(self.labels[i]),
-            correct_action=int(self.correct_actions[i]),
-        )
 
     @property
     def hard_mask(self) -> np.ndarray:
@@ -154,22 +138,8 @@ def sample_prompts(config: BanditConfig, n: int) -> PromptBatch:
     )
 
 
-def action_prob(theta, x: PromptInstance, action: int) -> float:
-    """Probability the logistic policy picks `action` on prompt x."""
-    theta = _check_theta(theta)
-    if action not in (0, 1):
-        raise DomainError(f"action must be 0 or 1, got {action}")
-    p1 = float(expit(theta @ x.features))
-    return p1 if action == 1 else 1.0 - p1
-
-
-def success_prob(theta, x: PromptInstance) -> float:
-    """Probability of picking the correct action for x."""
-    return action_prob(theta, x, x.correct_action)
-
-
 def success_probs(theta, batch: PromptBatch) -> np.ndarray:
-    """Vectorized success_prob over a batch."""
+    """Probability of picking the correct action, per prompt of the batch."""
     theta = _check_theta(theta)
     p1 = expit(batch.features @ theta)
     return np.where(batch.hard_mask, p1, 1.0 - p1)
@@ -182,15 +152,9 @@ def sigmoid_slope(theta, features) -> np.ndarray:
     return sig * (1.0 - sig)
 
 
-def grad_success_prob(theta, x: PromptInstance) -> np.ndarray:
-    """Gradient of success_prob in theta: -z*psi for easy, +z*psi for hard."""
-    z = float(sigmoid_slope(theta, x.features))
-    sign = -1.0 if x.label == EASY else 1.0
-    return sign * z * x.features
-
-
 def grad_success_probs(theta, batch: PromptBatch) -> np.ndarray:
-    """Vectorized grad_success_prob: (n, 2) matrix of per-prompt gradients."""
+    """(n, 2) matrix of per-prompt gradients of success_probs in theta:
+    -z*psi for easy, +z*psi for hard."""
     z = sigmoid_slope(theta, batch.features)
     signs = np.where(batch.hard_mask, 1.0, -1.0)
     return (signs * z)[:, None] * batch.features
@@ -253,67 +217,3 @@ def policy_regularity_constants(batch: PromptBatch) -> tuple[float, float]:
     norm_sq = np.max(np.sum(batch.features**2, axis=1))
     bound = float(norm_sq / 4.0)
     return bound, bound
-
-
-def batch_objective(theta, batch: PromptBatch, k: int) -> float:
-    """Mass-uniform k-attempt objective over the batch (exact closed form)."""
-    p = success_probs(theta, batch)
-    n = len(batch)
-    return ordered_dot(np.full(n, 1.0 / n), fk_array(p, k))
-
-
-def export_batch(batch: PromptBatch, path) -> None:
-    """Write one JSON record per prompt: {id, psi, label, correct_action}."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for i, pid in enumerate(batch.ids):
-            rec = {
-                "id": pid,
-                "psi": [float(batch.features[i, 0]), float(batch.features[i, 1])],
-                "label": str(batch.labels[i]),
-                "correct_action": int(batch.correct_actions[i]),
-            }
-            fh.write(json.dumps(rec) + "\n")
-
-
-def import_batch(path) -> PromptBatch:
-    """Read a batch written by export_batch."""
-    path = Path(path)
-    first_line: dict[str, int] = {}  # id -> line it first appeared on
-    feats, labels, actions = [], [], []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                pid, action, psi = str(rec["id"]), rec["correct_action"], rec["psi"]
-                if type(psi) is not list:
-                    raise TypeError(f"psi must be a list, got {type(psi).__name__}")
-                if action not in (0, 1):
-                    raise ValueError(f"correct_action must be 0 or 1, got {action!r}")
-                inst = PromptInstance(
-                    features=[float(v) for v in psi],
-                    label=str(rec["label"]),
-                    correct_action=int(action),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DomainError(f"line {lineno}: bad batch record ({exc})") from exc
-            if pid in first_line:
-                raise DomainError(
-                    f"line {lineno}: duplicate id {pid!r} "
-                    f"(first on line {first_line[pid]})"
-                )
-            first_line[pid] = lineno
-            feats.append(inst.features)
-            labels.append(inst.label)
-            actions.append(inst.correct_action)
-    if not first_line:
-        raise DomainError(f"{path}: empty batch file")
-    return PromptBatch(
-        ids=tuple(first_line),
-        features=np.asarray(feats, dtype=float),
-        labels=np.asarray(labels),
-        correct_actions=np.asarray(actions, dtype=int),
-    )

@@ -46,9 +46,16 @@ from .serialization import fmt, write_json
 
 
 def _read_config(path) -> dict:
-    """Flat key = value lines; '#' starts a comment; dashes equal underscores."""
+    """Flat key = value lines of UTF-8 text; '#' starts a comment; dashes
+    equal underscores."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PassKLabError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -145,8 +145,8 @@ def conflict_report(
     the max squared gradient row norm and f to None (smoothness fields
     then stay None).
     """
-    if not margin > 0:
-        raise DomainError(f"margin must be > 0, got {margin}")
+    if not 0 < margin < math.inf:
+        raise DomainError(f"margin must be finite and > 0, got {margin}")
     _check_aligned(table, profile)
     margin, mass = float(margin), table.mass
     scores = agreement_scores(table)

@@ -112,14 +112,14 @@ def load_gradlog(path) -> list[GradLogRecord]:
     records: list[GradLogRecord] = []
     first_line: dict[str, int] = {}  # prompt_id -> line it first appeared on
     dim: int | None = None
-    with path.open() as fh:
+    with path.open("rb") as fh:  # each line is decoded, so a bad byte names it
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an int too long to parse
+                obj = json.loads(line.decode())
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, long int
                 raise GradLogError(f"{path}: line {lineno}: invalid JSON ({exc})")
             if not isinstance(obj, dict):
                 raise GradLogError(f"{path}: line {lineno}: record must be an object")

@@ -469,13 +469,13 @@ def import_samples(path) -> SampleSet:
     index: dict[str, int] = {}  # prompt_id -> position, in first-seen order
     owner, actions, rewards, scores = [], [], [], []
     dim: int | None = None
-    with path.open() as fh:
+    with path.open("rb") as fh:  # each line is decoded, so a bad byte names it
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode())
                 pid = str(rec["prompt_id"])
                 action, reward, score = rec["action"], rec["reward"], rec["score"]
                 if type(score) is not list:

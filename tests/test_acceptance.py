@@ -21,7 +21,6 @@ from passklab import (
     conflict_report,
     evaluate_state,
     fk,
-    grad_success_prob,
     grad_success_probs,
     k_star,
     max_safe_step,
@@ -32,12 +31,11 @@ from passklab import (
     run_trajectory,
     sample_prompts,
     smoothness_constants,
-    success_prob,
     success_probs,
     unbiased_pass_at_k,
     wk,
 )
-from passklab.bandit import EASY, HARD, PromptInstance, batch_objective
+from passklab.bandit import EASY, HARD
 from passklab.cli import main as cli_main
 from passklab.conflict import assemble_passk_gradient
 from passklab.gradlog import (
@@ -49,6 +47,8 @@ from passklab.gradlog import (
 )
 from passklab.interference import GradientTable
 from passklab.objectives import ordered_dot, wk_array
+
+from oracles import batch_objective, grad_success_prob, success_prob
 
 
 @contextmanager
@@ -136,18 +136,15 @@ def test_criterion_3_gradient_correctness():
             theta = rng.uniform(-2, 2, size=2)
             s = float(np.clip(rng.normal(), -3, 3))
             label = EASY if rng.random() < 0.5 else HARD
-            x = PromptInstance(
-                features=np.array([1.0, s]),
-                label=label,
-                correct_action=0 if label == EASY else 1,
-            )
-            g = grad_success_prob(theta, x)
+            psi = np.array([1.0, s])
+            g = grad_success_prob(theta, psi, label)
             fd = np.empty(2)
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = h
                 fd[j] = (
-                    success_prob(theta + e, x) - success_prob(theta - e, x)
+                    success_prob(theta + e, psi, label)
+                    - success_prob(theta - e, psi, label)
                 ) / (2 * h)
             assert np.linalg.norm(fd - g) <= 1e-6 * np.linalg.norm(g)
 

@@ -9,38 +9,33 @@ import pytest
 from passklab import (
     BanditConfig,
     DomainError,
-    PromptInstance,
-    action_prob,
+    PromptBatch,
     derive_reference_theta,
-    grad_success_prob,
     grad_success_probs,
     overlap_pair,
     policy_regularity_constants,
     reference_theta,
     sample_prompts,
-    success_prob,
     success_probs,
 )
-from passklab.bandit import (
-    EASY,
-    HARD,
-    batch_objective,
-    expit,
-    export_batch,
-    import_batch,
-    logit,
-    sigmoid_slope,
-)
+from passklab.bandit import EASY, HARD, expit, logit, sigmoid_slope
+
+from oracles import action_prob, grad_success_prob, success_prob
 
 # pinned by the exact 2x2 logit solve for targets (0.86, 0.10)
 THETA_REF = np.array([-2.0062572719872344, -1.909673053489852])
 
 
-def make_instance(s, label):
-    return PromptInstance(
-        features=np.array([1.0, s]),
-        label=label,
-        correct_action=0 if label == EASY else 1,
+def psi(s):
+    return np.array([1.0, s])
+
+
+def make_batch(features, labels, actions):
+    return PromptBatch(
+        ids=tuple(str(i) for i in range(len(labels))),
+        features=np.asarray(features, dtype=float),
+        labels=np.asarray(labels),
+        correct_actions=np.asarray(actions),
     )
 
 
@@ -85,24 +80,25 @@ class TestConfigAndSampling:
 
 class TestPolicy:
     def test_zero_parameter_gives_half(self):
-        x = make_instance(0.37, HARD)
-        assert action_prob(np.zeros(2), x, 1) == 0.5
-        assert success_prob(np.zeros(2), x) == 0.5
+        assert action_prob(np.zeros(2), psi(0.37), 1) == 0.5
+        assert success_prob(np.zeros(2), psi(0.37), HARD) == 0.5
 
     def test_action_probs_normalize(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             theta = rng.normal(size=2) * 2
-            x = make_instance(float(rng.normal()), EASY)
+            x = psi(float(rng.normal()))
             total = action_prob(theta, x, 0) + action_prob(theta, x, 1)
             assert total == pytest.approx(1.0, abs=1e-15)
 
     def test_reference_targets(self):
-        x_h = make_instance(0.1, HARD)
-        x_e = make_instance(-0.1, EASY)
-        assert action_prob(THETA_REF, x_h, 1) == pytest.approx(0.10, abs=1e-12)
-        assert success_prob(THETA_REF, x_h) == pytest.approx(0.10, abs=1e-12)
-        assert success_prob(THETA_REF, x_e) == pytest.approx(0.86, abs=1e-12)
+        assert action_prob(THETA_REF, psi(0.1), 1) == pytest.approx(0.10, abs=1e-12)
+        assert success_prob(THETA_REF, psi(0.1), HARD) == pytest.approx(
+            0.10, abs=1e-12
+        )
+        assert success_prob(THETA_REF, psi(-0.1), EASY) == pytest.approx(
+            0.86, abs=1e-12
+        )
 
     def test_vectorized_matches_scalar(self):
         cfg = BanditConfig(seed=5)
@@ -110,7 +106,8 @@ class TestPolicy:
         theta = np.array([0.3, -0.7])
         vec = success_probs(theta, batch)
         for i in range(len(batch)):
-            assert vec[i] == pytest.approx(success_prob(theta, batch[i]), abs=1e-15)
+            ref = success_prob(theta, batch.features[i], batch.labels[i])
+            assert vec[i] == pytest.approx(ref, abs=1e-15)
 
 
 class TestSigmoid:
@@ -138,8 +135,8 @@ class TestSigmoid:
 class TestGradients:
     def test_sign_structure(self):
         theta = np.array([0.4, -1.1])
-        g_e = grad_success_prob(theta, make_instance(0.25, EASY))
-        g_h = grad_success_prob(theta, make_instance(0.25, HARD))
+        g_e = grad_success_prob(theta, psi(0.25), EASY)
+        g_h = grad_success_prob(theta, psi(0.25), HARD)
         np.testing.assert_allclose(g_e, -g_h, atol=1e-16)
 
     def test_overlap_pair_cosine(self):
@@ -156,15 +153,16 @@ class TestGradients:
             theta = rng.uniform(-2, 2, size=2)
             s = float(np.clip(rng.normal(), -3, 3))
             label = EASY if rng.random() < 0.5 else HARD
-            x = make_instance(s, label)
-            g = grad_success_prob(theta, x)
+            x = psi(s)
+            g = grad_success_prob(theta, x, label)
             fd = np.empty(2)
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = h
-                fd[j] = (success_prob(theta + e, x) - success_prob(theta - e, x)) / (
-                    2 * h
-                )
+                fd[j] = (
+                    success_prob(theta + e, x, label)
+                    - success_prob(theta - e, x, label)
+                ) / (2 * h)
             assert np.linalg.norm(fd - g) <= 1e-6 * np.linalg.norm(g)
 
     def test_slope_range(self):
@@ -193,7 +191,9 @@ class TestGradients:
         theta = np.array([-1.0, 0.8])
         mat = grad_success_probs(theta, batch)
         for i in range(len(batch)):
-            np.testing.assert_allclose(mat[i], grad_success_prob(theta, batch[i]))
+            np.testing.assert_allclose(
+                mat[i], grad_success_prob(theta, batch.features[i], batch.labels[i])
+            )
 
 
 class TestReferenceTheta:
@@ -202,12 +202,8 @@ class TestReferenceTheta:
 
     def test_round_trip(self):
         theta = derive_reference_theta(0.86, 0.10)
-        assert success_prob(theta, make_instance(-0.1, EASY)) == pytest.approx(
-            0.86, abs=1e-10
-        )
-        assert success_prob(theta, make_instance(0.1, HARD)) == pytest.approx(
-            0.10, abs=1e-10
-        )
+        assert success_prob(theta, psi(-0.1), EASY) == pytest.approx(0.86, abs=1e-10)
+        assert success_prob(theta, psi(0.1), HARD) == pytest.approx(0.10, abs=1e-10)
 
     def test_symmetric_targets_give_zero(self):
         theta = derive_reference_theta(0.5, 0.5, psi_easy=(1, -1), psi_hard=(1, 1))
@@ -244,60 +240,25 @@ class TestRegularityConstants:
 
 
 class TestPromptInstanceValidation:
+    """The per-prompt rules, checked by the PromptBatch constructor."""
+
     def test_bias_entry(self):
-        with pytest.raises(DomainError):
-            PromptInstance(features=np.array([0.9, 0.1]), label=EASY, correct_action=0)
+        with pytest.raises(DomainError, match="exactly 1"):
+            make_batch([[0.9, 0.1]], [EASY], [0])
 
     def test_label_action_consistency(self):
-        with pytest.raises(DomainError):
-            PromptInstance(features=np.array([1.0, 0.1]), label=EASY, correct_action=1)
+        with pytest.raises(DomainError, match="correct_action"):
+            make_batch([[1.0, 0.1]], [EASY], [1])
+        with pytest.raises(DomainError, match="correct_action"):
+            make_batch([[1.0, 0.5], [1.0, 0.2]], [EASY, HARD], [0, 0])
+        with pytest.raises(DomainError, match="correct_action"):
+            make_batch([[1.0, 0.2]], [HARD], [1.7])
 
+    def test_unknown_label(self):
+        with pytest.raises(DomainError, match="'medium'"):
+            make_batch([[1.0, 0.1], [1.0, 0.2]], [EASY, "medium"], [0, 0])
 
-class TestBatchIO:
-    def test_round_trip(self, tmp_path):
-        cfg = BanditConfig(seed=31)
-        batch = sample_prompts(cfg, 40)
-        path = tmp_path / "batch.jsonl"
-        export_batch(batch, path)
-        loaded = import_batch(path)
-        assert loaded.ids == batch.ids
-        np.testing.assert_array_equal(loaded.features, batch.features)
-        np.testing.assert_array_equal(loaded.labels, batch.labels)
-        np.testing.assert_array_equal(loaded.correct_actions, batch.correct_actions)
-
-    def test_bad_record_reports_line(self, tmp_path):
-        good = '{"id": "a", "psi": [1.0, 0.2], "label": "easy", "correct_action": 0}\n'
-        bad_lines = [
-            '{"id": "a", "psi": [1.0, 0.2], "label": "easy"}',
-            '{"id": "b", "psi": [1.0, 0.2], "label": "medium", "correct_action": 0}',
-            '{"id": "b", "psi": [1.0, 0.2], "label": "easy", "correct_action": 1}',
-            '{"id": "b", "psi": [1.0, 0.2], "label": "hard", "correct_action": 1.7}',
-            '{"id": "a", "psi": [1.0, 0.3], "label": "easy", "correct_action": 0}',
-            '{"id": "b", "psi": [1.0, NaN], "label": "easy", "correct_action": 0}',
-            '{"id": "b", "psi": [1.0], "label": "easy", "correct_action": 0}',
-        ]
-        path = tmp_path / "bad.jsonl"
-        path.write_text(bad_lines[0] + "\n")
-        with pytest.raises(DomainError, match="line 1"):
-            import_batch(path)
-        for bad in bad_lines[1:]:
-            path.write_text(good + bad + "\n")
-            with pytest.raises(DomainError, match="line 2"):
-                import_batch(path)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(DomainError, match="empty"):
-            import_batch(path)
-
-
-class TestBatchObjective:
-    def test_matches_profile_route(self):
-        from passklab import SuccessProfile, pass_at_k
-
-        batch, theta = overlap_pair()
-        prof = SuccessProfile.uniform(success_probs(theta, batch), ids=batch.ids)
-        assert batch_objective(theta, batch, 10) == pytest.approx(
-            pass_at_k(prof, 10), rel=1e-14
-        )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            make_batch([[1.0, 0.1], [1.0, bad]], [EASY, HARD], [0, 1])

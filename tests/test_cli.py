@@ -352,6 +352,27 @@ class TestUsageErrorsExitTwo:
         self.assert_one_line_error(argv, capsys, "eta must be > 0")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_trajectory_margin_not_finite(self, tmp_path, capsys):
+        argv = ["trajectory", "--margin", "inf", "--steps", "3", "--n", "200",
+                "--out", str(tmp_path)]
+        self.assert_one_line_error(argv, capsys, "margin must be finite and > 0")
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k = 3\n\xff\xfe = 1\n")
+        argv = ["--config", str(cfg), "kstar"]
+        self.assert_one_line_error(argv, capsys, f"{cfg}: not UTF-8 text")
+
+    def test_input_not_utf8(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_bytes(
+            b'{"prompt_id": "a", "pass1": 0.5, "grad": [1.0, 0.0]}\n'
+            b'{"prompt_id": "\xe9", "pass1": 0.5, "grad": [0.0, 1.0]}\n'
+        )
+        argv = ["diagnose", "--input", str(log), "--out", str(tmp_path / "out")]
+        self.assert_one_line_error(argv, capsys, "line 2")
+
 
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):

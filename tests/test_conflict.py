@@ -27,10 +27,11 @@ from passklab import (
     success_probs,
     grad_success_probs,
 )
-from passklab.bandit import batch_objective
 from passklab.conflict import ROUTE_RTOL
 from passklab.interference import GradientTable
 from passklab.objectives import ordered_dot, wk_array
+
+from oracles import batch_objective
 
 
 def random_case(rng, max_n=100, max_d=16):

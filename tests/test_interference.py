@@ -1,6 +1,7 @@
 """Kernel, agreement-score, and interfering-set tests."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -257,8 +258,9 @@ class TestClassifyInterference:
 
     def test_margin_validation(self):
         _, table, profile = self.two_point()
-        with pytest.raises(DomainError):
-            conflict_report(table, profile, 5, margin=0.0)
+        for margin in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="margin must be finite and > 0"):
+                conflict_report(table, profile, 5, margin=margin)
 
     def test_alignment_checked(self):
         _, table, profile = self.two_point()

@@ -1,9 +1,10 @@
-"""Seeded mutation fuzz of the three JSONL loaders.
+"""Seeded mutation fuzz of the two JSONL loaders.
 
 Each case rewrites one line of a small valid file: it drops a key, changes
-a value's type, puts a value out of range, truncates the line or inserts
-NaN.  The loader must then either load the file or raise its own error
-type with "line N" in the message; any other exception fails the test.
+a value's type, puts a value out of range, truncates the line, inserts
+NaN or inserts a byte that is not UTF-8.  The loader must then either load
+the file or raise its own error type with "line N" in the message; any
+other exception fails the test.
 """
 
 import json
@@ -23,7 +24,6 @@ from passklab import (
     sample_actions,
     sample_prompts,
 )
-from passklab.bandit import export_batch, import_batch
 from passklab.gradlog import export_gradlog
 from passklab.mc import export_samples, import_samples
 
@@ -48,14 +48,9 @@ def _write_gradlog(path):
     export_gradlog(records, path)
 
 
-def _write_batch(path):
-    export_batch(sample_prompts(BanditConfig(seed=5), 5), path)
-
-
 LOADERS = {
     "import_samples": (_write_samples, import_samples, DomainError),
     "load_gradlog": (_write_gradlog, load_gradlog, GradLogError),
-    "import_batch": (_write_batch, import_batch, DomainError),
 }
 
 
@@ -77,8 +72,15 @@ def _mutate_record(rng: random.Random, rec: dict) -> dict:
 def _mutate(rng: random.Random, lines: list) -> list:
     lines = list(lines)
     i = rng.randrange(len(lines))
-    if rng.random() < 0.2:
+    roll = rng.random()
+    if roll < 0.2:
         lines[i] = lines[i][: rng.randrange(len(lines[i]))]
+    elif roll < 0.3:
+        # written with surrogateescape, U+DC80..U+DCFF is the lone byte
+        # 0x80..0xff, which is never valid UTF-8 next to ASCII text
+        j = rng.randrange(len(lines[i]) + 1)
+        byte = chr(0xDC00 + rng.randrange(0x80, 0x100))
+        lines[i] = lines[i][:j] + byte + lines[i][j:]
     else:
         lines[i] = json.dumps(_mutate_record(rng, json.loads(lines[i])))
     return lines
@@ -96,7 +98,8 @@ def test_mutated_files_load_or_name_the_line(tmp_path, name):
     outcomes = {"loaded": 0, "rejected": 0}
     for case in range(CASES_PER_LOADER):
         mutated = _mutate(rng, lines)
-        path.write_text("\n".join(mutated) + "\n")
+        text = "\n".join(mutated) + "\n"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         try:
             load(path)
         except error as exc:

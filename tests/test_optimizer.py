@@ -19,10 +19,12 @@ from passklab import (
     smoothness_constants,
     success_probs,
 )
-from passklab.bandit import EASY, HARD, batch_objective
+from passklab.bandit import EASY, HARD
 from passklab.conflict import assemble_passk_gradient
 from passklab.interference import GradientTable, agreement_scores
 from passklab.optimizer import trajectory_to_csv
+
+from oracles import batch_objective
 
 
 class TestAscentStep:

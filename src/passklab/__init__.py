@@ -34,7 +34,6 @@ from .conflict import (
 from .errors import (
     AlignmentError,
     DomainError,
-    GradLogError,
     IdentityCheckError,
     PassKLabError,
 )

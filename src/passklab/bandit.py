@@ -84,7 +84,7 @@ class PromptBatch:
 
     @property
     def hard_mask(self) -> np.ndarray:
-        return self.labels == HARD
+        return self.correct_actions == 1  # equals labels == HARD, checked when built
 
 
 def _id_index(ids: tuple) -> dict:

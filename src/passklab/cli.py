@@ -27,7 +27,7 @@ from .bandit import (
     success_probs,
 )
 from .conflict import conflict_bound, k_star
-from .errors import IdentityCheckError, PassKLabError
+from .errors import DomainError, IdentityCheckError, PassKLabError
 from .gradlog import (
     FilterSpec,
     diagnose,
@@ -42,25 +42,19 @@ from .gradlog import (
 from .interference import GradientTable, kernel_matrix, kernel_matrix_to_csv
 from .objectives import wk
 from .optimizer import ascent_step, evaluate_state, run_trajectory, trajectory_to_csv
-from .serialization import fmt, write_json
+from .serialization import fmt, read_lines, write_json
 
 
 def _read_config(path) -> dict:
     """Flat key = value lines of UTF-8 text; '#' starts a comment; dashes
     equal underscores."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise PassKLabError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from exc
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, line in read_lines(path):
+        line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise PassKLabError(f"{path}: line {lineno}: expected 'key = value'")
+            raise DomainError(f"{path}: line {lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         out[key.strip().replace("-", "_")] = value.strip()
     return out

@@ -99,7 +99,8 @@ def default_score_bound_sq(table: GradientTable) -> float:
     Floored at the smallest normal double, so that it stays a positive
     bound when every row is zero (and every score with it).
     """
-    return float(max(np.max(np.sum(table.grads**2, axis=1)), np.finfo(float).tiny))
+    row_sq = np.einsum("ij,ij->i", table.grads, table.grads)
+    return float(max(np.max(row_sq), np.finfo(float).tiny))
 
 
 def _routes_agree(values: dict[str, float], scale: float) -> None:
@@ -151,7 +152,7 @@ def conflict_report(
     margin, mass = float(margin), table.mass
     scores = agreement_scores(table)
     mean_score = ordered_dot(mass, scores)
-    norm_sq = float(table.mean_grad @ table.mean_grad)
+    norm_sq = ordered_dot(table.mean_grad, table.mean_grad)
     identity_scale = max(abs(norm_sq), ordered_dot(mass, np.abs(scores)), 1e-300)
     if abs(mean_score - norm_sq) > 1e-10 * identity_scale:
         raise IdentityCheckError(
@@ -172,7 +173,7 @@ def conflict_report(
 
     weighted_form = ordered_dot(mass, weights * scores)
     grad_k = assemble_passk_gradient(table, profile, k)
-    inner_product = float(grad_k @ table.mean_grad)
+    inner_product = ordered_dot(grad_k, table.mean_grad)
     covariance = ordered_dot(
         mass, (weights - mean_weight) * (scores - mean_score)
     )
@@ -286,10 +287,8 @@ def _check_separation_args(eps, delta_sep, q, m, g2) -> None:
         )
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie strictly inside (0, 1), got {q}")
-    if not m > 0:
-        raise DomainError(f"margin m must be > 0, got {m}")
-    if not g2 > 0:
-        raise DomainError(f"g2 must be > 0, got {g2}")
+    if not (0.0 < m < math.inf and 0.0 < g2 < math.inf):
+        raise DomainError(f"m and g2 must be finite and > 0, got m={m} g2={g2}")
 
 
 def k_star(eps: float, delta_sep: float, q: float, m: float, g2: float) -> float:

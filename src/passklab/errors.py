@@ -15,7 +15,3 @@ class AlignmentError(PassKLabError, ValueError):
 
 class IdentityCheckError(PassKLabError):
     """An internal cross-check (two routes to the same value) failed."""
-
-
-class GradLogError(PassKLabError, ValueError):
-    """A gradient-log file failed to parse or validate."""

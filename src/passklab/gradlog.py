@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .conflict import conflict_report
-from .errors import DomainError, GradLogError
+from .errors import DomainError
 from .interference import GradientTable
 from .objectives import SuccessProfile, ordered_dot
-from .serialization import write_csv, write_json
+from .serialization import read_records, write_csv, write_json
 
 ANTI_ALIGNMENT = 3.0  # synthetic log: hard-gradient scale against the easy one
 NOISE = 0.05  # synthetic log: per-entry gradient noise
@@ -108,47 +108,30 @@ class DiagReport:
 
 def load_gradlog(path) -> list[GradLogRecord]:
     """Parse and validate a gradient log, reporting offending line numbers."""
-    path = Path(path)
     records: list[GradLogRecord] = []
     first_line: dict[str, int] = {}  # prompt_id -> line it first appeared on
-    dim: int | None = None
-    with path.open("rb") as fh:  # each line is decoded, so a bad byte names it
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line.decode())
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, long int
-                raise GradLogError(f"{path}: line {lineno}: invalid JSON ({exc})")
-            if not isinstance(obj, dict):
-                raise GradLogError(f"{path}: line {lineno}: record must be an object")
-            try:
-                rec = GradLogRecord(
-                    prompt_id=obj["prompt_id"],
-                    pass1=obj["pass1"],
-                    grad=obj["grad"],
-                    label=obj.get("label"),
-                    mass=obj.get("mass"),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise GradLogError(f"{path}: line {lineno}: {exc}") from exc
-            if dim is None:
-                dim = rec.grad.size
-            elif rec.grad.size != dim:
-                raise GradLogError(
-                    f"{path}: line {lineno}: gradient dimension {rec.grad.size} "
-                    f"differs from {dim}"
-                )
+    dim = 0  # gradient length, set by the first record
+    for lineno, obj in read_records(path):
+        try:
+            rec = GradLogRecord(
+                prompt_id=obj["prompt_id"],
+                pass1=obj["pass1"],
+                grad=obj["grad"],
+                label=obj.get("label"),
+                mass=obj.get("mass"),
+            )
+            dim = dim or len(rec.grad)
+            if len(rec.grad) != dim:
+                raise DomainError(f"gradient dimension {len(rec.grad)} differs from {dim}")
             if rec.prompt_id in first_line:
-                raise GradLogError(
-                    f"{path}: line {lineno}: duplicate prompt_id "
-                    f"{rec.prompt_id!r} (first on line {first_line[rec.prompt_id]})"
+                raise DomainError(
+                    f"duplicate prompt_id {rec.prompt_id!r} "
+                    f"(first on line {first_line[rec.prompt_id]})"
                 )
-            first_line[rec.prompt_id] = lineno
-            records.append(rec)
-    if not records:
-        raise GradLogError(f"{path}: empty gradient log")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"{path}: line {lineno}: {exc}") from exc
+        first_line[rec.prompt_id] = lineno
+        records.append(rec)
     return records
 
 
@@ -301,7 +284,7 @@ def make_synthetic_conflict_log(
         raise DomainError(f"n must be >= 10, got {n}")
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=d)
-    direction /= np.linalg.norm(direction)
+    direction /= math.sqrt(ordered_dot(direction, direction))
     n_hard = int(round(n * hard_fraction))
     if not 0 < n_hard < n:
         raise DomainError("hard_fraction must leave both groups nonempty")

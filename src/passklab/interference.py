@@ -66,11 +66,10 @@ def kernel_matrix(table: GradientTable) -> np.ndarray:
     Rows with norm below 1e-15 carry no update direction, so their
     entries are defined as 0.
     """
-    raw = table.grads @ table.grads.T
-    norms = np.linalg.norm(table.grads, axis=1)
-    safe = np.where(norms < ZERO_NORM, 1.0, norms)
-    cos = raw / np.outer(safe, safe)
+    norms = np.sqrt(np.einsum("ij,ij->i", table.grads, table.grads))
     dead = norms < ZERO_NORM
+    safe = np.where(dead, 1.0, norms)
+    cos = np.einsum("ij,kj->ik", table.grads, table.grads) / np.outer(safe, safe)
     cos[dead, :] = 0.0
     cos[:, dead] = 0.0
     np.fill_diagonal(cos, np.where(dead, 0.0, 1.0))  # self-similarity is exact
@@ -79,7 +78,7 @@ def kernel_matrix(table: GradientTable) -> np.ndarray:
 
 def agreement_scores(table: GradientTable) -> np.ndarray:
     """Inner product of each gradient row with the population mean gradient."""
-    return table.grads @ table.mean_grad
+    return np.einsum("ij,j->i", table.grads, table.mean_grad)
 
 
 def kernel_matrix_to_csv(matrix: np.ndarray, ids, path) -> None:

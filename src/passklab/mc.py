@@ -20,6 +20,7 @@ import numpy as np
 from .bandit import PromptBatch, _check_theta, _id_index, expit
 from .errors import DomainError
 from .objectives import SuccessProfile, weighted_row_sum, wk_array
+from .serialization import read_records
 
 
 class PromptSamples(NamedTuple):
@@ -465,50 +466,39 @@ def import_samples(path) -> SampleSet:
     throughout; a bad record raises DomainError naming its line.  Prompts
     come in order of first appearance, each with its draws in file order.
     """
-    path = Path(path)
     index: dict[str, int] = {}  # prompt_id -> position, in first-seen order
     owner, actions, rewards, scores = [], [], [], []
-    dim: int | None = None
-    with path.open("rb") as fh:  # each line is decoded, so a bad byte names it
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line.decode())
-                pid = str(rec["prompt_id"])
-                action, reward, score = rec["action"], rec["reward"], rec["score"]
-                if type(score) is not list:
-                    raise TypeError(f"score must be a list, got {type(score).__name__}")
-                # one C pass over the row: a non-number entry raises TypeError
-                # here, and only a sum that is not finite needs the entrywise test
-                finite = math.isfinite(sum(score)) or all(map(math.isfinite, score))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DomainError(f"line {lineno}: bad sample record ({exc})") from exc
-            if type(action) is not int or action not in (0, 1):
-                raise DomainError(f"line {lineno}: action must be 0 or 1, got {action!r}")
-            if type(reward) not in (int, float) or reward not in (0, 1):
-                raise DomainError(f"line {lineno}: reward must be 0 or 1, got {reward!r}")
-            if not score:
-                raise DomainError(f"line {lineno}: score must be nonempty")
-            if not finite:
-                raise DomainError(f"line {lineno}: score entries must be finite")
-            if bool in map(type, score):
-                raise DomainError(
-                    f"line {lineno}: score entries must be numbers, not true/false"
-                )
-            if dim is None:
-                dim = len(score)
-            elif len(score) != dim:
-                raise DomainError(
-                    f"line {lineno}: score dimension {len(score)} differs from {dim}"
-                )
-            owner.append(index.setdefault(pid, len(index)))
+    dim = 0  # score length, set by the first record
+    for lineno, rec in read_records(path):
+        try:
+            action, reward, score = rec["action"], rec["reward"], rec["score"]
+            if type(score) is not list:
+                raise TypeError(f"score must be a list, got {type(score).__name__}")
+            # one C pass over the row: a non-number entry raises TypeError
+            # here, and only a sum that is not finite needs the entrywise test
+            finite = math.isfinite(sum(score)) or all(map(math.isfinite, score))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"{path}: line {lineno}: bad sample record ({exc})") from exc
+        dim = dim or len(score)
+        if type(action) is not int or action not in (0, 1):
+            bad = f"action must be 0 or 1, got {action!r}"
+        elif type(reward) not in (int, float) or reward not in (0, 1):
+            bad = f"reward must be 0 or 1, got {reward!r}"
+        elif not score:
+            bad = "score must be nonempty"
+        elif not finite:
+            bad = "score entries must be finite"
+        elif bool in map(type, score):
+            bad = "score entries must be numbers, not true/false"
+        elif len(score) != dim:
+            bad = f"score dimension {len(score)} differs from {dim}"
+        else:  # a valid draw
+            owner.append(index.setdefault(rec["prompt_id"], len(index)))
             actions.append(action)
             rewards.append(reward)
             scores.append(score)
-    if not index:
-        raise DomainError(f"{path}: empty sample file")
+            continue
+        raise DomainError(f"{path}: line {lineno}: {bad}")
     owner = np.array(owner)
     order = np.argsort(owner, kind="stable")  # group each prompt's draws
     return SampleSet(

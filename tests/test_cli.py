@@ -358,11 +358,17 @@ class TestUsageErrorsExitTwo:
         self.assert_one_line_error(argv, capsys, "margin must be finite and > 0")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["--m", "inf"], ["--g2", "inf", "--delta-sep", "1.0"]]
+    )
+    def test_kstar_bound_not_finite(self, capsys, flags):
+        self.assert_one_line_error(["kstar", *flags], capsys, "must be finite and > 0")
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"k = 3\n\xff\xfe = 1\n")
         argv = ["--config", str(cfg), "kstar"]
-        self.assert_one_line_error(argv, capsys, f"{cfg}: not UTF-8 text")
+        self.assert_one_line_error(argv, capsys, f"{cfg}: line 2: not UTF-8 text")
 
     def test_input_not_utf8(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
@@ -388,3 +394,49 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("k_star")
+
+
+# Each BLAS setting is set on the child only; the outputs must not move.
+BLAS_SETTINGS = [{}, {"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_NUM_THREADS": "1"}]
+BLAS_CHILD = """
+import sys
+from passklab.cli import main
+out = sys.argv[1]
+for argv in (
+    ["toy-demo", "--out", out + "/toy"],
+    ["trajectory", "--steps", "30", "--n", "1000", "--out", out + "/trajectory"],
+    ["heatmap", "--n", "1000", "--subsample", "50", "--out", out + "/heatmap"],
+    ["synth-log", "--n", "600", "--d", "64", "--out", out + "/log.jsonl"],
+    ["diagnose", "--input", out + "/log.jsonl", "--out", out + "/diagnose"],
+):
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+"""
+
+
+class TestBlasIndependence:
+    def test_outputs_do_not_depend_on_the_blas_core(self, tmp_path):
+        import passklab
+
+        package_root = str(Path(passklab.__file__).resolve().parent.parent)
+        base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+        outputs = []
+        for i, setting in enumerate(BLAS_SETTINGS):
+            out = tmp_path / str(i)
+            proc = subprocess.run(
+                [sys.executable, "-c", BLAS_CHILD, str(out)],
+                capture_output=True,
+                text=True,
+                env={**base, "PYTHONPATH": package_root, **setting},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({
+                str(path.relative_to(out)): path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.is_file() and path.name != "manifest.json"
+            })
+        assert len(outputs[0]) == 7  # 1 + 1 + 1 + the log + 3 diagnose files
+        for setting, files in zip(BLAS_SETTINGS[1:], outputs[1:]):
+            assert files.keys() == outputs[0].keys()
+            differ = [name for name in files if files[name] != outputs[0][name]]
+            assert not differ, f"{setting} changes {differ}"

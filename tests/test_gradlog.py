@@ -10,7 +10,6 @@ import pytest
 from passklab import (
     DomainError,
     FilterSpec,
-    GradLogError,
     GradLogRecord,
     IdentityCheckError,
     SuccessProfile,
@@ -55,7 +54,7 @@ class TestLoadGradlog:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        with pytest.raises(GradLogError, match="empty"):
+        with pytest.raises(DomainError, match="empty"):
             load_gradlog(path)
 
     def test_invalid_pass1_names_line(self, tmp_path):
@@ -64,7 +63,7 @@ class TestLoadGradlog:
             '{"prompt_id": "a", "pass1": 0.5, "grad": [1.0]}\n'
             '{"prompt_id": "b", "pass1": 1.2, "grad": [1.0]}\n'
         )
-        with pytest.raises(GradLogError, match="line 2"):
+        with pytest.raises(DomainError, match="line 2"):
             load_gradlog(path)
 
     def test_dimension_mismatch_names_line(self, tmp_path):
@@ -73,13 +72,13 @@ class TestLoadGradlog:
             '{"prompt_id": "a", "pass1": 0.5, "grad": [1.0, 2.0]}\n'
             '{"prompt_id": "b", "pass1": 0.5, "grad": [1.0]}\n'
         )
-        with pytest.raises(GradLogError, match="line 2"):
+        with pytest.raises(DomainError, match="line 2"):
             load_gradlog(path)
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "syntax.jsonl"
         path.write_text('{"prompt_id": "a", "pass1": 0.5, "grad": [1.0]}\nnot json\n')
-        with pytest.raises(GradLogError, match="line 2"):
+        with pytest.raises(DomainError, match="line 2"):
             load_gradlog(path)
 
     def test_duplicate_prompt_id_names_line(self, tmp_path):
@@ -89,13 +88,13 @@ class TestLoadGradlog:
             '{"prompt_id": "b", "pass1": 0.5, "grad": [1.0]}\n'
             '{"prompt_id": "a", "pass1": 0.2, "grad": [2.0]}\n'
         )
-        with pytest.raises(GradLogError, match="line 3: duplicate prompt_id 'a'"):
+        with pytest.raises(DomainError, match="line 3: duplicate prompt_id 'a'"):
             load_gradlog(path)
 
     def test_nonfinite_gradient_rejected(self, tmp_path):
         path = tmp_path / "inf.jsonl"
         path.write_text('{"prompt_id": "a", "pass1": 0.5, "grad": [1e999]}\n')
-        with pytest.raises(GradLogError, match="line 1"):
+        with pytest.raises(DomainError, match="line 1"):
             load_gradlog(path)
 
     @pytest.mark.parametrize(
@@ -108,7 +107,7 @@ class TestLoadGradlog:
             '{"prompt_id": "b", ' + fields + ', "grad": [1.0]}\n'
         )
         with pytest.raises(
-            GradLogError, match=f"line 2: {name} must be a number, not true/false"
+            DomainError, match=f"line 2: {name} must be a number, not true/false"
         ):
             load_gradlog(path)
 

@@ -3,8 +3,9 @@
 Each case rewrites one line of a small valid file: it drops a key, changes
 a value's type, puts a value out of range, truncates the line, inserts
 NaN or inserts a byte that is not UTF-8.  The loader must then either load
-the file or raise its own error type with "line N" in the message; any
-other exception fails the test.
+the file or raise DomainError with "<path>: line N" in the message; any
+other exception fails the test.  The rules both loaders share (a prompt_id
+that is a JSON string, at least one record) are checked on each as well.
 """
 
 import json
@@ -18,7 +19,6 @@ import pytest
 from passklab import (
     BanditConfig,
     DomainError,
-    GradLogError,
     GradLogRecord,
     load_gradlog,
     sample_actions,
@@ -50,7 +50,7 @@ def _write_gradlog(path):
 
 LOADERS = {
     "import_samples": (_write_samples, import_samples, DomainError),
-    "load_gradlog": (_write_gradlog, load_gradlog, GradLogError),
+    "load_gradlog": (_write_gradlog, load_gradlog, DomainError),
 }
 
 
@@ -103,6 +103,7 @@ def test_mutated_files_load_or_name_the_line(tmp_path, name):
         try:
             load(path)
         except error as exc:
+            assert str(exc).startswith(f"{path}: line "), f"case {case}: {exc!r}"
             match = re.search(r"line (\d+)", str(exc))
             assert match, f"case {case}: no line number in {exc!r}\n{mutated}"
             assert 1 <= int(match.group(1)) <= len(lines), f"case {case}: {exc!r}"
@@ -113,3 +114,30 @@ def test_mutated_files_load_or_name_the_line(tmp_path, name):
             outcomes["loaded"] += 1
     # the mutations reach the validators, not only the JSON parser
     assert outcomes["rejected"] > CASES_PER_LOADER // 2
+
+
+@pytest.mark.parametrize("value", [1, None, ["a"]], ids=["int", "null", "list"])
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_prompt_id_must_be_a_json_string(tmp_path, name, value):
+    # line 1 carries the id str() would make of line 2's, so a loader that
+    # coerced ids would merge the two lines or call line 2 a duplicate
+    write, load, error = LOADERS[name]
+    path = tmp_path / "ids.jsonl"
+    write(path)
+    lines = path.read_text().splitlines()
+    for i, pid in enumerate([str(value), value]):
+        lines[i] = json.dumps({**json.loads(lines[i]), "prompt_id": pid})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error) as info:
+        load(path)
+    expected = f"{path}: line 2: prompt_id must be a JSON string, got {json.dumps(value)}"
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_file_without_records_is_empty(tmp_path, name):
+    _, load, error = LOADERS[name]
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n  \n\n")
+    with pytest.raises(error, match=re.escape(f"{path}: empty")):
+        load(path)

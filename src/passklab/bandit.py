@@ -212,8 +212,9 @@ def policy_regularity_constants(batch: PromptBatch) -> tuple[float, float]:
     both equal z * ||psi||**2 in closed form, and z <= 1/4 for every
     parameter, so max ||psi||**2 / 4 bounds both quantities at any theta.
     Using the uniform bound keeps smoothness certificates valid along
-    whole update segments, not just at the current iterate.
+    whole update segments, not just at the current iterate.  Every psi is
+    [1, s], and rounding is monotone, so max ||psi||**2 is 1 + max s**2.
     """
-    norm_sq = np.max(np.sum(batch.features**2, axis=1))
-    bound = float(norm_sq / 4.0)
+    s = batch.features[:, 1]
+    bound = (1.0 + float(np.max(s * s))) / 4.0
     return bound, bound

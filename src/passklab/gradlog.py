@@ -41,8 +41,9 @@ class GradLogRecord:
             raise DomainError("pass1 must be a number, not true/false")
         if type(self.mass) is bool:
             raise DomainError("mass must be a number, not true/false")
+        if not isinstance(self.prompt_id, str):
+            raise DomainError(f"prompt_id must be a string, got {self.prompt_id!r}")
         grad = np.asarray(self.grad, dtype=float)
-        object.__setattr__(self, "prompt_id", str(self.prompt_id))
         object.__setattr__(self, "pass1", float(self.pass1))
         object.__setattr__(self, "grad", grad)
         if not 0.0 <= self.pass1 <= 1.0:

@@ -40,16 +40,19 @@ class SampleSet:
     """The draws of a set of prompts, stored as whole arrays.
 
     Row j of ``actions`` (N,), ``rewards`` (N,) and ``scores`` (N, d) is one
-    draw; prompt ``ids[i]`` owns rows ``offsets[i]:offsets[i + 1]``, so prompts
-    may have different draw counts, and no id may repeat.  The arrays are
-    checked once, when the set is built; ``blocks`` and ``set[prompt_id]``
-    are views of them.  They are not to be changed afterwards: the
+    draw; prompt ``ids[i]``, a str, owns rows ``offsets[i]:offsets[i + 1]``,
+    so prompts may have different draw counts, and no id may repeat.  The
+    arrays are checked once, when the set is built; ``blocks`` and
+    ``set[prompt_id]`` are views of them.  They are not to be changed afterwards: the
     per-prompt means that ``mc_grad_passk`` reads are reduced once per set
     and kept.
     """
 
     def __init__(self, ids, offsets, actions, rewards, scores):
-        ids = tuple(map(str, ids))
+        ids = tuple(ids)
+        bad = [pid for pid in ids if not isinstance(pid, str)]
+        if bad:
+            raise DomainError(f"prompt_id must be a string, got {bad[0]!r}")
         try:
             offsets = np.asarray(offsets, dtype=np.int64)
             actions = np.asarray(actions, dtype=int)
@@ -108,8 +111,8 @@ class SampleSet:
 
     def __getitem__(self, prompt_id: str) -> PromptSamples:
         try:
-            return self._block(self._index[str(prompt_id)])
-        except KeyError:
+            return self._block(self._index[prompt_id])
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise DomainError(f"unknown prompt id {prompt_id!r}") from None
 
 
@@ -391,6 +394,13 @@ def _reward_score_means(samples: SampleSet) -> np.ndarray:
     (chunk, n, d) rows and reduced along the draw axis, bit for bit what each
     block's own mean gives.  A chunk of consecutive prompts is a slice of
     the stored arrays; any other chunk is gathered.
+
+    For d > 1 numpy's mean adds the draws one at a time, starting from
+    +0.0, so adding the n rows of a chunk in a loop and dividing gives its
+    bits in about half the time.  For d == 1 the draw axis is the
+    contiguous one and numpy sums it pairwise, so that case, and chunks
+    with more draws than prompts (where the loop would be long), keep the
+    mean.
     """
     offsets, d = samples.offsets, samples.dim
     counts = np.diff(offsets)
@@ -405,7 +415,14 @@ def _reward_score_means(samples: SampleSet) -> np.ndarray:
                 rows = (offsets[chunk, None] + np.arange(n)).reshape(-1)
             r = samples.rewards[rows].reshape(chunk.size, n)
             s = samples.scores[rows].reshape(chunk.size, n, d)
-            out[chunk] = (r[:, :, None] * s).mean(axis=1)
+            products = r[:, :, None] * s
+            if d == 1 or n > chunk.size:
+                out[chunk] = products.mean(axis=1)
+                continue
+            total = np.zeros((chunk.size, d))
+            for j in range(n):
+                total += products[:, j]
+            out[chunk] = total / n
     return out
 
 

@@ -47,16 +47,17 @@ def _pow_one_minus(p: np.ndarray, n: int) -> np.ndarray:
     For p < 0.5 the log1p route keeps tiny results (down to ~1e-300)
     representable instead of flushing them through a cancelled 1 - p.
     For p >= 0.5, 1 - p is exact in floating point and a plain power is
-    the more accurate route.
+    the more accurate route.  Both routes run over the whole array and
+    np.where picks one per entry; each route's input is clamped to its own
+    side of 0.5, so the route not picked cannot warn (no log1p(-1)) and
+    the picked one sees p itself.
     """
     p = np.asarray(p, dtype=float)
     if n == 0:
         return np.ones_like(p)
-    out = np.empty_like(p)
-    lo = p < 0.5
-    out[lo] = np.exp(n * np.log1p(-p[lo]))
-    out[~lo] = (1.0 - p[~lo]) ** n
-    return out
+    lo = np.exp(n * np.log1p(-np.minimum(p, 0.5)))
+    hi = (1.0 - np.maximum(p, 0.5)) ** n
+    return np.where(p < 0.5, lo, hi)
 
 
 def fk(p: float, k: int) -> float:
@@ -77,14 +78,13 @@ def fk_array(probs: np.ndarray, k: int) -> np.ndarray:
     """Vectorized fk over an array of probabilities.
 
     expm1 keeps small values accurate where 1 - (1 - p)**k would cancel.
+    The two routes are picked per entry as in _pow_one_minus.
     """
     k = _check_k(k)
     p = np.asarray(probs, dtype=float)
-    out = np.empty_like(p)
-    lo = p < 0.5
-    out[lo] = -np.expm1(k * np.log1p(-p[lo]))
-    out[~lo] = 1.0 - (1.0 - p[~lo]) ** k
-    return out
+    lo = -np.expm1(k * np.log1p(-np.minimum(p, 0.5)))
+    hi = 1.0 - (1.0 - np.maximum(p, 0.5)) ** k
+    return np.where(p < 0.5, lo, hi)
 
 
 def wk_array(probs: np.ndarray, k: int) -> np.ndarray:
@@ -114,19 +114,20 @@ def ordered_dot(a, b) -> float:
     if a.shape != b.shape or a.ndim != 1:
         raise DomainError(f"need two equal-length vectors, got {a.shape}, {b.shape}")
     x = a * b
-    top = float(np.max(np.abs(x), initial=0.0))
+    top = max(float(x.max()), -float(x.min())) if x.size else 0.0
     if not 0.0 < top < EXTRACT_LIMIT:
         return math.fsum(memoryview(x))
     shift = (x.size + 1).bit_length()  # ceil(log2(n + 2))
-    parts = []
+    parts, q = [], np.empty_like(x)
     for _ in range(EXTRACT_PASSES):
         sigma = math.ldexp(1.0, max(shift + math.frexp(top)[1], -1022))
-        q = (sigma + x) - sigma
+        np.add(x, sigma, out=q)
+        q -= sigma
         x -= q
         parts.append(float(q.sum()))
-        top = float(np.max(np.abs(x)))
+        top = max(float(x.max()), -float(x.min()))
         if top == 0.0:
-            break
+            return math.fsum(parts)
     return math.fsum(parts + x[x != 0].tolist())
 
 
@@ -212,6 +213,14 @@ def unbiased_pass_at_k(n: int, c: int, k: int) -> float:
     1 - prod(1 - k / i) for i in (n - c, n], which never forms large
     factorials.  Returns 1 exactly when fewer than k failures exist.
     """
+    try:
+        return _unbiased_pass_at_k(n, c, k)
+    except TypeError:  # an unhashable argument never reaches the cache
+        _check_counts(n, c, k)
+        raise
+
+
+def _check_counts(n, c, k) -> None:
     for name, v in (("n", n), ("c", c), ("k", k)):
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
             raise DomainError(f"{name} must be an integer, got {v!r}")
@@ -219,13 +228,16 @@ def unbiased_pass_at_k(n: int, c: int, k: int) -> float:
         raise DomainError(
             f"require 0 <= c <= n and 1 <= k <= n, got n={n} c={c} k={k}"
         )
-    return _unbiased_pass_at_k(int(n), int(c), int(k))
 
 
-@lru_cache(maxsize=4096)
-def _unbiased_pass_at_k(n: int, c: int, k: int) -> float:
-    """unbiased_pass_at_k's arithmetic, memoised: the n draws of a sample
-    set give at most n + 1 distinct counts, however many prompts it has."""
+@lru_cache(maxsize=4096, typed=True)
+def _unbiased_pass_at_k(n, c, k) -> float:
+    """unbiased_pass_at_k, checked and memoised: the n draws of a sample set
+    give at most n + 1 distinct counts, however many prompts it has.  A
+    bad call raises and so is never cached, and typed keys keep True and
+    1.0 out of the entry for 1, so a cache hit needs no check."""
+    _check_counts(n, c, k)
+    n, c, k = int(n), int(c), int(k)
     if n - c < k:
         return 1.0
     return float(1.0 - np.prod(1.0 - k / np.arange(n - c + 1, n + 1, dtype=float)))

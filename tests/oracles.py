@@ -1,16 +1,33 @@
-"""Scalar closed forms of the bandit, the reference for its vector forms.
+"""Reference forms that the package's fast forms must match bit for bit.
 
-A prompt here is its feature row psi = [1, s] and its label.  The
-policy picks action 1 with probability sigma(theta . psi); the correct
-action is 0 for an easy prompt and 1 for a hard one.  Each function is
-the one-prompt form of `bandit.success_probs` or
-`bandit.grad_success_probs`, computed with the same `bandit.expit`.
+Scalar closed forms of the bandit: a prompt here is its feature row
+psi = [1, s] and its label.  The policy picks action 1 with probability
+sigma(theta . psi); the correct action is 0 for an easy prompt and 1 for
+a hard one.  Each function is the one-prompt form of
+`bandit.success_probs` or `bandit.grad_success_probs`, computed with the
+same `bandit.expit`.
+
+Masked forms of the objective transforms and the allocating form of
+`objectives.ordered_dot`: each transform computes only the entries of
+its own branch (a boolean gather and scatter), and each extraction pass
+allocates its arrays.  The package's branch-free, in-place forms give
+the same bits.
 """
+
+import math
 
 import numpy as np
 
 from passklab import SuccessProfile, pass_at_k, success_probs
 from passklab.bandit import EASY, expit, sigmoid_slope
+from passklab.objectives import (
+    EXTRACT_LIMIT,
+    EXTRACT_PASSES,
+    _pow_one_minus,
+    fk_array,
+    ordered_dot,
+    wk_array,
+)
 
 
 def action_prob(theta, psi, action: int) -> float:
@@ -35,3 +52,126 @@ def grad_success_prob(theta, psi, label: str) -> np.ndarray:
 def batch_objective(theta, batch, k: int) -> float:
     """Mass-uniform k-attempt objective over the batch (exact closed form)."""
     return pass_at_k(SuccessProfile.uniform(success_probs(theta, batch)), k)
+
+
+def masked_pow_one_minus(p, n: int) -> np.ndarray:
+    """(1 - p)**n: log1p route on the entries p < 0.5, power on the rest."""
+    p = np.asarray(p, dtype=float)
+    if n == 0:
+        return np.ones_like(p)
+    out = np.empty_like(p)
+    lo = p < 0.5
+    out[lo] = np.exp(n * np.log1p(-p[lo]))
+    out[~lo] = (1.0 - p[~lo]) ** n
+    return out
+
+
+def masked_fk_array(p, k: int) -> np.ndarray:
+    """1 - (1 - p)**k: expm1 route on the entries p < 0.5, power on the rest."""
+    p = np.asarray(p, dtype=float)
+    out = np.empty_like(p)
+    lo = p < 0.5
+    out[lo] = -np.expm1(k * np.log1p(-p[lo]))
+    out[~lo] = 1.0 - (1.0 - p[~lo]) ** k
+    return out
+
+
+def masked_wk_array(p, k: int) -> np.ndarray:
+    return k * masked_pow_one_minus(p, k - 1)
+
+
+def allocating_ordered_dot(a, b) -> float:
+    """The extraction of `objectives.ordered_dot`, top from np.abs and new
+    arrays for every (sigma + x) - sigma."""
+    x = np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
+    top = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < top < EXTRACT_LIMIT:
+        return math.fsum(memoryview(x))
+    shift = (x.size + 1).bit_length()
+    parts = []
+    for _ in range(EXTRACT_PASSES):
+        sigma = math.ldexp(1.0, max(shift + math.frexp(top)[1], -1022))
+        q = (sigma + x) - sigma
+        x -= q
+        parts.append(float(q.sum()))
+        top = float(np.max(np.abs(x)))
+        if top == 0.0:
+            break
+    return math.fsum(parts + x[x != 0].tolist())
+
+
+# The doubles at and around the branch point 0.5, at both ends of [0, 1]
+# and the smallest subnormal.
+EDGE_PROBS = (0.0, 5e-324, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+              1.0 - 2.0**-53, 1.0)
+
+
+def random_probs(rng, size: int) -> np.ndarray:
+    """The edge probabilities, then size draws split between uniform on
+    [0, 1), log-uniform down to 1e-300, and 1 - 10**-u up to 1 - 1e-16."""
+    third = size // 3
+    return np.concatenate([
+        EDGE_PROBS,
+        rng.random(size - 2 * third),
+        10.0 ** rng.uniform(-300.0, 0.0, third),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, third),
+    ])
+
+
+def _hex_or_error(dot, a, b) -> str:
+    """The sum's hex, or the error it raises (fsum raises on inf - inf)."""
+    try:
+        return dot(a, b).hex()
+    except (ValueError, OverflowError) as exc:
+        return repr(exc)
+
+
+def ordered_dot_cases(rng, lengths) -> list:
+    """(a, b) pairs with signed zeros, inf and nan, products >= 2**960,
+    subnormal products and empty input, then one random pair of each of
+    the given lengths."""
+    cases = [(np.zeros(0), np.zeros(0)),
+             (np.array([0.0, -0.0]), np.array([-1.0, 1.0])),
+             (np.array([-0.0, -0.0]), np.array([1.0, 1.0])),
+             (np.array([1.0, np.inf, -2.0]), np.ones(3)),
+             (np.array([np.inf, -np.inf]), np.ones(2)),
+             (np.array([1.0, np.nan]), np.ones(2)),
+             (np.array([2.0**500, 3.0, -2.0**500]), np.array([2.0**460, 1.0, 2.0**460])),
+             (np.array([2.0**960, 1.0]), np.array([1.0, 1.0])),
+             (np.array([5e-324, -5e-324, 3e-320]), np.array([1.0, 1.0, 0.5])),
+             (np.array([1e-200, 3e-170, -1e-160]), np.array([1e-130, 1e-160, 1e-170]))]
+    top = max(lengths, default=0)
+    a = rng.random(top)
+    a[rng.random(top) < 0.1] = rng.choice([0.0, -0.0])
+    b = np.ldexp(rng.normal(size=top), rng.integers(-40, 40, size=top))
+    cases.extend((a[:n] / n, b[:n]) for n in lengths)
+    return cases
+
+
+def exact_form_mismatches(seed: int, size: int, ks, lengths) -> list:
+    """Where the package's transforms and ordered_dot differ in any bit
+    from the masked and allocating forms above; empty when they agree.
+
+    Transforms are compared as int64 views at every k in ks on
+    random_probs(size); ordered_dot against math.fsum and
+    allocating_ordered_dot on ordered_dot_cases(lengths).
+    """
+    rng = np.random.default_rng(seed)
+    p = random_probs(rng, size)
+    bad = []
+    for k in ks:
+        pairs = (("fk_array", fk_array(p, k), masked_fk_array(p, k)),
+                 ("wk_array", wk_array(p, k), masked_wk_array(p, k)),
+                 ("_pow_one_minus", _pow_one_minus(p, k), masked_pow_one_minus(p, k)))
+        for name, got, want in pairs:
+            differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+            if differ.size:
+                i = differ[0]
+                bad.append(f"{name} k={k} p={p[i]!r}: {got[i].hex()} != {want[i].hex()}")
+    for a, b in ordered_dot_cases(rng, lengths):
+        want = _hex_or_error(lambda a, b: math.fsum((a * b).tolist()), a, b)
+        for dot in (ordered_dot, allocating_ordered_dot):
+            got = _hex_or_error(dot, a, b)
+            if got != want:
+                bad.append(f"{dot.__name__} n={a.size}: {got} != {want}")
+    return bad

@@ -287,6 +287,19 @@ class TestOptionalMassColumn:
             GradLogRecord("a", 0.5, np.ones(2), mass=-1.0)
 
 
+class TestRecordPromptId:
+    # the file loader requires a JSON string; a record built in code must
+    # hold a str too, instead of turning None into 'None'
+    @pytest.mark.parametrize("pid", [None, 3, ["a"], b"a", 1.5])
+    def test_non_string_id_rejected(self, pid):
+        with pytest.raises(DomainError) as exc:
+            GradLogRecord(pid, 0.5, [1.0])
+        assert str(exc.value) == f"prompt_id must be a string, got {pid!r}"
+
+    def test_string_id_kept(self):
+        assert GradLogRecord("p0", 0.5, [1.0]).prompt_id == "p0"
+
+
 class TestScatterExport:
     def test_row_count_and_cluster_property(self, tmp_path, conflict_filtered):
         path = tmp_path / "scatter.csv"

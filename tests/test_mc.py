@@ -105,6 +105,18 @@ class TestSampleSetValidation:
         with pytest.raises(DomainError, match="unknown prompt"):
             mc_grad_pass1(ss, "nope")
 
+    @pytest.mark.parametrize("pid", [None, 1, ("a",)])
+    def test_non_string_id_rejected(self, pid):
+        with pytest.raises(DomainError) as exc:
+            SampleSet(("a", pid), [0, 1, 2], [0, 1], [0.0, 1.0], [[1.0], [2.0]])
+        assert str(exc.value) == f"prompt_id must be a string, got {pid!r}"
+
+    @pytest.mark.parametrize("pid", [1, ["1"]])
+    def test_lookup_takes_the_id_as_given(self, pid):
+        ss = SampleSet(("1",), [0, 1], [1], [1.0], [[1.0]])
+        with pytest.raises(DomainError, match="unknown prompt"):
+            ss[pid]
+
 
 class TestMcGradPass1:
     def test_all_rewards_zero(self):
@@ -643,6 +655,28 @@ class TestVectorisedEstimators:
             probs, grad = reference_estimates(ref, prof, 5)
             assert_same_bits(emp.probs, probs)
             assert_same_bits(mc_grad_passk(ss, prof, 5), grad)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_scored_means_are_each_blocks_mean(self, d):
+        # numpy's block mean sums 40 draws pairwise at d = 1 and one at a
+        # time at d > 1; normal scores tell the two orders apart.  Every
+        # third prompt has no reward, so its products in the negative first
+        # score column are all -0.0, and the mean's +0.0 start shows.
+        rng = np.random.default_rng(8 + d)
+        p, n = CHUNK_PROMPTS + 40, 40
+        rewards = rng.integers(0, 2, (p, n)).astype(float)
+        rewards[::3] = 0.0
+        scores = rng.normal(size=(p * n, d))
+        scores[:, 0] = -np.abs(scores[:, 0])
+        ss = SampleSet(
+            [f"q{i}" for i in range(p)],
+            np.arange(p + 1) * n,
+            rng.integers(0, 2, p * n),
+            rewards.reshape(-1),
+            scores,
+        )
+        want = np.stack([mc_grad_pass1(ss, pid) for pid in ss.ids])
+        assert_same_bits(ss._scored_means, want)
 
     def test_unequal_draw_counts_interleaved(self):
         # draw counts cycle 3, 1, 20, so every group spans the whole set and

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,15 @@ from passklab import (
     unbiased_pass_at_k,
     wk,
 )
-from passklab.objectives import fk_array, ordered_dot, weighted_row_sum, wk_array
+from passklab.objectives import (
+    MAX_K,
+    fk_array,
+    ordered_dot,
+    weighted_row_sum,
+    wk_array,
+)
+
+from oracles import exact_form_mismatches
 
 
 def pow_oracle(base: float, n: int) -> float:
@@ -243,6 +255,63 @@ class TestReductionPrimitives:
         assert got.tobytes() == expected.tobytes()
 
 
+ALL_KS = (*range(1, 65), MAX_K)
+SPOT_KS = (1, 2, 3, 5, 7, 10, 33, 64, MAX_K)
+
+
+class TestExactForms:
+    """The branch-free transforms and in-place ordered_dot give the bits of
+    the masked and allocating forms in tests/oracles.py.  With warnings as
+    errors, this also shows that the branch np.where drops raises none."""
+
+    def test_every_k_on_edge_and_random_probabilities(self):
+        assert exact_form_mismatches(13, 2**14, ALL_KS, range(1, 5001, 3)) == []
+
+    def test_a_million_probabilities(self):
+        assert exact_form_mismatches(14, 10**6, SPOT_KS, ()) == []
+
+
+# The child reruns the comparison with numpy's dispatched SIMD levels cut
+# down; the variable is set on the child only.
+SIMD_CHILD = """
+import sys
+from numpy._core._multiarray_umath import __cpu_features__
+from oracles import exact_form_mismatches
+from passklab.objectives import MAX_K
+off = [name for name in sys.argv[1].split() if __cpu_features__[name]]
+assert not off, f"still enabled: {off}"
+bad = exact_form_mismatches(15, 2**14, (*range(1, 65), MAX_K), range(1, 5001, 13))
+sys.exit("\\n".join(bad) or None)
+"""
+SIMD_LEVELS = (("X86_V4", "AVX512_ICL", "AVX512_SPR"),
+               ("X86_V4", "AVX512_ICL", "AVX512_SPR", "X86_V3"))
+
+
+class TestExactFormsAtEverySimdLevel:
+    def test_masked_and_branch_free_forms_agree_at_each_level(self):
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        import passklab
+
+        # naming a baseline feature stops numpy from importing, so name
+        # only dispatched features that this host has
+        levels = {
+            " ".join(f for f in level if f in __cpu_dispatch__ and __cpu_features__[f])
+            for level in SIMD_LEVELS
+        }
+        roots = [Path(passklab.__file__).resolve().parent.parent, Path(__file__).parent]
+        base = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        for level in sorted(levels, key=len):
+            proc = subprocess.run(
+                [sys.executable, "-c", SIMD_CHILD, level],
+                capture_output=True,
+                text=True,
+                env={**base, "PYTHONPATH": os.pathsep.join(map(str, roots)),
+                     "NPY_DISABLE_CPU_FEATURES": level},
+            )
+            assert proc.returncode == 0, f"{level!r}: {proc.stderr}"
+
+
 class TestPassAtK:
     def test_two_point_paper_values(self):
         prof = SuccessProfile.uniform([0.86, 0.10])
@@ -315,7 +384,7 @@ class TestUnbiasedPassAtK:
                     ), (n, c, k)
 
     def test_memoised_value_is_the_formula(self):
-        # numpy and Python integers share one cache entry and one value
+        # numpy and Python integers give one value
         for c in range(65):
             expected = 1.0 if 64 - c < 5 else float(
                 1.0 - np.prod(1.0 - 5 / np.arange(64 - c + 1, 65, dtype=float))
@@ -323,6 +392,35 @@ class TestUnbiasedPassAtK:
             for args in ((64, c, 5), (np.int64(64), np.int64(c), np.int32(5))):
                 got = unbiased_pass_at_k(*args)
                 assert type(got) is float and got == expected
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((4, True, 2), "c must be an integer, got True"),
+            ((4, 1.0, 2), "c must be an integer, got 1.0"),
+            ((4.0, 1, 2), "n must be an integer, got 4.0"),
+            ((4, 1, "2"), "k must be an integer, got '2'"),
+            ((None, 1, 2), "n must be an integer, got None"),
+            (([4], 1, 2), "n must be an integer, got [4]"),
+            ((4, np.array(1), 2), "c must be an integer, got array(1)"),
+            ((4, 1, np.True_), "k must be an integer, got np.True_"),
+            ((0, 0, 1), "require 0 <= c <= n and 1 <= k <= n, got n=0 c=0 k=1"),
+            ((4, -1, 2), "require 0 <= c <= n and 1 <= k <= n, got n=4 c=-1 k=2"),
+            ((4, 5, 2), "require 0 <= c <= n and 1 <= k <= n, got n=4 c=5 k=2"),
+            ((4, 1, 0), "require 0 <= c <= n and 1 <= k <= n, got n=4 c=1 k=0"),
+            ((np.int64(4), 1, 5),
+             "require 0 <= c <= n and 1 <= k <= n, got n=4 c=1 k=5"),
+        ],
+    )
+    def test_bad_arguments_raise_the_same_message_after_a_cached_call(
+        self, args, message
+    ):
+        # the valid call puts (4, 1, 2) in the cache first: the bad calls
+        # equal to it (True, 1.0) must not be answered from that entry
+        assert unbiased_pass_at_k(4, 1, 2) == 0.5
+        with pytest.raises(DomainError) as exc:
+            unbiased_pass_at_k(*args)
+        assert str(exc.value) == message
 
     def test_returns_one_when_failures_below_k(self):
         assert unbiased_pass_at_k(10, 8, 3) == 1.0

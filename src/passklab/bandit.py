@@ -44,7 +44,8 @@ class PromptBatch:
     """Column-oriented batch of prompts.
 
     Row i is one prompt: features [1.0, s] with s finite, a label EASY or
-    HARD, and correct action 0 for easy and 1 for hard.  Ids are unique.
+    HARD, and correct action 0 for easy and 1 for hard.  Ids are unique
+    strings.
     """
 
     ids: tuple
@@ -57,6 +58,9 @@ class PromptBatch:
         labels = np.asarray(self.labels)
         actions = np.asarray(self.correct_actions)
         object.__setattr__(self, "ids", tuple(self.ids))
+        bad = [pid for pid in self.ids if not isinstance(pid, str)]
+        if bad:
+            raise DomainError(f"prompt_id must be a string, got {bad[0]!r}")
         n = len(self.ids)
         if feats.shape != (n, 2) or labels.shape != (n,) or actions.shape != (n,):
             raise DomainError("batch columns must share length n")

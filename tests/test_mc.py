@@ -100,6 +100,20 @@ class TestSampleSetValidation:
                 correct_actions=batch.correct_actions,
             )
 
+    @pytest.mark.parametrize("ids", [(0, 1, 2), ("a", None, "c"), ("a", "b", ("c",))])
+    def test_batch_with_non_string_id_rejected(self, ids):
+        # the batch refuses the id, so sample_actions never draws for it
+        batch = sample_prompts(BanditConfig(seed=4), 3)
+        bad = next(pid for pid in ids if not isinstance(pid, str))
+        with pytest.raises(DomainError) as exc:
+            PromptBatch(
+                ids=ids,
+                features=batch.features,
+                labels=batch.labels,
+                correct_actions=batch.correct_actions,
+            )
+        assert str(exc.value) == f"prompt_id must be a string, got {bad!r}"
+
     def test_unknown_prompt(self):
         ss = make_samples([1.0], [[1.0, 2.0]])
         with pytest.raises(DomainError, match="unknown prompt"):

@@ -10,6 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+# numpy 2 keeps its C core in numpy._core, numpy 1.x in numpy.core
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
 from passklab import (
     DomainError,
     SuccessProfile,
@@ -275,7 +281,10 @@ class TestExactForms:
 # down; the variable is set on the child only.
 SIMD_CHILD = """
 import sys
-from numpy._core._multiarray_umath import __cpu_features__
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
 from oracles import exact_form_mismatches
 from passklab.objectives import MAX_K
 off = [name for name in sys.argv[1].split() if __cpu_features__[name]]
@@ -289,8 +298,6 @@ SIMD_LEVELS = (("X86_V4", "AVX512_ICL", "AVX512_SPR"),
 
 class TestExactFormsAtEverySimdLevel:
     def test_masked_and_branch_free_forms_agree_at_each_level(self):
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
         import passklab
 
         # naming a baseline feature stops numpy from importing, so name
@@ -403,7 +410,7 @@ class TestUnbiasedPassAtK:
             ((None, 1, 2), "n must be an integer, got None"),
             (([4], 1, 2), "n must be an integer, got [4]"),
             ((4, np.array(1), 2), "c must be an integer, got array(1)"),
-            ((4, 1, np.True_), "k must be an integer, got np.True_"),
+            ((4, 1, np.True_), f"k must be an integer, got {np.True_!r}"),
             ((0, 0, 1), "require 0 <= c <= n and 1 <= k <= n, got n=0 c=0 k=1"),
             ((4, -1, 2), "require 0 <= c <= n and 1 <= k <= n, got n=4 c=-1 k=2"),
             ((4, 5, 2), "require 0 <= c <= n and 1 <= k <= n, got n=4 c=5 k=2"),

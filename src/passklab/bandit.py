@@ -25,7 +25,6 @@ DEFAULT_SEED = 7
 class BanditConfig:
     separation: float = DEFAULT_SEPARATION
     hard_fraction: float = DEFAULT_HARD_FRACTION
-    feature_std: float = 1.0
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -35,8 +34,6 @@ class BanditConfig:
             raise DomainError(
                 f"hard_fraction must lie in [0, 1], got {self.hard_fraction}"
             )
-        if not self.feature_std > 0:
-            raise DomainError(f"feature_std must be > 0, got {self.feature_std}")
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,6 @@ class PromptBatch:
         labels = np.asarray(self.labels)
         actions = np.asarray(self.correct_actions)
         object.__setattr__(self, "ids", tuple(self.ids))
-        bad = [pid for pid in self.ids if not isinstance(pid, str)]
-        if bad:
-            raise DomainError(f"prompt_id must be a string, got {bad[0]!r}")
         n = len(self.ids)
         if feats.shape != (n, 2) or labels.shape != (n,) or actions.shape != (n,):
             raise DomainError("batch columns must share length n")
@@ -92,7 +86,11 @@ class PromptBatch:
 
 
 def _id_index(ids: tuple) -> dict:
-    """Map each id to its position, rejecting an id that appears twice."""
+    """Map each id to its position, rejecting an id that is not a str or
+    that appears twice."""
+    bad = [pid for pid in ids if not isinstance(pid, str)]
+    if bad:
+        raise DomainError(f"prompt_id must be a string, got {bad[0]!r}")
     index = {pid: i for i, pid in enumerate(ids)}
     if len(index) < len(ids):
         # index keeps each id's last position, so the first mismatch is a repeat
@@ -124,7 +122,7 @@ def _check_theta(theta) -> np.ndarray:
 
 def sample_prompts(config: BanditConfig, n: int) -> PromptBatch:
     """Draw n prompts: label ~ Bernoulli(hard_fraction), then the scalar
-    feature from N(+sep/2, std) for hard and N(-sep/2, std) for easy.
+    feature from N(+sep/2, 1) for hard and N(-sep/2, 1) for easy.
 
     Deterministic for a given config.seed.
     """
@@ -133,7 +131,7 @@ def sample_prompts(config: BanditConfig, n: int) -> PromptBatch:
     rng = np.random.default_rng(config.seed)
     hard = rng.random(n) < config.hard_fraction
     centers = np.where(hard, config.separation / 2.0, -config.separation / 2.0)
-    s = rng.normal(centers, config.feature_std)
+    s = rng.normal(centers)
     return PromptBatch(
         ids=tuple(str(i) for i in range(n)),
         features=np.stack([np.ones(n), s], axis=1),
@@ -164,13 +162,13 @@ def grad_success_probs(theta, batch: PromptBatch) -> np.ndarray:
     return (signs * z)[:, None] * batch.features
 
 
-def derive_reference_theta(
-    p_easy_target: float,
-    p_hard_target: float,
-    psi_easy=(1.0, -0.1),
-    psi_hard=(1.0, 0.1),
-) -> np.ndarray:
-    """Solve for the 2-d parameter hitting the two target success rates.
+# Feature rows of the overlap pair's easy and hard prompt.
+OVERLAP_FEATURES = ((1.0, -0.1), (1.0, 0.1))
+
+
+def derive_reference_theta(p_easy_target: float, p_hard_target: float) -> np.ndarray:
+    """Solve for the 2-d parameter hitting the two target success rates on
+    the overlap pair.
 
     The easy prompt succeeds with probability 1 - sigma(theta . psi_easy)
     and the hard one with sigma(theta . psi_hard), so the targets pin a
@@ -179,11 +177,8 @@ def derive_reference_theta(
     for name, p in (("p_easy_target", p_easy_target), ("p_hard_target", p_hard_target)):
         if not 0.0 < p < 1.0:
             raise DomainError(f"{name} must lie strictly inside (0, 1), got {p}")
-    a = np.array([np.asarray(psi_easy, float), np.asarray(psi_hard, float)])
-    if abs(np.linalg.det(a)) < 1e-12:
-        raise DomainError("psi_easy and psi_hard are collinear; system is singular")
     b = np.array([logit(1.0 - p_easy_target), logit(p_hard_target)])
-    return np.linalg.solve(a, b)
+    return np.linalg.solve(np.array(OVERLAP_FEATURES), b)
 
 
 def reference_theta() -> np.ndarray:
@@ -191,22 +186,21 @@ def reference_theta() -> np.ndarray:
     return derive_reference_theta(0.86, 0.10)
 
 
-def overlap_pair(theta=None) -> tuple[PromptBatch, np.ndarray]:
-    """The canonical two-prompt batch from the overlap region.
+def overlap_pair() -> tuple[PromptBatch, np.ndarray]:
+    """The canonical two-prompt batch from the overlap region, with the
+    reference parameter.
 
-    One easy prompt at feature +(-0.1) and one hard prompt at +0.1, with
+    One easy prompt at feature -0.1 and one hard prompt at +0.1, with
     nearly identical representations and hence strongly opposed success
     gradients under any parameter.
     """
-    if theta is None:
-        theta = reference_theta()
     batch = PromptBatch(
         ids=("x_e", "x_h"),
-        features=np.array([[1.0, -0.1], [1.0, 0.1]]),
+        features=np.array(OVERLAP_FEATURES),
         labels=np.array([EASY, HARD]),
         correct_actions=np.array([0, 1]),
     )
-    return batch, np.asarray(theta, dtype=float)
+    return batch, reference_theta()
 
 
 def policy_regularity_constants(batch: PromptBatch) -> tuple[float, float]:

@@ -80,9 +80,12 @@ def _resolve(args, spec: dict, config: dict):
             ) from None
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, inputs, outputs):
+def _write_manifest(out_dir: Path, args, inputs, outputs, **extra):
+    """manifest.json naming the command, its resolved parameters (plus
+    ``extra``), the inputs and outputs, and the package versions."""
+    params = dict({name: getattr(args, name) for name in args.spec}, **extra)
     manifest = {
-        "command": command,
+        "command": args.command,
         "parameters": {k: params[k] for k in sorted(params)},
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
@@ -95,10 +98,6 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs, outputs):
     write_json(out_dir / "manifest.json", manifest)
 
 
-def _params(args, spec) -> dict:
-    return {name: getattr(args, name) for name in spec}
-
-
 TOY_DEMO_SPEC = {
     "k": (int, 10),
     "eta": (float, 5.0),
@@ -106,8 +105,7 @@ TOY_DEMO_SPEC = {
 }
 
 
-def cmd_toy_demo(args, config) -> int:
-    _resolve(args, TOY_DEMO_SPEC, config)
+def cmd_toy_demo(args) -> int:
     batch, theta = overlap_pair()
     k, eta = args.k, args.eta
 
@@ -149,9 +147,7 @@ def cmd_toy_demo(args, config) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "toy_demo.json"
         write_json(report_path, result)
-        _write_manifest(
-            out_dir, "toy-demo", _params(args, TOY_DEMO_SPEC), [], [report_path]
-        )
+        _write_manifest(out_dir, args, [], [report_path])
     return 0
 
 
@@ -169,8 +165,7 @@ HEATMAP_SPEC = {
 }
 
 
-def cmd_heatmap(args, config) -> int:
-    _resolve(args, HEATMAP_SPEC, config)
+def cmd_heatmap(args) -> int:
     if args.subsample < 1:
         raise PassKLabError(f"subsample must be >= 1, got {args.subsample}")
     cfg = BanditConfig(
@@ -199,7 +194,7 @@ def cmd_heatmap(args, config) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "heatmap.csv"
     kernel_matrix_to_csv(cos, table.ids, csv_path)
-    _write_manifest(out_dir, "heatmap", _params(args, HEATMAP_SPEC), [], [csv_path])
+    _write_manifest(out_dir, args, [], [csv_path])
     print(f"wrote {cos.shape[0]}x{cos.shape[1]} cosine kernel to {csv_path}")
     return 0
 
@@ -216,8 +211,7 @@ TRAJECTORY_SPEC = {
 }
 
 
-def cmd_trajectory(args, config) -> int:
-    _resolve(args, TRAJECTORY_SPEC, config)
+def cmd_trajectory(args) -> int:
     cfg = BanditConfig(
         separation=args.separation, hard_fraction=args.hard_fraction, seed=args.seed
     )
@@ -228,9 +222,7 @@ def cmd_trajectory(args, config) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "trajectory.csv"
     trajectory_to_csv(records, csv_path)
-    _write_manifest(
-        out_dir, "trajectory", _params(args, TRAJECTORY_SPEC), [], [csv_path]
-    )
+    _write_manifest(out_dir, args, [], [csv_path])
     first, last = records[0], records[-1]
     print(
         f"j1_pop {fmt(first.j1_pop)} -> {fmt(last.j1_pop)}; "
@@ -250,8 +242,7 @@ KSTAR_SPEC = {
 }
 
 
-def cmd_kstar(args, config) -> int:
-    _resolve(args, KSTAR_SPEC, config)
+def cmd_kstar(args) -> int:
     threshold = k_star(args.eps, args.delta_sep, args.q, args.m, args.g2)
     print(f"k_star = {fmt(threshold)}")
     if math.isinf(threshold):
@@ -272,8 +263,7 @@ DIAGNOSE_SPEC = {
 }
 
 
-def cmd_diagnose(args, config) -> int:
-    _resolve(args, DIAGNOSE_SPEC, config)
+def cmd_diagnose(args) -> int:
     records = load_gradlog(args.input)
     spec = FilterSpec(delta1=args.delta1, delta2=args.delta2)
     filtered = filter_by_difficulty(records, spec)
@@ -288,10 +278,9 @@ def cmd_diagnose(args, config) -> int:
     report_to_json(report, report_path)
     report_rows_to_csv(report, rows_path)
     report_scatter_to_csv(report, scatter_path)
-    params = dict(_params(args, DIAGNOSE_SPEC), input=str(args.input))
     _write_manifest(
-        out_dir, "diagnose", params, [args.input],
-        [report_path, rows_path, scatter_path],
+        out_dir, args, [args.input], [report_path, rows_path, scatter_path],
+        input=args.input,
     )
     print(f"unweighted mean agreement = {fmt(report.unweighted_mean_agreement)}")
     print(f"weighted mean agreement   = {fmt(report.weighted_mean_agreement)}")
@@ -308,8 +297,7 @@ SYNTH_LOG_SPEC = {
 }
 
 
-def cmd_synth_log(args, config) -> int:
-    _resolve(args, SYNTH_LOG_SPEC, config)
+def cmd_synth_log(args) -> int:
     records = make_synthetic_conflict_log(
         n=args.n, d=args.d, seed=args.seed, hard_fraction=args.hard_fraction
     )
@@ -370,8 +358,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _read_config(args.config) if args.config else {}
-        return args.func(args, config)
+        _resolve(args, args.spec, _read_config(args.config) if args.config else {})
+        return args.func(args)
     except IdentityCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1

@@ -347,7 +347,9 @@ def inner_product_k_m(
     gradient and dots them.  Both are returned so callers can audit the
     agreement.  The double sum still forms every kernel entry, so its
     time is O(n^2 * d): an audit for subsamples, not for n = 10^6
-    (where only the direct route, O(n * d), is affordable).
+    (where only the direct route, O(n * d), is affordable).  The kernel
+    blocks are einsum products and the scalar contractions ordered_dot,
+    so neither route depends on the BLAS core or thread count.
     """
     _check_aligned(table, profile)
     wk_w = wk_array(profile.probs, k) * table.mass
@@ -355,10 +357,11 @@ def inner_product_k_m(
     grads, blocks = table.grads, []
     for start in range(0, len(table), KERNEL_BLOCK_ROWS):
         rows = slice(start, start + KERNEL_BLOCK_ROWS)
-        blocks.append(float(wk_w[rows] @ (grads[rows] @ grads.T) @ wm_w))
+        kernel = np.einsum("ij,kj->ik", grads[rows], grads)
+        blocks.append(ordered_dot(wk_w[rows], np.einsum("ij,j->i", kernel, wm_w)))
     double_sum = math.fsum(blocks)
-    direct = float(
-        assemble_passk_gradient(table, profile, k)
-        @ assemble_passk_gradient(table, profile, m_order)
+    direct = ordered_dot(
+        assemble_passk_gradient(table, profile, k),
+        assemble_passk_gradient(table, profile, m_order),
     )
     return KernelInnerProduct(double_sum=double_sum, direct=direct)

@@ -47,10 +47,6 @@ class GradientTable:
     def __len__(self) -> int:
         return self.grads.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.grads.shape[1]
-
     @classmethod
     def uniform(cls, grads, ids=None) -> "GradientTable":
         grads = np.asarray(grads, dtype=float)

@@ -50,9 +50,6 @@ class SampleSet:
 
     def __init__(self, ids, offsets, actions, rewards, scores):
         ids = tuple(ids)
-        bad = [pid for pid in ids if not isinstance(pid, str)]
-        if bad:
-            raise DomainError(f"prompt_id must be a string, got {bad[0]!r}")
         try:
             offsets = np.asarray(offsets, dtype=np.int64)
             actions = np.asarray(actions, dtype=int)
@@ -397,10 +394,8 @@ def _reward_score_means(samples: SampleSet) -> np.ndarray:
 
     For d > 1 numpy's mean adds the draws one at a time, starting from
     +0.0, so adding the n rows of a chunk in a loop and dividing gives its
-    bits.  The loop is the faster of the two only for wide chunks (>= 192
-    prompts) of short rows (d <= 16) whose products fit in 2**17 entries
-    (1 MiB); every other chunk keeps the mean.  So does d == 1, where the
-    draw axis is the contiguous one and numpy sums it pairwise.
+    bits.  d == 1 keeps the mean: there the draw axis is the contiguous
+    one and numpy sums it pairwise.
     """
     offsets, d = samples.offsets, samples.dim
     counts = np.diff(offsets)
@@ -416,7 +411,7 @@ def _reward_score_means(samples: SampleSet) -> np.ndarray:
             r = samples.rewards[rows].reshape(chunk.size, n)
             s = samples.scores[rows].reshape(chunk.size, n, d)
             products = r[:, :, None] * s
-            if not (2 <= d <= 16 and chunk.size >= 192 and products.size <= 2**17):
+            if d == 1:
                 out[chunk] = products.mean(axis=1)
                 continue
             total = np.zeros((chunk.size, d))

@@ -53,8 +53,6 @@ def _pow_one_minus(p: np.ndarray, n: int) -> np.ndarray:
     the picked one sees p itself.
     """
     p = np.asarray(p, dtype=float)
-    if n == 0:
-        return np.ones_like(p)
     lo = np.exp(n * np.log1p(-np.minimum(p, 0.5)))
     hi = (1.0 - np.maximum(p, 0.5)) ** n
     return np.where(p < 0.5, lo, hi)

@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import passklab
 from passklab.cli import main
 
 
@@ -89,6 +91,14 @@ class TestHeatmap:
         capsys.readouterr()
         lines = (out / "heatmap.csv").read_text().splitlines()
         assert len(lines) == 11
+
+    def test_subsample_beyond_available_prompts_warns(self, tmp_path, capsys):
+        out = tmp_path / "hm4"
+        assert main(["heatmap", "--out", str(out), "--n", "20"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: only 20 prompts available for subsample 200\n"
+        lines = (out / "heatmap.csv").read_text().splitlines()
+        assert len(lines) == 21
 
     def test_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -257,6 +267,81 @@ class TestDiagnose:
         capsys.readouterr()
 
 
+class TestManifest:
+    """Each file-writing command's manifest, pinned whole but for versions."""
+
+    def manifest(self, out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest.pop("versions") == {
+            "passklab": passklab.__version__,
+            "numpy": np.__version__,
+            "python": "%d.%d.%d" % sys.version_info[:3],
+        }
+        return manifest
+
+    def test_toy_demo(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        assert main(["toy-demo", "--k", "4", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert self.manifest(out) == {
+            "command": "toy-demo",
+            "parameters": {"eta": 5.0, "k": 4, "margin": 0.001},
+            "inputs": [],
+            "outputs": [str(out / "toy_demo.json")],
+        }
+
+    def test_heatmap(self, tmp_path, capsys):
+        out = tmp_path / "hm"
+        assert main(["heatmap", *SMALL_HEATMAP, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert self.manifest(out) == {
+            "command": "heatmap",
+            "parameters": {
+                "hard_fraction": 0.3, "n": 200, "seed": 7, "separation": 0.2,
+                "subsample": 20,
+            },
+            "inputs": [],
+            "outputs": [str(out / "heatmap.csv")],
+        }
+
+    def test_trajectory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PASSK_SEED", "3")
+        out = tmp_path / "tr"
+        argv = ["trajectory", "--steps", "2", "--n", "100", "--eta", "0.5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert self.manifest(out) == {
+            "command": "trajectory",
+            "parameters": {
+                "eta": 0.5, "hard_fraction": 0.3, "k": 5, "margin": 1e-06,
+                "n": 100, "seed": 3, "separation": 0.2, "steps": 2,
+            },
+            "inputs": [],
+            "outputs": [str(out / "trajectory.csv")],
+        }
+
+    def test_diagnose(self, tmp_path, synth_log, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta2 = 0.2\n")
+        out = tmp_path / "diag"
+        argv = ["--config", str(cfg), "diagnose", "--input", str(synth_log),
+                "--k", "8", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert self.manifest(out) == {
+            "command": "diagnose",
+            "parameters": {
+                "delta1": 0.85, "delta2": 0.2, "input": str(synth_log), "k": 8,
+            },
+            "inputs": [str(synth_log)],
+            "outputs": [
+                str(out / "diagnose.json"),
+                str(out / "prompts.csv"),
+                str(out / "scatter.csv"),
+            ],
+        }
+
+
 class TestPrecedence:
     def test_config_file_overrides_default(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -382,8 +467,6 @@ class TestUsageErrorsExitTwo:
 
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
-        import passklab
-
         # the child imports the same passklab as this process, installed or not
         package_root = str(Path(passklab.__file__).resolve().parent.parent)
         proc = subprocess.run(
@@ -414,22 +497,43 @@ for argv in (
 """
 
 
-class TestBlasIndependence:
-    def test_outputs_do_not_depend_on_the_blas_core(self, tmp_path):
-        import passklab
+# Library calls outside the CLI commands; the child prints each result's hex.
+BLAS_LIBRARY_CHILD = """
+import numpy as np
+from passklab import GradientTable, SuccessProfile, inner_product_k_m
+rng = np.random.default_rng(5)
+table = GradientTable.uniform(rng.normal(size=(700, 64)))
+profile = SuccessProfile.uniform(rng.random(700))
+result = inner_product_k_m(table, profile, 7, 3)
+print(result.double_sum.hex(), result.direct.hex())
+"""
 
-        package_root = str(Path(passklab.__file__).resolve().parent.parent)
-        base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+
+def run_blas_child(code, setting, *args):
+    """Run code in a child with only the given OPENBLAS_* setting."""
+    package_root = str(Path(passklab.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env={**base, "PYTHONPATH": package_root, **setting},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestBlasIndependence:
+    def test_library_results_do_not_depend_on_the_blas_core(self):
+        results = [run_blas_child(BLAS_LIBRARY_CHILD, s) for s in BLAS_SETTINGS]
+        for setting, result in zip(BLAS_SETTINGS[1:], results[1:]):
+            assert result == results[0], setting
+
+    def test_outputs_do_not_depend_on_the_blas_core(self, tmp_path):
         outputs = []
         for i, setting in enumerate(BLAS_SETTINGS):
             out = tmp_path / str(i)
-            proc = subprocess.run(
-                [sys.executable, "-c", BLAS_CHILD, str(out)],
-                capture_output=True,
-                text=True,
-                env={**base, "PYTHONPATH": package_root, **setting},
-            )
-            assert proc.returncode == 0, proc.stderr
+            run_blas_child(BLAS_CHILD, setting, str(out))
             outputs.append({
                 str(path.relative_to(out)): path.read_bytes()
                 for path in sorted(out.rglob("*"))

@@ -138,6 +138,18 @@ class TestConflictReportRoutes:
         assert cosine == pytest.approx(-0.77, abs=0.05)
         assert r.inner_product < 0
 
+    def test_mean_agreement_identity_checked(self, monkeypatch):
+        import passklab.conflict
+        from passklab import IdentityCheckError
+
+        original = passklab.conflict.agreement_scores
+        monkeypatch.setattr(
+            "passklab.conflict.agreement_scores",
+            lambda table: (1.0 + 1e-6) * original(table),
+        )
+        with pytest.raises(IdentityCheckError, match="mean agreement"):
+            two_point()
+
     def test_all_certain_profile_rejected(self):
         table = GradientTable.uniform(np.ones((3, 2)))
         profile = SuccessProfile.uniform(np.ones(3))
@@ -374,6 +386,9 @@ class TestSmoothnessConstants:
     def test_domain(self):
         with pytest.raises(DomainError):
             smoothness_constants(0.0, 1.0, 2)
+        for k in (0, -1):
+            with pytest.raises(DomainError, match=f"k must be >= 1, got {k}"):
+                smoothness_constants(1.0, 1.0, k)
 
 
 class TestMaxSafeStep:

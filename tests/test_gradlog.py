@@ -282,6 +282,15 @@ class TestOptionalMassColumn:
         with pytest.raises(DomainError, match="mass"):
             diagnose(filtered, 4)
 
+    def test_all_zero_masses_rejected(self):
+        records = [
+            GradLogRecord("a", 0.05, np.ones(2), mass=0.0),
+            GradLogRecord("b", 0.95, np.ones(2), mass=0.0),
+        ]
+        filtered = filter_by_difficulty(records, FilterSpec(0.85, 0.10))
+        with pytest.raises(DomainError, match="record masses must not all be zero"):
+            diagnose(filtered, 4)
+
     def test_negative_mass_rejected(self):
         with pytest.raises(DomainError):
             GradLogRecord("a", 0.5, np.ones(2), mass=-1.0)

@@ -277,6 +277,20 @@ class TestGradientTableValidation:
         with pytest.raises(DomainError):
             GradientTable(grads=np.ones((3, 2)), mass=[0.5, np.nan, 0.5], ids=(0, 1, 2))
 
+    @pytest.mark.parametrize(
+        "grads,mass,ids,message",
+        [
+            (np.ones((2, 2)), [0.5, 0.5], ("a",), "must share length n"),
+            (np.ones((2, 2)), [1.0], ("a", "b"), "must share length n"),
+            ([[1.0, np.nan], [0.0, 1.0]], [0.5, 0.5], ("a", "b"), "must be finite"),
+            ([[1.0, 0.0], [-np.inf, 1.0]], [0.5, 0.5], ("a", "b"), "must be finite"),
+        ],
+        ids=["short-ids", "short-mass", "nan", "-inf"],
+    )
+    def test_rejects_malformed_table(self, grads, mass, ids, message):
+        with pytest.raises(DomainError, match=message):
+            GradientTable(grads=grads, mass=mass, ids=ids)
+
     def test_uniform_needs_a_prompt(self):
         # a scalar is no (n, d) matrix either
         for grads in ([], 5.0):

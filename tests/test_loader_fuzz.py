@@ -134,6 +134,22 @@ def test_prompt_id_must_be_a_json_string(tmp_path, name, value):
     assert str(info.value) == expected
 
 
+@pytest.mark.parametrize(
+    "value", [[1, 2], "a", 3, None], ids=["list", "str", "int", "null"]
+)
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_record_must_be_a_json_object(tmp_path, name, value):
+    write, load, error = LOADERS[name]
+    path = tmp_path / "records.jsonl"
+    write(path)
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps(value)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error) as info:
+        load(path)
+    assert str(info.value) == f"{path}: line 2: record must be an object"
+
+
 @pytest.mark.parametrize("name", sorted(LOADERS))
 def test_file_without_records_is_empty(tmp_path, name):
     _, load, error = LOADERS[name]

@@ -83,6 +83,8 @@ class TestSampleSetValidation:
             (("a", "b"), [0, 2, 2], [0, 1], [0.0, 1.0], [[1.0], [2.0]]),  # no draws
             (("a",), [0, 2], [0, 1], [0.0, 1.0], [1.0, 2.0]),  # no draw axis
             (("a", "b", "a"), [0, 1, 2, 3], [0, 1, 0], [0.0, 1.0, 0.0], [[1.0]] * 3),
+            (("a",), [0, 2], [[0, 1]], [0.0, 1.0], [[1.0], [2.0]]),  # 2-d actions
+            (("a",), [0, 2], [0, 1], [0.0, 1.0, 1.0], [[1.0], [2.0]]),  # long rewards
         ],
     )
     def test_from_arrays_rejects(self, ids, offsets, actions, rewards, scores):
@@ -326,6 +328,12 @@ class TestStreams:
         ss = sample_actions(theta, batch, 9, seed=2**64 + 5)
         ref = reference_sample_actions(theta, batch, 9, seed=2**64 + 5)
         assert_same_bits(ss.actions, np.concatenate([b.actions for b in ref.blocks]))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_draw_count_below_one(self, n):
+        batch, theta = overlap_pair()
+        with pytest.raises(DomainError, match=f"n must be >= 1, got {n}"):
+            sample_actions(theta, batch, n, 0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_rejects_bad_seed(self, seed):
@@ -670,7 +678,7 @@ class TestVectorisedEstimators:
             assert_same_bits(emp.probs, probs)
             assert_same_bits(mc_grad_passk(ss, prof, 5), grad)
 
-    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("d", [1, 2, 5, 17, 64])
     def test_scored_means_are_each_blocks_mean(self, d):
         # numpy's block mean sums 40 draws pairwise at d = 1 and one at a
         # time at d > 1; normal scores tell the two orders apart.  Every

@@ -76,6 +76,9 @@ class TestFk:
             fk(float("nan"), 3)
         with pytest.raises(DomainError):
             fk(0.5, 10**6 + 1)
+        for k in (2.5, 3.0, True, "3"):
+            with pytest.raises(DomainError, match="k must be an integer"):
+                fk_array(np.array([0.5]), k)
 
     def test_small_p_precision(self):
         # the expm1 route keeps tiny objective values fully accurate where

@@ -166,3 +166,19 @@ class TestTrajectory:
         assert rows[0][0] == "step"
         assert len(rows) == len(records) + 1
         assert float(rows[1][1]) == records[0].j1_pop
+
+    def test_all_easy_batch_has_no_hard_means(self, tmp_path):
+        import csv
+        import math
+
+        records = run_trajectory(
+            BanditConfig(hard_fraction=0.0, seed=2), k=3, eta=0.5, steps=1, n=50
+        )
+        path = tmp_path / "traj.csv"
+        trajectory_to_csv(records, path)
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        for record, row in zip(records, rows, strict=True):
+            assert math.isnan(record.j1_hard) and math.isnan(record.jk_hard)
+            assert record.j1_easy == record.j1_pop
+            assert row["j1_hard"] == row["jk_hard"] == "nan"

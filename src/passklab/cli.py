@@ -243,6 +243,8 @@ KSTAR_SPEC = {
 
 
 def cmd_kstar(args) -> int:
+    if args.k_max < 0:
+        raise DomainError(f"k_max must be >= 0, got {args.k_max}")
     threshold = k_star(args.eps, args.delta_sep, args.q, args.m, args.g2)
     print(f"k_star = {fmt(threshold)}")
     if math.isinf(threshold):

@@ -14,7 +14,7 @@ silently wrong report.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .objectives import (
     wk_array,
     _pow_one_minus,
 )
-from .serialization import write_json
 
 ROUTE_RTOL = 1e-10
 SIGMA_FLOOR = 1e-14
@@ -46,8 +45,7 @@ class ConflictReport:
     per-prompt agreement scores and pass@k weights, and mean_score, the
     mass-weighted mean agreement.  neg_set holds the indices with score
     <= -margin, q their mass, and w_minus / w_plus the weights inside and
-    outside it.  scores, weights, mean_score, neg_set and grad_k stay out
-    of to_dict.  Smoothness-dependent fields, among them the certified
+    outside it.  Smoothness-dependent fields, among them the certified
     step eta_max, are None when no Hessian-norm bound f was supplied
     (e.g. external gradient logs).
     """
@@ -80,16 +78,6 @@ class ConflictReport:
     mean_score: float
     neg_set: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("grad_k", "scores", "weights", "mean_score", "neg_set")
-        }
-
-    def to_json(self, path) -> None:
-        write_json(path, self.to_dict())
-
 
 def default_score_bound_sq(table: GradientTable) -> float:
     """Fallback g2 when no policy is available: max squared row norm.
@@ -107,25 +95,22 @@ def _routes_agree(values: dict[str, float], scale: float) -> None:
     names = list(values)
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            if abs(values[a] - values[b]) > ROUTE_RTOL * scale:
+            if not abs(values[a] - values[b]) <= ROUTE_RTOL * scale:
                 raise IdentityCheckError(
                     f"inner-product routes disagree: {a}={values[a]!r} "
                     f"{b}={values[b]!r} (scale {scale!r})"
                 )
 
 
-def _check_aligned(table: GradientTable, profile: SuccessProfile) -> None:
-    """Same prompt ids and mass; one shared mass array skips the compare."""
+def assemble_passk_gradient(
+    table: GradientTable, profile: SuccessProfile, k: int
+) -> np.ndarray:
+    """Population k-attempt gradient: mass-weighted sum of w_k * row.  The
+    profile must carry the table's ids and mass (AlignmentError otherwise)."""
     if profile.ids is not table.ids and profile.ids != table.ids:
         raise AlignmentError("profile and table must list the same prompt ids")
     if profile.mass is not table.mass and not np.array_equal(profile.mass, table.mass):
         raise AlignmentError("profile and table must carry the same prompt mass")
-
-
-def assemble_passk_gradient(
-    table: GradientTable, profile: SuccessProfile, k: int
-) -> np.ndarray:
-    """Population k-attempt gradient: mass-weighted sum of w_k * row."""
     return weighted_row_sum(table.mass * wk_array(profile.probs, k), table.grads)
 
 
@@ -140,7 +125,8 @@ def conflict_report(
 
     The mass-weighted mean agreement must equal ||mean grad||^2
     (IdentityCheckError otherwise).  The direct route assembles grad_k
-    with its own weights, so the three routes stay independent.
+    with its own weights, so the three routes stay independent.  A table
+    with d * max|entry|**2 above 2**510 is refused (DomainError).
     constants, when given, is the (g2, f) pair bounding the expected
     squared score norm and expected score-Hessian norm; g2 defaults to
     the max squared gradient row norm and f to None (smoothness fields
@@ -148,13 +134,18 @@ def conflict_report(
     """
     if not 0 < margin < math.inf:
         raise DomainError(f"margin must be finite and > 0, got {margin}")
-    _check_aligned(table, profile)
+    # d * max|entry|**2 bounds every squared row norm M, so no score (<= M),
+    # squared score deviation (<= 4 M**2 <= 2**1022) or sum of them overflows
+    d, top = table.grads.shape[1], float(max(table.grads.max(), -table.grads.min()))
+    if not d * top * top <= 2.0**510:
+        raise DomainError(f"gradient entries up to {top!r} are too large at d = {d}")
+    grad_k = assemble_passk_gradient(table, profile, k)
     margin, mass = float(margin), table.mass
     scores = agreement_scores(table)
     mean_score = ordered_dot(mass, scores)
     norm_sq = ordered_dot(table.mean_grad, table.mean_grad)
     identity_scale = max(abs(norm_sq), ordered_dot(mass, np.abs(scores)), 1e-300)
-    if abs(mean_score - norm_sq) > 1e-10 * identity_scale:
+    if not abs(mean_score - norm_sq) <= 1e-10 * identity_scale:
         raise IdentityCheckError(
             f"mean agreement {mean_score} != ||mean grad||^2 {norm_sq}"
         )
@@ -172,7 +163,6 @@ def conflict_report(
         )
 
     weighted_form = ordered_dot(mass, weights * scores)
-    grad_k = assemble_passk_gradient(table, profile, k)
     inner_product = ordered_dot(grad_k, table.mean_grad)
     covariance = ordered_dot(
         mass, (weights - mean_weight) * (scores - mean_score)
@@ -351,7 +341,8 @@ def inner_product_k_m(
     blocks are einsum products and the scalar contractions ordered_dot,
     so neither route depends on the BLAS core or thread count.
     """
-    _check_aligned(table, profile)
+    grad_k = assemble_passk_gradient(table, profile, k)
+    grad_m = assemble_passk_gradient(table, profile, m_order)
     wk_w = wk_array(profile.probs, k) * table.mass
     wm_w = wk_array(profile.probs, m_order) * table.mass
     grads, blocks = table.grads, []
@@ -360,8 +351,4 @@ def inner_product_k_m(
         kernel = np.einsum("ij,kj->ik", grads[rows], grads)
         blocks.append(ordered_dot(wk_w[rows], np.einsum("ij,j->i", kernel, wm_w)))
     double_sum = math.fsum(blocks)
-    direct = ordered_dot(
-        assemble_passk_gradient(table, profile, k),
-        assemble_passk_gradient(table, profile, m_order),
-    )
-    return KernelInnerProduct(double_sum=double_sum, direct=direct)
+    return KernelInnerProduct(double_sum=double_sum, direct=ordered_dot(grad_k, grad_m))

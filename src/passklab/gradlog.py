@@ -95,7 +95,7 @@ class DiagReport:
     k: int
     n_hard: int
     n_easy: int
-    ratio: float
+    ratio: float | None  # None when no prompt is hard: JSON has no Infinity
     unweighted_mean_agreement: float
     weighted_mean_agreement: float
     mean_shift: float
@@ -232,7 +232,7 @@ def diagnose(filtered: FilteredLog, k: int) -> DiagReport:
         k=int(k),
         n_hard=filtered.n_hard,
         n_easy=filtered.n_easy,
-        ratio=filtered.ratio,
+        ratio=filtered.ratio if filtered.n_hard else None,
         unweighted_mean_agreement=unweighted,
         weighted_mean_agreement=weighted,
         mean_shift=weighted - unweighted,
@@ -283,6 +283,10 @@ def make_synthetic_conflict_log(
     """
     if n < 10:
         raise DomainError(f"n must be >= 10, got {n}")
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
+    if not 0 < hard_fraction < 1:
+        raise DomainError(f"hard_fraction must lie in (0, 1), got {hard_fraction}")
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=d)
     direction /= math.sqrt(ordered_dot(direction, direction))

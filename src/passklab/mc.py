@@ -18,8 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .bandit import PromptBatch, _check_theta, _id_index, expit
+from .conflict import assemble_passk_gradient
 from .errors import DomainError
-from .objectives import SuccessProfile, weighted_row_sum, wk_array
+from .interference import GradientTable
+from .objectives import SuccessProfile
 from .serialization import read_records
 
 
@@ -99,12 +101,14 @@ class SampleSet:
         return tuple(map(self._block, range(len(self.ids))))
 
     @cached_property
-    def _scored_means(self) -> np.ndarray:
-        """(P, d) per-prompt mean of reward * score, reduced once per set and
-        read-only, so every estimate over the set shares it."""
-        means = _reward_score_means(self)
-        means.flags.writeable = False
-        return means
+    def table(self) -> GradientTable:
+        """Uniform-mass table whose row i is prompt i's mean of reward * score,
+        built once per set with read-only arrays, so every estimate over the
+        set shares it."""
+        table = GradientTable.uniform(_reward_score_means(self), ids=self.ids)
+        for array in (table.grads, table.mass, table.mean_grad):
+            array.flags.writeable = False
+        return table
 
     def __getitem__(self, prompt_id: str) -> PromptSamples:
         try:
@@ -436,13 +440,11 @@ def mc_grad_passk(samples: SampleSet, profile: SuccessProfile, k: int) -> np.nda
     empirical or exact probabilities.  With empirical probabilities the
     weight factor is biased upward at finite n (w_k is convex in p for
     k >= 3, so E[w_k(c/n)] >= w_k(p)); the bias vanishes as n grows and
-    is measured in the test suite.
+    is measured in the test suite.  This is assemble_passk_gradient over
+    samples.table, so the profile must carry the set's ids and uniform
+    mass (AlignmentError otherwise).
     """
-    if tuple(profile.ids) != samples.ids:
-        raise DomainError("profile ids must match the sample set ids in order")
-    return weighted_row_sum(
-        profile.mass * wk_array(profile.probs, k), samples._scored_means
-    )
+    return assemble_passk_gradient(samples.table, profile, k)
 
 
 def export_samples(samples: SampleSet, path) -> None:

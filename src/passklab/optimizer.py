@@ -100,13 +100,6 @@ def evaluate_state(
     )
 
 
-def _advance(record: TrajectoryRecord, step_size: float) -> np.ndarray:
-    """The parameter one step of the given size along record.grad_k."""
-    if np.any(~np.isfinite(record.grad_k)):
-        raise DomainError("nonfinite population gradient")
-    return record.theta + step_size * record.grad_k
-
-
 def ascent_step(
     theta, batch: PromptBatch, k: int, eta: float, margin: float = 1e-6
 ) -> tuple[np.ndarray, TrajectoryRecord]:
@@ -114,7 +107,7 @@ def ascent_step(
     if not eta > 0:
         raise DomainError(f"eta must be > 0, got {eta}")
     record = evaluate_state(theta, batch, k, margin=margin)
-    return _advance(record, eta), record
+    return record.theta + eta * record.grad_k, record
 
 
 def run_trajectory(
@@ -150,7 +143,7 @@ def run_trajectory(
         records.append(record)
         if eta is None and record.eta_max is None:
             return records
-        theta = _advance(record, record.eta_max if eta is None else eta)
+        theta = record.theta + (record.eta_max if eta is None else eta) * record.grad_k
     records.append(evaluate_state(theta, batch, k, margin=margin, step=steps))
     return records
 

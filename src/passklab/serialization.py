@@ -26,10 +26,10 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, obj) -> None:
-    path = Path(path)
-    with path.open("w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    """Strict JSON: a NaN or infinite value raises ValueError before the
+    file is opened."""
+    text = json.dumps(obj, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def read_lines(path):

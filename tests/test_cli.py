@@ -22,6 +22,15 @@ def read(path):
     return path.read_bytes()
 
 
+def strict_json(path):
+    """Parse a JSON file, refusing NaN and Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"{path} holds {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 @pytest.fixture()
 def synth_log(tmp_path):
     path = tmp_path / "log.jsonl"
@@ -271,7 +280,8 @@ class TestManifest:
     """Each file-writing command's manifest, pinned whole but for versions."""
 
     def manifest(self, out):
-        manifest = json.loads((out / "manifest.json").read_text())
+        written = {path.name: strict_json(path) for path in out.glob("*.json")}
+        manifest = written["manifest.json"]
         assert manifest.pop("versions") == {
             "passklab": passklab.__version__,
             "numpy": np.__version__,
@@ -334,6 +344,29 @@ class TestManifest:
                 "delta1": 0.85, "delta2": 0.2, "input": str(synth_log), "k": 8,
             },
             "inputs": [str(synth_log)],
+            "outputs": [
+                str(out / "diagnose.json"),
+                str(out / "prompts.csv"),
+                str(out / "scatter.csv"),
+            ],
+        }
+
+    def test_diagnose_all_easy(self, tmp_path, capsys):
+        from passklab.gradlog import GradLogRecord, export_gradlog
+
+        log = tmp_path / "easy.jsonl"
+        export_gradlog(
+            [GradLogRecord(f"e{i}", 0.9 + 0.02 * i, [1.0, 0.5 * i]) for i in range(4)],
+            log,
+        )
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--input", str(log), "--out", str(out)]) == 0
+        assert "ratio inf:1" in capsys.readouterr().out
+        assert strict_json(out / "diagnose.json")["ratio"] is None
+        assert self.manifest(out) == {
+            "command": "diagnose",
+            "parameters": {"delta1": 0.85, "delta2": 0.1, "input": str(log), "k": 32},
+            "inputs": [str(log)],
             "outputs": [
                 str(out / "diagnose.json"),
                 str(out / "prompts.csv"),
@@ -463,6 +496,46 @@ class TestUsageErrorsExitTwo:
         )
         argv = ["diagnose", "--input", str(log), "--out", str(tmp_path / "out")]
         self.assert_one_line_error(argv, capsys, "line 2")
+
+    @pytest.mark.parametrize(
+        "flags,needle",
+        [
+            (["--d", "-1"], "d must be >= 1, got -1"),
+            (["--d", "0"], "d must be >= 1, got 0"),
+            (["--hard-fraction", "nan"], "hard_fraction must lie in (0, 1), got nan"),
+        ],
+    )
+    def test_synth_log_bad_arguments(self, tmp_path, capsys, flags, needle):
+        out = tmp_path / "log.jsonl"
+        argv = ["synth-log", *flags, "--out", str(out)]
+        self.assert_one_line_error(argv, capsys, needle)
+        assert not out.exists()
+
+    def test_kstar_k_max_negative(self, capsys):
+        argv = ["kstar", "--k-max", "-1"]
+        self.assert_one_line_error(argv, capsys, "k_max must be >= 0, got -1")
+
+    # (pass1, grad) records whose agreement products overflow: every mean
+    # to nan, or to infinities of both signs
+    OVERFLOW_LOGS = {
+        "nan": [(0.9, [1e200, 1e200]), (0.95, [1e200, 1e200]),
+                (0.99, [1e200, 1e200]), (0.02, [-3e200, 1e200]),
+                (0.05, [-3e200, 1e200])],
+        "inf - inf": [(0.9, [1e200]), (0.95, [1e200]), (0.05, [-1e200])],
+    }
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOW_LOGS))
+    def test_diagnose_overflowing_log(self, tmp_path, capsys, name):
+        from passklab.gradlog import GradLogRecord, export_gradlog
+
+        log, out = tmp_path / "log.jsonl", tmp_path / "out"
+        records = self.OVERFLOW_LOGS[name]
+        export_gradlog(
+            [GradLogRecord(f"p{i}", p1, g) for i, (p1, g) in enumerate(records)], log
+        )
+        argv = ["diagnose", "--input", str(log), "--out", str(out)]
+        self.assert_one_line_error(argv, capsys, "too large")
+        assert not (out / "diagnose.json").exists()
 
 
 class TestConsoleScript:

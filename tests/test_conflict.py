@@ -9,6 +9,7 @@ import pytest
 from passklab import (
     BanditConfig,
     DomainError,
+    PromptBatch,
     SuccessProfile,
     ascent_step,
     conflict_bound,
@@ -22,6 +23,7 @@ from passklab import (
     policy_regularity_constants,
     reference_theta,
     reweighted_distribution,
+    run_trajectory,
     sample_prompts,
     smoothness_constants,
     success_probs,
@@ -184,19 +186,47 @@ class TestConflictReportRoutes:
         # equal mass held in a separate array still aligns
         conflict_report(table, SuccessProfile.uniform(probs), 5)
 
-    def test_json_round_trip(self, tmp_path):
-        import json
+    @pytest.mark.parametrize("case", ["reversed ids", "other mass", "other length"])
+    def test_assembly_rejects_misaligned_profile(self, case):
+        from passklab import AlignmentError
+        from passklab.conflict import assemble_passk_gradient
 
-        r = two_point()
-        path = tmp_path / "report.json"
-        r.to_json(path)
-        loaded = json.loads(path.read_text())
-        assert loaded["k"] == 10
-        assert loaded["inner_product"] == r.inner_product
-        assert loaded["weighted_form"] == r.weighted_form
-        assert loaded["cov_form"] == r.cov_form
-        assert loaded["eta_max"] == r.eta_max
-        assert "grad_k" not in loaded
+        table = GradientTable.uniform([[1.0, 0.0], [0.2, 1.0], [-0.5, 0.3]])
+        probs = [0.9, 0.4, 0.1]
+        profile = {
+            "reversed ids": SuccessProfile.uniform(probs, ids=table.ids[::-1]),
+            "other mass": SuccessProfile(probs, [0.8, 0.1, 0.1], table.ids),
+            "other length": SuccessProfile.uniform(probs[:2]),
+        }[case]
+        with pytest.raises(AlignmentError):
+            assemble_passk_gradient(table, profile, 5)
+
+
+class TestOverflowGuard:
+    """conflict_report refuses a table whose products could overflow."""
+
+    def test_bound_is_d_times_max_entry_squared(self):
+        # d * a**2 = 4 * 2**508 = 2**510, the largest accepted; every
+        # product and sum of the report stays finite there
+        signs = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, 1, 1]])
+        profile = SuccessProfile.uniform([0.9, 0.5, 0.1])
+        r = conflict_report(GradientTable.uniform(2.0**254 * signs), profile, 5)
+        fields = (r.inner_product, r.cov_form, r.sigma_w, r.sigma_a, r.delta_bound)
+        assert all(math.isfinite(v) for v in fields)
+        above = GradientTable.uniform(np.nextafter(2.0**254, np.inf) * signs)
+        with pytest.raises(DomainError, match="too large"):
+            conflict_report(above, profile, 5)
+
+    def test_trajectory_stops_at_step_zero(self):
+        # rows 0.25 * [1, +-1e100] at theta = 0: d * max|entry|**2 ~ 1.25e199
+        batch = PromptBatch(
+            ids=("e", "h"),
+            features=[[1.0, 1e100], [1.0, -1e100]],
+            labels=["easy", "hard"],
+            correct_actions=[0, 1],
+        )
+        with pytest.raises(DomainError, match="too large"):
+            run_trajectory(BanditConfig(), theta0=np.zeros(2), batch=batch, steps=1)
 
 
 def report_weights(profile, k):

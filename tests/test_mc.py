@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from passklab import (
+    AlignmentError,
     BanditConfig,
     DomainError,
     SuccessProfile,
+    conflict_report,
     empirical_profile,
     grad_success_probs,
     mc_grad_pass1,
     mc_grad_passk,
     overlap_pair,
+    reference_theta,
     sample_actions,
     sample_prompts,
     success_probs,
@@ -43,6 +46,11 @@ class TestSampleSetValidation:
     def test_rejects_noninteger_rewards(self):
         with pytest.raises(DomainError):
             make_samples([0.5], [[1.0, 2.0]])
+
+    def test_nonfinite_scores_rejected_at_first_estimate(self):
+        ss = make_samples([1.0, 0.0], [[np.inf, 0.0], [1.0, 2.0]])
+        with pytest.raises(DomainError, match="finite"):
+            mc_grad_passk(ss, empirical_profile(ss), 2)
 
     def test_unequal_draw_counts_from_arrays(self):
         ss = SampleSet(
@@ -214,8 +222,24 @@ class TestMcGradPassK:
         batch, theta = overlap_pair()
         ss = sample_actions(theta, batch, 10, seed=1)
         prof = SuccessProfile.uniform([0.5, 0.5], ids=("x_h", "x_e"))
-        with pytest.raises(DomainError):
+        with pytest.raises(AlignmentError):
             mc_grad_passk(ss, prof, 3)
+
+    def test_profile_must_carry_the_sets_uniform_mass(self):
+        batch, theta = overlap_pair()
+        ss = sample_actions(theta, batch, 10, seed=1)
+        skewed = SuccessProfile([0.5, 0.5], [0.25, 0.75], ss.ids)
+        with pytest.raises(AlignmentError, match="mass"):
+            mc_grad_passk(ss, skewed, 3)
+
+    def test_sampled_conflict_report(self):
+        # a sample set's table and empirical profile are a conflict_report
+        # input; the report's direct route is the mc estimate itself
+        batch = sample_prompts(BanditConfig(seed=7), 300)
+        ss = sample_actions(reference_theta(), batch, 64, seed=5)
+        emp = empirical_profile(ss)
+        report = conflict_report(ss.table, emp, 10)  # raises if a check fails
+        assert_same_bits(report.grad_k, mc_grad_passk(ss, emp, 10))
 
     def test_scored_means_reduced_once_per_set(self, monkeypatch):
         batch, theta = overlap_pair()
@@ -231,7 +255,7 @@ class TestMcGradPassK:
         mc_grad_passk(ss, exact, 3)
         assert calls == [ss]
         with pytest.raises(ValueError):
-            ss._scored_means[0, 0] = 1.0
+            ss.table.grads[0, 0] = 1.0
 
     def test_inverse_sqrt_rate(self):
         # squared-error RMS over 50 seeds should halve when n quadruples
@@ -698,7 +722,7 @@ class TestVectorisedEstimators:
             scores,
         )
         want = np.stack([mc_grad_pass1(ss, pid) for pid in ss.ids])
-        assert_same_bits(ss._scored_means, want)
+        assert_same_bits(ss.table.grads, want)
 
     def test_unequal_draw_counts_interleaved(self):
         # draw counts cycle 3, 1, 20, so every group spans the whole set and

@@ -63,4 +63,4 @@ from .objectives import (
     unbiased_pass_at_k,
     wk,
 )
-from .optimizer import TrajectoryRecord, ascent_step, evaluate_state, run_trajectory
+from .optimizer import TrajectoryRecord, evaluate_state, run_trajectory

@@ -23,6 +23,7 @@ from .bandit import (
     DEFAULT_SEPARATION,
     overlap_pair,
     grad_success_probs,
+    reference_theta,
     sample_prompts,
     success_probs,
 )
@@ -41,7 +42,7 @@ from .gradlog import (
 )
 from .interference import GradientTable, kernel_matrix, kernel_matrix_to_csv
 from .objectives import wk
-from .optimizer import ascent_step, evaluate_state, run_trajectory, trajectory_to_csv
+from .optimizer import run_trajectory, trajectory_to_csv
 from .serialization import fmt, read_lines, write_json
 
 
@@ -115,8 +116,10 @@ def cmd_toy_demo(args) -> int:
     g_e, g_h = g
     table = GradientTable.uniform(g, ids=batch.ids)
 
-    theta_plus, before = ascent_step(theta, batch, k, eta, margin=args.margin)
-    after = evaluate_state(theta_plus, batch, k, margin=args.margin)
+    before, after = run_trajectory(
+        BanditConfig(), theta0=theta, k=k, eta=eta, steps=1, margin=args.margin,
+        batch=batch,
+    )
 
     result = {
         "theta_ref": [float(v) for v in theta],
@@ -172,8 +175,7 @@ def cmd_heatmap(args) -> int:
         separation=args.separation, hard_fraction=args.hard_fraction, seed=args.seed
     )
     batch = sample_prompts(cfg, args.n)
-    _, theta = overlap_pair()
-    grads = grad_success_probs(theta, batch)
+    grads = grad_success_probs(reference_theta(), batch)
 
     # 3:2 easy:hard split, as in the 120/80 default.
     n_easy = int(round(args.subsample * 0.6))

@@ -45,12 +45,10 @@ class ConflictReport:
     per-prompt agreement scores and pass@k weights, and mean_score, the
     mass-weighted mean agreement.  neg_set holds the indices with score
     <= -margin, q their mass, and w_minus / w_plus the weights inside and
-    outside it.  Smoothness-dependent fields, among them the certified
-    step eta_max, are None when no Hessian-norm bound f was supplied
-    (e.g. external gradient logs).
+    outside it.  The certified step eta_max is None when no Hessian-norm
+    bound f was supplied (e.g. external gradient logs) or delta_bound <= 0.
     """
 
-    k: int
     margin: float
     inner_product: float  # direct dot of assembled population gradients
     weighted_form: float  # E[w * a]
@@ -66,11 +64,6 @@ class ConflictReport:
     w_minus: float
     w_plus: float
     delta_bound: float
-    g2: float
-    f: float | None
-    l1: float | None
-    lk: float | None
-    c2: float | None
     eta_max: float | None
     grad_k: np.ndarray
     scores: np.ndarray
@@ -129,8 +122,8 @@ def conflict_report(
     with d * max|entry|**2 above 2**510 is refused (DomainError).
     constants, when given, is the (g2, f) pair bounding the expected
     squared score norm and expected score-Hessian norm; g2 defaults to
-    the max squared gradient row norm and f to None (smoothness fields
-    then stay None).
+    the max squared gradient row norm and f to None (eta_max then stays
+    None).
     """
     if not 0 < margin < math.inf:
         raise DomainError(f"margin must be finite and > 0, got {margin}")
@@ -195,14 +188,13 @@ def conflict_report(
         g2, f = float(constants[0]), float(constants[1])
     delta = delta_bound(margin, w_minus, w_plus, g2)
 
-    l1 = lk = c2 = eta_max = None
+    eta_max = None
     if f is not None:
-        l1, lk, c2 = smoothness_constants(g2, f, k)
+        _, lk, c2 = smoothness_constants(g2, f, k)
         if delta > 0:
             eta_max = max_safe_step(delta, c2, lk)
 
     return ConflictReport(
-        k=int(k),
         margin=margin,
         inner_product=inner_product,
         weighted_form=weighted_form,
@@ -218,11 +210,6 @@ def conflict_report(
         w_minus=w_minus,
         w_plus=w_plus,
         delta_bound=delta,
-        g2=g2,
-        f=f,
-        l1=l1,
-        lk=lk,
-        c2=c2,
         eta_max=eta_max,
         grad_k=grad_k,
         scores=scores,

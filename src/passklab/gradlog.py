@@ -74,8 +74,14 @@ class FilterSpec:
 class FilteredLog:
     records: tuple  # GradLogRecord, original order
     tags: tuple  # "hard" / "easy", aligned with records
-    n_hard: int
-    n_easy: int
+
+    @property
+    def n_hard(self) -> int:
+        return self.tags.count("hard")
+
+    @property
+    def n_easy(self) -> int:
+        return self.tags.count("easy")
 
     @property
     def ratio(self) -> float:
@@ -163,12 +169,7 @@ def filter_by_difficulty(records, spec: FilterSpec) -> FilteredLog:
         elif rec.pass1 > spec.delta1:
             kept.append(rec)
             tags.append("easy")
-    return FilteredLog(
-        records=tuple(kept),
-        tags=tuple(tags),
-        n_hard=tags.count("hard"),
-        n_easy=tags.count("easy"),
-    )
+    return FilteredLog(records=tuple(kept), tags=tuple(tags))
 
 
 def _prompt_masses(records) -> np.ndarray:
@@ -217,17 +218,8 @@ def diagnose(filtered: FilteredLog, k: int) -> DiagReport:
     inner_product = report.weighted_form / denom
     weighted = inner_product / mean_weight
 
-    rows = tuple(
-        (
-            rec.prompt_id,
-            float(pass1[i]),
-            float(agreements[i]),
-            float(weights[i]),
-            float(contributions[i]),
-            filtered.tags[i],
-        )
-        for i, rec in enumerate(filtered.records)
-    )
+    columns = (pass1, agreements, weights, contributions)
+    rows = tuple(zip(ids, *(c.tolist() for c in columns), filtered.tags, strict=True))
     return DiagReport(
         k=int(k),
         n_hard=filtered.n_hard,

@@ -213,9 +213,8 @@ def unbiased_pass_at_k(n: int, c: int, k: int) -> float:
     """
     try:
         return _unbiased_pass_at_k(n, c, k)
-    except TypeError:  # an unhashable argument never reaches the cache
-        _check_counts(n, c, k)
-        raise
+    except TypeError:  # unhashable: the uncached body's check rejects it
+        return _unbiased_pass_at_k.__wrapped__(n, c, k)
 
 
 def _check_counts(n, c, k) -> None:

@@ -100,16 +100,6 @@ def evaluate_state(
     )
 
 
-def ascent_step(
-    theta, batch: PromptBatch, k: int, eta: float, margin: float = 1e-6
-) -> tuple[np.ndarray, TrajectoryRecord]:
-    """One additive update theta + eta * grad, with the pre-update record."""
-    if not eta > 0:
-        raise DomainError(f"eta must be > 0, got {eta}")
-    record = evaluate_state(theta, batch, k, margin=margin)
-    return record.theta + eta * record.grad_k, record
-
-
 def run_trajectory(
     config: BanditConfig,
     theta0=None,

@@ -16,7 +16,6 @@ import pytest
 from passklab import (
     BanditConfig,
     SuccessProfile,
-    ascent_step,
     conflict_bound,
     conflict_report,
     evaluate_state,
@@ -93,8 +92,9 @@ def test_criterion_1_two_prompt_golden_reproduction():
         before = evaluate_state(theta, batch, 10)
         assert before.j1_pop == pytest.approx(0.48, abs=0.01)
         assert before.jk_pop == pytest.approx(0.83, abs=0.01)
-        theta_plus, _ = ascent_step(theta, batch, 10, 5.0)
-        after = evaluate_state(theta_plus, batch, 10)
+        _, after = run_trajectory(
+            BanditConfig(), theta0=theta, k=10, eta=5.0, steps=1, batch=batch
+        )
         assert after.j1_pop == pytest.approx(0.46, abs=0.01)
         assert after.jk_pop == pytest.approx(0.95, abs=0.01)
 
@@ -301,7 +301,11 @@ def test_criterion_7_smoothness_and_degradation_certificates():
                     certified += 1
                     _, lk, c2 = smoothness_constants(g2p, fp, k)
                     eta = max_safe_step(rec.delta_bound, c2, lk)
-                    theta_plus, _ = ascent_step(theta, pair, k, eta, margin=margin)
+                    _, after = run_trajectory(
+                        BanditConfig(), theta0=theta, k=k, eta=eta, steps=1,
+                        margin=margin, batch=pair,
+                    )
+                    theta_plus = after.theta
                     j1_b = batch_objective(theta, pair, 1)
                     j1_a = batch_objective(theta_plus, pair, 1)
                     jk_b = batch_objective(theta, pair, k)

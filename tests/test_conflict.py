@@ -11,7 +11,6 @@ from passklab import (
     DomainError,
     PromptBatch,
     SuccessProfile,
-    ascent_step,
     conflict_bound,
     conflict_report,
     delta_bound,
@@ -448,7 +447,11 @@ class TestMaxSafeStep:
         assert rec.delta_bound > 0
         _, lk, c2 = smoothness_constants(g2, f, k)
         eta = max_safe_step(rec.delta_bound, c2, lk)
-        theta_plus, _ = ascent_step(theta, batch, k, eta, margin=margin)
+        _, after = run_trajectory(
+            BanditConfig(), theta0=theta, k=k, eta=eta, steps=1, margin=margin,
+            batch=batch,
+        )
+        theta_plus = after.theta
         assert batch_objective(theta_plus, batch, 1) < batch_objective(theta, batch, 1)
         assert batch_objective(theta_plus, batch, k) > batch_objective(theta, batch, k)
 
@@ -547,7 +550,11 @@ class TestDegradationCertificate:
                     cases += 1
                     _, lk, c2 = smoothness_constants(g2, f, k)
                     eta = max_safe_step(rec.delta_bound, c2, lk)
-                    theta_plus, _ = ascent_step(theta, batch, k, eta, margin=margin)
+                    _, after = run_trajectory(
+                        BanditConfig(), theta0=theta, k=k, eta=eta, steps=1,
+                        margin=margin, batch=batch,
+                    )
+                    theta_plus = after.theta
                     j1_before = batch_objective(theta, batch, 1)
                     j1_after = batch_objective(theta_plus, batch, 1)
                     jk_before = batch_objective(theta, batch, k)

@@ -1,4 +1,4 @@
-"""Ascent-step and trajectory tests, including the two-prompt golden run."""
+"""One-step and trajectory tests, including the two-prompt golden run."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from passklab import (
     DomainError,
     PromptBatch,
     SuccessProfile,
-    ascent_step,
     evaluate_state,
     grad_success_probs,
     max_safe_step,
@@ -32,11 +31,11 @@ class TestAscentStep:
         # single step with step size 5 on the 10-attempt objective:
         # 1-attempt value drops 0.48 -> ~0.46, 10-attempt rises 0.83 -> ~0.95
         batch, theta = overlap_pair()
-        before = evaluate_state(theta, batch, 10)
+        before, after = run_trajectory(
+            BanditConfig(), theta0=theta, k=10, eta=5.0, steps=1, batch=batch
+        )
         assert before.j1_pop == pytest.approx(0.48, abs=0.01)
         assert before.jk_pop == pytest.approx(0.83, abs=0.01)
-        theta_plus, record = ascent_step(theta, batch, 10, 5.0)
-        after = evaluate_state(theta_plus, batch, 10)
         assert after.j1_pop == pytest.approx(0.46, abs=0.01)
         assert after.jk_pop == pytest.approx(0.95, abs=0.01)
         assert after.j1_pop < before.j1_pop
@@ -44,7 +43,9 @@ class TestAscentStep:
 
     def test_record_is_pre_update_state(self):
         batch, theta = overlap_pair()
-        _, record = ascent_step(theta, batch, 10, 5.0)
+        record, _ = run_trajectory(
+            BanditConfig(), theta0=theta, k=10, eta=5.0, steps=1, batch=batch
+        )
         np.testing.assert_array_equal(record.theta, theta)
         assert record.j1_pop == pytest.approx(0.48, abs=1e-12)
 
@@ -60,25 +61,25 @@ class TestAscentStep:
     def test_eta_zero_rejected(self):
         batch, theta = overlap_pair()
         with pytest.raises(DomainError):
-            ascent_step(theta, batch, 10, 0.0)
+            run_trajectory(
+                BanditConfig(), theta0=theta, k=10, eta=0.0, steps=1, batch=batch
+            )
 
     def test_k1_small_step_increases_j1(self):
         batch, theta = overlap_pair()
-        theta_plus, _ = ascent_step(theta, batch, 1, 0.1)
-        assert batch_objective(theta_plus, batch, 1) > batch_objective(theta, batch, 1)
+        _, after = run_trajectory(
+            BanditConfig(), theta0=theta, k=1, eta=0.1, steps=1, batch=batch
+        )
+        assert batch_objective(after.theta, batch, 1) > batch_objective(theta, batch, 1)
 
 
 class TestTrajectory:
-    def test_single_step_reproduces_ascent_step(self):
-        cfg = BanditConfig(seed=7)
-        records = run_trajectory(cfg, k=5, eta=1.0, steps=1, n=200)
-        assert len(records) == 2
+    def test_single_step_moves_eta_along_grad_k(self):
+        eta = 1.0
+        records = run_trajectory(BanditConfig(seed=7), k=5, eta=eta, steps=1, n=200)
         assert [r.step for r in records] == [0, 1]
-        batch = sample_prompts(cfg, 200)
-        theta_plus, rec0 = ascent_step(None or records[0].theta, batch, 5, 1.0)
-        assert records[0].j1_pop == rec0.j1_pop
-        assert records[0].inner_product == rec0.inner_product
-        np.testing.assert_array_equal(records[1].theta, theta_plus)
+        expected = records[0].theta + eta * records[0].grad_k
+        assert records[1].theta.tobytes() == expected.tobytes()
 
     def test_deterministic(self):
         cfg = BanditConfig(seed=11)

@@ -34,6 +34,7 @@ class BanditConfig:
             raise DomainError(
                 f"hard_fraction must lie in [0, 1], got {self.hard_fraction}"
             )
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,12 @@ def _check_theta(theta) -> np.ndarray:
     if theta.ndim != 1 or np.any(~np.isfinite(theta)):
         raise DomainError("theta must be a finite 1-d vector")
     return theta
+
+
+def _check_seed(seed) -> int:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
 
 
 def sample_prompts(config: BanditConfig, n: int) -> PromptBatch:

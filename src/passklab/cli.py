@@ -117,8 +117,7 @@ def cmd_toy_demo(args) -> int:
     table = GradientTable.uniform(g, ids=batch.ids)
 
     before, after = run_trajectory(
-        BanditConfig(), theta0=theta, k=k, eta=eta, steps=1, margin=args.margin,
-        batch=batch,
+        theta0=theta, k=k, eta=eta, steps=1, margin=args.margin, batch=batch
     )
 
     result = {

@@ -84,17 +84,6 @@ def default_score_bound_sq(table: GradientTable) -> float:
     return float(max(np.max(row_sq), np.finfo(float).tiny))
 
 
-def _routes_agree(values: dict[str, float], scale: float) -> None:
-    names = list(values)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            if not abs(values[a] - values[b]) <= ROUTE_RTOL * scale:
-                raise IdentityCheckError(
-                    f"inner-product routes disagree: {a}={values[a]!r} "
-                    f"{b}={values[b]!r} (scale {scale!r})"
-                )
-
-
 def assemble_passk_gradient(
     table: GradientTable, profile: SuccessProfile, k: int
 ) -> np.ndarray:
@@ -169,10 +158,12 @@ def conflict_report(
         ordered_dot(mass, weights * np.abs(scores)),
         1e-300,
     )
-    _routes_agree(
-        {"direct": inner_product, "weighted": weighted_form, "cov": cov_form},
-        scale,
-    )
+    # max - min is the widest pair; ptp propagates a NaN where max/min skip it
+    if not np.ptp([inner_product, weighted_form, cov_form]) <= ROUTE_RTOL * scale:
+        raise IdentityCheckError(
+            f"inner-product routes disagree: direct={inner_product!r} "
+            f"weighted={weighted_form!r} cov={cov_form!r} (scale {scale!r})"
+        )
 
     sigma_w = math.sqrt(max(ordered_dot(mass, (weights - mean_weight) ** 2), 0.0))
     sigma_a = math.sqrt(max(ordered_dot(mass, (scores - mean_score) ** 2), 0.0))

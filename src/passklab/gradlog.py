@@ -13,11 +13,13 @@ gradients themselves is out of scope; any model or process may write them.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .bandit import _check_seed
 from .conflict import conflict_report
 from .errors import DomainError
 from .interference import GradientTable
@@ -37,24 +39,32 @@ class GradLogRecord:
     mass: float | None = None  # optional prompt weight; uniform when absent
 
     def __post_init__(self):
-        if type(self.pass1) is bool:
-            raise DomainError("pass1 must be a number, not true/false")
-        if type(self.mass) is bool:
-            raise DomainError("mass must be a number, not true/false")
         if not isinstance(self.prompt_id, str):
             raise DomainError(f"prompt_id must be a string, got {self.prompt_id!r}")
-        grad = np.asarray(self.grad, dtype=float)
-        object.__setattr__(self, "pass1", float(self.pass1))
+        if self.label is not None and not isinstance(self.label, str):
+            raise DomainError(f"label must be a string, got {self.label!r}")
+        grad = np.asarray(self.grad)  # no dtype: text, null and bools stay as they are
+        if grad.dtype.kind not in "fiu":
+            raise DomainError("grad must hold numbers, not text, null or true/false")
+        grad = np.asarray(grad, dtype=float)
+        object.__setattr__(self, "pass1", _real("pass1", self.pass1))
         object.__setattr__(self, "grad", grad)
         if not 0.0 <= self.pass1 <= 1.0:
             raise DomainError(f"pass1 must lie in [0, 1], got {self.pass1}")
         if grad.ndim != 1 or grad.size == 0 or np.any(~np.isfinite(grad)):
             raise DomainError("grad must be a nonempty finite vector")
         if self.mass is not None:
-            mass = float(self.mass)
+            mass = _real("mass", self.mass)
             object.__setattr__(self, "mass", mass)
             if not (np.isfinite(mass) and mass >= 0):
                 raise DomainError(f"mass must be finite and >= 0, got {mass}")
+
+
+def _real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        got = "true/false" if isinstance(value, bool) else repr(value)
+        raise DomainError(f"{name} must be a number, not {got}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -279,7 +289,7 @@ def make_synthetic_conflict_log(
         raise DomainError(f"d must be >= 1, got {d}")
     if not 0 < hard_fraction < 1:
         raise DomainError(f"hard_fraction must lie in (0, 1), got {hard_fraction}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     direction = rng.normal(size=d)
     direction /= math.sqrt(ordered_dot(direction, direction))
     n_hard = int(round(n * hard_fraction))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bandit import PromptBatch, _check_theta, _id_index, expit
+from .bandit import PromptBatch, _check_seed, _check_theta, _id_index, expit
 from .conflict import assemble_passk_gradient
 from .errors import DomainError
 from .interference import GradientTable
@@ -157,21 +157,14 @@ PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK32, MASK64, MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 
-def _words(x: int) -> list:
-    """SeedSequence's split of an integer >= 0 into 32-bit words, low first."""
-    words = [x & MASK32]
-    while x > MASK32:
-        x >>= 32
-        words.append(x & MASK32)
-    return words
-
-
 def _seed_states(entropy: list) -> list:
     """SeedSequence(entropy).generate_state(8, uint32) for many columns.
 
     ``entropy`` holds one (P,) uint32 array per entropy word.  The hash
     constants depend only on the number of words, so the mix is the same
-    uint32 arithmetic for every column and runs as array operations.
+    uint32 arithmetic for every column and runs as array operations.  A
+    column whose last word is 0 mixes as if that word were absent: the pool
+    pads with 0 anyway, and past the pool that word's round is skipped.
     """
     h = INIT_A
 
@@ -194,9 +187,9 @@ def _seed_states(entropy: list) -> list:
         for dst in range(POOL_WORDS):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[POOL_WORDS:]:
-        for dst in range(POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(word))
+    for i in range(POOL_WORDS, len(entropy)):
+        keep = entropy[i] != 0 if i == len(entropy) - 1 else True
+        pool = [np.where(keep, mix(v, hashmix(entropy[i])), v) for v in pool]
     h = INIT_B
     state = []
     for i in range(8):
@@ -211,26 +204,17 @@ def _pcg64_seeds(seed: int, ids) -> np.ndarray:
     """(4, P) uint64 whose column i is SeedSequence([seed, key_i])
     .generate_state(4, uint64), the words that seed prompt i's PCG64.
 
-    The mix runs over all prompts at once, grouped by entropy word count:
-    a key below 2**32 has one word, not two.
+    The mix runs over all prompts in one pass, each key as two words, low
+    first: the zero high word of a key below 2**32 mixes as the absent one.
     """
     keys = _stream_keys(tuple(ids), _stream_key)
-    key_words = [
-        (keys & np.uint64(MASK32)).astype(np.uint32),
-        (keys >> np.uint64(32)).astype(np.uint32),
-    ]
-    seed_words = _words(seed)
-    out = np.empty((4, keys.size), dtype=np.uint64)
-    two = key_words[1] != 0
-    for group, count in ((~two, 1), (two, 2)):
-        if not group.any():
-            continue
-        entropy = [np.full(int(group.sum()), w, dtype=np.uint32) for w in seed_words]
-        entropy += [kw[group] for kw in key_words[:count]]
-        state = [s.astype(np.uint64) for s in _seed_states(entropy)]
-        for j in range(4):
-            out[j, group] = state[2 * j] | (state[2 * j + 1] << np.uint64(32))
-    return out
+    # the seed's 32-bit words as SeedSequence splits it (0 is one word),
+    # then the key's two; astype keeps the low 32 bits of each shift
+    shifts = range(0, max(seed.bit_length(), 1), 32)
+    entropy = [np.full(keys.size, seed >> s & MASK32, dtype=np.uint32) for s in shifts]
+    entropy += [(keys >> np.uint64(s)).astype(np.uint32) for s in (0, 32)]
+    state = [word.astype(np.uint64) for word in _seed_states(entropy)]
+    return np.stack([state[j] | (state[j + 1] << np.uint64(32)) for j in (0, 2, 4, 6)])
 
 
 # PCG64 in uint64 words.  numpy has no 128-bit integers, so a 128-bit value
@@ -339,12 +323,6 @@ def _uniform_draws(seed: int, ids, n: int) -> np.ndarray:
         rows = slice(lo, lo + LANES)
         _pcg64_doubles(seeds[:, rows], out[rows])
     return out
-
-
-def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
 
 
 def sample_actions(theta, batch: PromptBatch, n: int, seed: int) -> SampleSet:

@@ -101,7 +101,7 @@ def evaluate_state(
 
 
 def run_trajectory(
-    config: BanditConfig,
+    config: BanditConfig | None = None,
     theta0=None,
     k: int = 5,
     eta: float | None = 1.0,
@@ -116,15 +116,15 @@ def run_trajectory(
     eta=None runs in certified mode: each step uses the report's eta_max,
     the largest step size whose one-step degradation certificate holds,
     stopping early once the certificate margin delta is no longer positive.
-    A pre-built batch may be supplied instead of sampling n prompts from
-    config.
+    Without a pre-built batch, n prompts are sampled from config
+    (default BanditConfig()); with one, config is not read.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    if eta is not None and not eta > 0:
-        raise DomainError(f"eta must be > 0, got {eta}")
+    if eta is not None and not 0 < eta < np.inf:
+        raise DomainError(f"eta must be > 0 and finite, got {eta}")
     if batch is None:
-        batch = sample_prompts(config, n)
+        batch = sample_prompts(BanditConfig() if config is None else config, n)
     theta = reference_theta() if theta0 is None else _check_theta(theta0)
 
     records: list[TrajectoryRecord] = []

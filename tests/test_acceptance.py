@@ -92,9 +92,7 @@ def test_criterion_1_two_prompt_golden_reproduction():
         before = evaluate_state(theta, batch, 10)
         assert before.j1_pop == pytest.approx(0.48, abs=0.01)
         assert before.jk_pop == pytest.approx(0.83, abs=0.01)
-        _, after = run_trajectory(
-            BanditConfig(), theta0=theta, k=10, eta=5.0, steps=1, batch=batch
-        )
+        _, after = run_trajectory(theta0=theta, k=10, eta=5.0, steps=1, batch=batch)
         assert after.j1_pop == pytest.approx(0.46, abs=0.01)
         assert after.jk_pop == pytest.approx(0.95, abs=0.01)
 
@@ -302,8 +300,7 @@ def test_criterion_7_smoothness_and_degradation_certificates():
                     _, lk, c2 = smoothness_constants(g2p, fp, k)
                     eta = max_safe_step(rec.delta_bound, c2, lk)
                     _, after = run_trajectory(
-                        BanditConfig(), theta0=theta, k=k, eta=eta, steps=1,
-                        margin=margin, batch=pair,
+                        theta0=theta, k=k, eta=eta, steps=1, margin=margin, batch=pair
                     )
                     theta_plus = after.theta
                     j1_b = batch_objective(theta, pair, 1)

@@ -46,6 +46,11 @@ class TestConfigAndSampling:
         with pytest.raises(DomainError):
             BanditConfig(hard_fraction=1.5)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            BanditConfig(seed=seed)
+
     def test_law_of_large_numbers_hard_fraction(self):
         cfg = BanditConfig(separation=0.2, hard_fraction=0.5, seed=7)
         batch = sample_prompts(cfg, 6000)

@@ -463,7 +463,28 @@ class TestUsageErrorsExitTwo:
         self.assert_one_line_error(argv, capsys, f"subsample must be >= 1, got {value}")
         assert not (tmp_path / "heatmap.csv").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heatmap", *SMALL_HEATMAP],
+            ["trajectory", "--steps", "1", "--n", "50"],
+            ["synth-log"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch, argv, source):
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = [*argv, "--seed", "-1"]
+        else:
+            monkeypatch.setenv("PASSK_SEED", "-1")
+        self.assert_one_line_error(
+            [*argv, "--out", str(out)], capsys, "seed must be an integer >= 0, got -1"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
     def test_trajectory_eta_not_positive(self, tmp_path, capsys, value):
         argv = ["trajectory", "--eta", value, "--steps", "3", "--n", "200",
                 "--out", str(tmp_path)]

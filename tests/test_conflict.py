@@ -151,6 +151,24 @@ class TestConflictReportRoutes:
         with pytest.raises(IdentityCheckError, match="mean agreement"):
             two_point()
 
+    def test_nan_route_fails_the_route_check(self, monkeypatch):
+        # a NaN in the middle route, which max() and min() over the three
+        # routes would skip; the message names all three
+        import passklab.conflict
+        from passklab import IdentityCheckError
+
+        clean = two_point()
+        products = clean.weights * clean.scores
+        original = passklab.conflict.ordered_dot
+        monkeypatch.setattr(
+            "passklab.conflict.ordered_dot",
+            lambda a, b: math.nan if np.array_equal(b, products) else original(a, b),
+        )
+        with pytest.raises(IdentityCheckError, match="routes disagree") as info:
+            two_point()
+        routes = f"direct={clean.inner_product!r} weighted=nan cov={clean.cov_form!r}"
+        assert routes in str(info.value)
+
     def test_all_certain_profile_rejected(self):
         table = GradientTable.uniform(np.ones((3, 2)))
         profile = SuccessProfile.uniform(np.ones(3))
@@ -225,7 +243,7 @@ class TestOverflowGuard:
             correct_actions=[0, 1],
         )
         with pytest.raises(DomainError, match="too large"):
-            run_trajectory(BanditConfig(), theta0=np.zeros(2), batch=batch, steps=1)
+            run_trajectory(theta0=np.zeros(2), batch=batch, steps=1)
 
 
 def report_weights(profile, k):
@@ -448,8 +466,7 @@ class TestMaxSafeStep:
         _, lk, c2 = smoothness_constants(g2, f, k)
         eta = max_safe_step(rec.delta_bound, c2, lk)
         _, after = run_trajectory(
-            BanditConfig(), theta0=theta, k=k, eta=eta, steps=1, margin=margin,
-            batch=batch,
+            theta0=theta, k=k, eta=eta, steps=1, margin=margin, batch=batch
         )
         theta_plus = after.theta
         assert batch_objective(theta_plus, batch, 1) < batch_objective(theta, batch, 1)
@@ -551,8 +568,7 @@ class TestDegradationCertificate:
                     _, lk, c2 = smoothness_constants(g2, f, k)
                     eta = max_safe_step(rec.delta_bound, c2, lk)
                     _, after = run_trajectory(
-                        BanditConfig(), theta0=theta, k=k, eta=eta, steps=1,
-                        margin=margin, batch=batch,
+                        theta0=theta, k=k, eta=eta, steps=1, margin=margin, batch=batch
                     )
                     theta_plus = after.theta
                     j1_before = batch_objective(theta, batch, 1)

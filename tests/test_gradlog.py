@@ -371,3 +371,6 @@ class TestSyntheticLogConstruction:
             make_synthetic_conflict_log(n=5)
         with pytest.raises(DomainError):
             make_synthetic_conflict_log(n=100, hard_fraction=0.0)
+        for seed in (-1, True):
+            with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+                make_synthetic_conflict_log(n=100, seed=seed)

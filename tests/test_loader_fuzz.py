@@ -157,3 +157,36 @@ def test_file_without_records_is_empty(tmp_path, name):
     path.write_text("\n  \n\n")
     with pytest.raises(error, match=re.escape(f"{path}: empty")):
         load(path)
+
+
+GRAD_NOT_NUMBERS = "grad must hold numbers, not text, null or true/false"
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("pass1", "0.05", "pass1 must be a number, not '0.05'"),
+        ("mass", "1", "mass must be a number, not '1'"),
+        ("grad", ["1.5", "2"], GRAD_NOT_NUMBERS),
+        ("grad", [True, False], GRAD_NOT_NUMBERS),
+        ("grad", [None, 1.0], GRAD_NOT_NUMBERS),
+        ("label", 7, "label must be a string, got 7"),
+        ("label", ["x"], "label must be a string, got ['x']"),
+    ],
+)
+def test_gradlog_reads_no_text_as_numbers(tmp_path, key, value, message):
+    path = tmp_path / "log.jsonl"
+    _write_gradlog(path)
+    lines = path.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), key: value})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DomainError) as info:
+        load_gradlog(path)
+    assert str(info.value) == f"{path}: line 3: {message}"
+
+
+def test_gradlog_boolean_among_numbers_loads(tmp_path):
+    # entries are not scanned one by one: true beside a number reads as 1.0
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"prompt_id": "a", "pass1": 0.5, "grad": [true, 1.5]}\n')
+    assert load_gradlog(path)[0].grad.tolist() == [1.0, 1.5]

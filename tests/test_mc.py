@@ -321,20 +321,20 @@ class TestStreams:
             np.testing.assert_array_equal(full[pid].actions, partial[pid].actions)
 
     # keys across the one-word / two-word boundary; the seeds give one,
-    # two and three entropy words (3 + 2 > 4 runs SeedSequence's second
-    # mixing loop)
+    # two, three and four entropy words (3 + 2 > 4 puts the key's high word
+    # past SeedSequence's pool, and 4 + 2 both key words)
     EDGE_KEYS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5, 2**96 + 7])
     @pytest.mark.parametrize("key", EDGE_KEYS)
     def test_edge_key_one_long_stream(self, monkeypatch, seed, key):
         monkeypatch.setattr(mc, "_stream_key", lambda pid: key)
         got = mc._uniform_draws(seed, ("p",), 1000)
         assert_same_bits(got[0], prompt_rng(seed, "p").random(1000))
 
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5, 2**96 + 7])
     def test_edge_keys_many_short_streams(self, monkeypatch, seed):
-        # word counts interleave across the batch, so every group is scattered
+        # one- and two-word keys interleave across the batch of one mix
         monkeypatch.setattr(
             mc, "_stream_key", lambda pid: self.EDGE_KEYS[int(pid) % len(self.EDGE_KEYS)]
         )

@@ -1,5 +1,7 @@
 """One-step and trajectory tests, including the two-prompt golden run."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ class TestAscentStep:
         # 1-attempt value drops 0.48 -> ~0.46, 10-attempt rises 0.83 -> ~0.95
         batch, theta = overlap_pair()
         before, after = run_trajectory(
-            BanditConfig(), theta0=theta, k=10, eta=5.0, steps=1, batch=batch
+            theta0=theta, k=10, eta=5.0, steps=1, batch=batch
         )
         assert before.j1_pop == pytest.approx(0.48, abs=0.01)
         assert before.jk_pop == pytest.approx(0.83, abs=0.01)
@@ -43,9 +45,7 @@ class TestAscentStep:
 
     def test_record_is_pre_update_state(self):
         batch, theta = overlap_pair()
-        record, _ = run_trajectory(
-            BanditConfig(), theta0=theta, k=10, eta=5.0, steps=1, batch=batch
-        )
+        record, _ = run_trajectory(theta0=theta, k=10, eta=5.0, steps=1, batch=batch)
         np.testing.assert_array_equal(record.theta, theta)
         assert record.j1_pop == pytest.approx(0.48, abs=1e-12)
 
@@ -61,15 +61,17 @@ class TestAscentStep:
     def test_eta_zero_rejected(self):
         batch, theta = overlap_pair()
         with pytest.raises(DomainError):
-            run_trajectory(
-                BanditConfig(), theta0=theta, k=10, eta=0.0, steps=1, batch=batch
-            )
+            run_trajectory(theta0=theta, k=10, eta=0.0, steps=1, batch=batch)
+
+    @pytest.mark.parametrize("eta", [math.inf, math.nan])
+    def test_eta_must_be_finite(self, eta):
+        batch, theta = overlap_pair()
+        with pytest.raises(DomainError, match="eta must be > 0"):
+            run_trajectory(theta0=theta, k=10, eta=eta, steps=1, batch=batch)
 
     def test_k1_small_step_increases_j1(self):
         batch, theta = overlap_pair()
-        _, after = run_trajectory(
-            BanditConfig(), theta0=theta, k=1, eta=0.1, steps=1, batch=batch
-        )
+        _, after = run_trajectory(theta0=theta, k=1, eta=0.1, steps=1, batch=batch)
         assert batch_objective(after.theta, batch, 1) > batch_objective(theta, batch, 1)
 
 
@@ -88,6 +90,11 @@ class TestTrajectory:
         for ra, rb in zip(a, b, strict=True):
             np.testing.assert_array_equal(ra.theta, rb.theta)
             assert ra.row() == rb.row()
+
+    def test_config_defaults_to_bandit_config(self):
+        a = run_trajectory(k=5, eta=0.5, steps=2, n=100)
+        b = run_trajectory(BanditConfig(), k=5, eta=0.5, steps=2, n=100)
+        assert [r.row() for r in a] == [r.row() for r in b]
 
     def test_label_decomposition(self):
         # population value = hard_frac * hard mean + (1 - hard_frac) * easy mean
@@ -112,8 +119,7 @@ class TestTrajectory:
     def certified_run(batch, theta, margin):
         """Certified run whose every step is checked against max_safe_step."""
         records = run_trajectory(
-            BanditConfig(), theta0=theta, k=10, eta=None, steps=25,
-            margin=margin, batch=batch,
+            theta0=theta, k=10, eta=None, steps=25, margin=margin, batch=batch
         )
         g2, f = policy_regularity_constants(batch)
         _, lk, c2 = smoothness_constants(g2, f, 10)

@@ -21,11 +21,11 @@ from .bandit import (
     DEFAULT_HARD_FRACTION,
     DEFAULT_SEED,
     DEFAULT_SEPARATION,
+    _success_and_grad,
     overlap_pair,
     grad_success_probs,
     reference_theta,
     sample_prompts,
-    success_probs,
 )
 from .conflict import conflict_bound, k_star
 from .errors import DomainError, IdentityCheckError, PassKLabError
@@ -110,8 +110,7 @@ def cmd_toy_demo(args) -> int:
     batch, theta = overlap_pair()
     k, eta = args.k, args.eta
 
-    p = success_probs(theta, batch)
-    g = grad_success_probs(theta, batch)
+    p, g = _success_and_grad(theta, batch)
     psi_e, psi_h = batch.features
     g_e, g_h = g
     table = GradientTable.uniform(g, ids=batch.ids)

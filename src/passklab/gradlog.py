@@ -44,6 +44,8 @@ class GradLogRecord:
         if self.label is not None and not isinstance(self.label, str):
             raise DomainError(f"label must be a string, got {self.label!r}")
         grad = np.asarray(self.grad)  # no dtype: text, null and bools stay as they are
+        if grad.dtype.kind == "O" and all(map(_is_real, grad.flat)):
+            grad = grad.astype(float)  # integers beyond 64 bits; OverflowError past float
         if grad.dtype.kind not in "fiu":
             raise DomainError("grad must hold numbers, not text, null or true/false")
         grad = np.asarray(grad, dtype=float)
@@ -60,8 +62,12 @@ class GradLogRecord:
                 raise DomainError(f"mass must be finite and >= 0, got {mass}")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _real(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_real(value):
         got = "true/false" if isinstance(value, bool) else repr(value)
         raise DomainError(f"{name} must be a number, not {got}")
     return float(value)

@@ -143,6 +143,7 @@ def _stream_keys(ids: tuple, key) -> np.ndarray:
 
 def prompt_rng(seed: int, prompt_id: str) -> np.random.Generator:
     """The stream of one prompt: the definition sample_actions reproduces."""
+    seed = _check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([seed, _stream_key(prompt_id)]))
 
 

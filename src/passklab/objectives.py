@@ -112,18 +112,19 @@ def ordered_dot(a, b) -> float:
     if a.shape != b.shape or a.ndim != 1:
         raise DomainError(f"need two equal-length vectors, got {a.shape}, {b.shape}")
     x = a * b
-    top = max(float(x.max()), -float(x.min())) if x.size else 0.0
+    q = np.empty_like(x)  # |x| for max|x|, then each pass's q
+    top = float(np.abs(x, out=q).max()) if x.size else 0.0
     if not 0.0 < top < EXTRACT_LIMIT:
         return math.fsum(memoryview(x))
     shift = (x.size + 1).bit_length()  # ceil(log2(n + 2))
-    parts, q = [], np.empty_like(x)
+    parts = []
     for _ in range(EXTRACT_PASSES):
         sigma = math.ldexp(1.0, max(shift + math.frexp(top)[1], -1022))
         np.add(x, sigma, out=q)
         q -= sigma
         x -= q
         parts.append(float(q.sum()))
-        top = max(float(x.max()), -float(x.min()))
+        top = float(np.abs(x, out=q).max())
         if top == 0.0:
             return math.fsum(parts)
     return math.fsum(parts + x[x != 0].tolist())
@@ -160,9 +161,22 @@ class SuccessProfile:
     ids: tuple
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        mass = np.asarray(self.mass, dtype=float)
-        ids = tuple(self.ids)
+        self._set_columns(self.probs, self.mass, self.ids)
+        check_mass(self.mass)
+
+    @classmethod
+    def _on_checked_mass(cls, probs, mass, ids) -> "SuccessProfile":
+        """A profile over a mass vector and ids that check_mass has already
+        passed, such as a GradientTable's just built: every check but the
+        mass check runs."""
+        profile = object.__new__(cls)
+        profile._set_columns(probs, mass, ids)
+        return profile
+
+    def _set_columns(self, probs, mass, ids) -> None:
+        probs = np.asarray(probs, dtype=float)
+        mass = np.asarray(mass, dtype=float)
+        ids = tuple(ids)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "ids", ids)
@@ -172,7 +186,6 @@ class SuccessProfile:
             raise DomainError("probs, mass, and ids must have equal length")
         if np.any(~np.isfinite(probs)) or np.any(probs < 0) or np.any(probs > 1):
             raise DomainError("every success probability must lie in [0, 1]")
-        check_mass(mass)
 
     def __len__(self) -> int:
         return self.probs.size

@@ -14,11 +14,10 @@ from .bandit import (
     BanditConfig,
     PromptBatch,
     _check_theta,
-    grad_success_probs,
+    _success_and_grad,
     policy_regularity_constants,
     reference_theta,
     sample_prompts,
-    success_probs,
 )
 from .conflict import conflict_report
 from .errors import DomainError
@@ -58,11 +57,21 @@ class TrajectoryRecord:
         return tuple(getattr(self, name) for name in TRAJECTORY_COLUMNS)
 
 
-def _label_mean(values: np.ndarray, mask: np.ndarray) -> float:
-    if not mask.any():
-        return float("nan")
-    sub = values[mask]
-    return ordered_dot(np.full(sub.size, 1.0 / sub.size), sub)
+def _objective_values(p: np.ndarray, k: int, mass: np.ndarray, hard: np.ndarray) -> dict:
+    """j1 and jk over the population and over each label's prompts (NaN for
+    a label with none).  A label's index set and 1/size coefficients are
+    built once for both of its means."""
+    f1, fkv = fk_array(p, 1), fk_array(p, k)
+    values = {"j1_pop": ordered_dot(mass, f1), "jk_pop": ordered_dot(mass, fkv)}
+    for label, mask in (("easy", ~hard), ("hard", hard)):
+        idx = np.flatnonzero(mask)
+        if not idx.size:
+            values[f"j1_{label}"] = values[f"jk_{label}"] = float("nan")
+            continue
+        coef = np.full(idx.size, 1.0 / idx.size)
+        values[f"j1_{label}"] = ordered_dot(coef, f1.take(idx))
+        values[f"jk_{label}"] = ordered_dot(coef, fkv.take(idx))
+    return values
 
 
 def evaluate_state(
@@ -70,16 +79,13 @@ def evaluate_state(
 ) -> TrajectoryRecord:
     """All trajectory metrics at one parameter vector."""
     theta = _check_theta(theta)
-    p = success_probs(theta, batch)
-    f1 = fk_array(p, 1)
-    fkv = fk_array(p, k)
+    p, grads = _success_and_grad(theta, batch)
     n = len(batch)
     mass = np.full(n, 1.0 / n)
-    hard = batch.hard_mask
-    table = GradientTable(
-        grads=grad_success_probs(theta, batch), mass=mass, ids=batch.ids
-    )
-    profile = SuccessProfile(probs=p, mass=mass, ids=batch.ids)
+    # before the report, so that none of their temporaries adds to its peak
+    values = _objective_values(p, k, mass, batch.hard_mask)
+    table = GradientTable(grads=grads, mass=mass, ids=batch.ids)
+    profile = SuccessProfile._on_checked_mass(p, table.mass, table.ids)
     report = conflict_report(
         table, profile, k, margin=margin,
         constants=policy_regularity_constants(batch),
@@ -88,12 +94,7 @@ def evaluate_state(
         step=step,
         theta=theta.copy(),
         grad_k=report.grad_k,
-        j1_pop=ordered_dot(mass, f1),
-        jk_pop=ordered_dot(mass, fkv),
-        j1_easy=_label_mean(f1, ~hard),
-        j1_hard=_label_mean(f1, hard),
-        jk_easy=_label_mean(fkv, ~hard),
-        jk_hard=_label_mean(fkv, hard),
+        **values,
         inner_product=report.inner_product,
         delta_bound=report.delta_bound,
         eta_max=report.eta_max,

@@ -18,7 +18,7 @@ from passklab import (
     sample_prompts,
     success_probs,
 )
-from passklab.bandit import EASY, HARD, expit, logit, sigmoid_slope
+from passklab.bandit import EASY, HARD, _success_and_grad, expit, logit, sigmoid_slope
 
 from oracles import action_prob, grad_success_prob, success_prob
 
@@ -206,6 +206,43 @@ class TestGradients:
             np.testing.assert_allclose(
                 mat[i], grad_success_prob(theta, batch.features[i], batch.labels[i])
             )
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _policy_cases():
+    default = sample_prompts(BanditConfig(), 6000)
+    yield "default", default, reference_theta()
+    yield "overlap-pair", *overlap_pair()
+    yield "all-easy", sample_prompts(BanditConfig(hard_fraction=0.0, seed=3), 500), THETA_REF
+    yield "all-hard", sample_prompts(BanditConfig(hard_fraction=1.0, seed=3), 500), THETA_REF
+    # where |u| >= 700, sigma is 0 or 1, z is 0 and the easy rows of grad are -0.0
+    for theta in ([750.0, 0.0], [-750.0, 0.0], [0.0, 2000.0]):
+        yield f"theta={theta}", default, np.array(theta)
+
+
+class TestOnePolicyEvaluation:
+    """_success_and_grad is success_probs and grad_success_probs from one
+    logit, bit for bit (int64 views, so -0.0 differs from 0.0)."""
+
+    @pytest.mark.parametrize("case", list(_policy_cases()), ids=lambda c: c[0])
+    def test_matches_the_public_functions_bit_for_bit(self, case):
+        _, batch, theta = case
+        p, g = _success_and_grad(theta, batch)
+        assert np.array_equal(_bits(p), _bits(success_probs(theta, batch)))
+        assert np.array_equal(_bits(g), _bits(grad_success_probs(theta, batch)))
+        # the column multiplies give the bits of the (n, 2) broadcast
+        signs = np.where(batch.hard_mask, 1.0, -1.0)
+        broadcast = (signs * sigmoid_slope(theta, batch.features))[:, None] * batch.features
+        assert np.array_equal(_bits(g), _bits(broadcast))
+
+    def test_large_logits_give_signed_zero_gradients(self):
+        batch = sample_prompts(BanditConfig(seed=3), 200)
+        _, g = _success_and_grad(np.array([750.0, 0.0]), batch)
+        assert not np.any(g)
+        assert np.array_equal(np.signbit(g[:, 0]), ~batch.hard_mask)
 
 
 class TestReferenceTheta:

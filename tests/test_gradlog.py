@@ -97,6 +97,23 @@ class TestLoadGradlog:
         with pytest.raises(DomainError, match="line 1"):
             load_gradlog(path)
 
+    @pytest.mark.parametrize("grad", [[1.5, 2**64], [-1, 2**63], [2**64, -(2**70)]])
+    def test_integers_beyond_64_bits_load_as_floats(self, tmp_path, grad):
+        path = tmp_path / "big.jsonl"
+        path.write_text(json.dumps({"prompt_id": "a", "pass1": 0.5, "grad": grad}) + "\n")
+        loaded = load_gradlog(path)[0].grad
+        assert loaded.dtype == float and loaded.tolist() == [float(v) for v in grad]
+
+    def test_integer_too_large_for_a_float_names_line(self, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        path.write_text(
+            '{"prompt_id": "a", "pass1": 0.5, "grad": [1.0, 2.0]}\n'
+            + json.dumps({"prompt_id": "b", "pass1": 0.5, "grad": [1.5, 10**400]})
+            + "\n"
+        )
+        with pytest.raises(DomainError, match=r"line 2: int too large to convert to float"):
+            load_gradlog(path)
+
     @pytest.mark.parametrize(
         "fields,name", [('"pass1": true', "pass1"), ('"pass1": 1, "mass": false', "mass")]
     )

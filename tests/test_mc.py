@@ -365,6 +365,11 @@ class TestStreams:
         with pytest.raises(DomainError, match="seed"):
             sample_actions(np.array([0.3, -0.7]), batch, 4, seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_prompt_rng_rejects_bad_seed(self, seed):
+        with pytest.raises(DomainError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            prompt_rng(seed, "p")
+
     def test_numpy_integer_seed(self):
         batch = sample_prompts(BanditConfig(seed=4), 3)
         theta = np.array([0.3, -0.7])

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,9 @@ from passklab import (
     unbiased_pass_at_k,
     wk,
 )
+from passklab import objectives
 from passklab.objectives import (
+    EXTRACT_PASSES,
     MAX_K,
     fk_array,
     ordered_dot,
@@ -218,6 +221,51 @@ class TestReductionPrimitives:
             b = np.ones(a.size) if family < 4 else rng.normal(size=n) ** 9
             got, want = ordered_dot(a, b), math.fsum((a * b).tolist())
             assert got.hex() == want.hex(), (trial, family)
+
+    @pytest.mark.parametrize("side", ["all-negative", "min-dominates", "max-dominates"])
+    def test_ordered_dot_matches_fsum_on_one_sided_products(self, side):
+        # max|x| is taken from whichever end of the products is larger
+        rng = np.random.default_rng(len(side))
+        for trial in range(400):
+            n = int(rng.integers(1, 300))
+            e = int(rng.integers(-900, 900))
+            x = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(e - 40, e + 1, size=n))
+            if side == "all-negative":
+                x = -x
+            else:
+                if side == "max-dominates":
+                    x[rng.random(n) < 0.3] *= -1.0
+                big = math.ldexp(float(rng.uniform(0.5, 1.0)), e + int(rng.integers(10, 60)))
+                x[rng.integers(n)] = -big if side == "min-dominates" else big
+            b = np.ldexp(1.0, rng.integers(-3, 4, size=n))
+            got, want = ordered_dot(x, b), math.fsum((x * b).tolist())
+            assert got.hex() == want.hex(), (side, trial)
+
+    def test_ordered_dot_takes_every_pass_and_the_remainder(self, monkeypatch):
+        # Each level lies below the previous pass's resolution, so pass j
+        # extracts level j alone; the last pass extracts a pair that cancels,
+        # and only the remainder after EXTRACT_PASSES (two equal tails, which
+        # a further pass would add into one) breaks the tie of 1 + 2**-53
+        # upward.
+        levels = [1.0, 2.0**-53]
+        for j in range(1, EXTRACT_PASSES - 1):
+            levels += [2.0 ** (-53 - 57 * j), -(2.0 ** (-53 - 57 * j))]
+        tails = [2.0 ** (-53 - 57 * (EXTRACT_PASSES - 1))] * 2
+        assert math.fsum(levels) == 1.0 and math.fsum(levels + tails) > 1.0
+        rounded = []  # what the final fsum sees: one sum per pass, then the remainder
+        fsum = types.SimpleNamespace(
+            **{**vars(math), "fsum": lambda v: rounded.append(list(v)) or math.fsum(v)}
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(objectives, "math", fsum)
+            ordered_dot(np.array(levels + tails), np.ones(len(levels) + 2))
+        assert rounded == [[1.0, 2.0**-53, *[0.0] * (EXTRACT_PASSES - 2), *tails]]
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            scale = math.ldexp(float(rng.choice([-1.0, 1.0])), int(rng.integers(-600, 600)))
+            a = rng.permutation(np.array(levels + tails) * scale)
+            got, want = ordered_dot(a, np.ones(a.size)), math.fsum(a.tolist())
+            assert got.hex() == want.hex() and got != math.fsum(levels) * scale, trial
 
     @pytest.mark.parametrize(
         "values",

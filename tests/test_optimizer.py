@@ -20,6 +20,7 @@ from passklab import (
     smoothness_constants,
     success_probs,
 )
+from passklab import bandit, interference, objectives
 from passklab.bandit import EASY, HARD
 from passklab.conflict import assemble_passk_gradient
 from passklab.interference import GradientTable, agreement_scores
@@ -73,6 +74,24 @@ class TestAscentStep:
         batch, theta = overlap_pair()
         _, after = run_trajectory(theta0=theta, k=1, eta=0.1, steps=1, batch=batch)
         assert batch_objective(after.theta, batch, 1) > batch_objective(theta, batch, 1)
+
+    def test_one_evaluation_checks_mass_once_and_takes_one_logit(self, monkeypatch):
+        calls = {"check_mass": 0, "expit": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        check_mass = counted("check_mass", objectives.check_mass)
+        monkeypatch.setattr(objectives, "check_mass", check_mass)
+        monkeypatch.setattr(interference, "check_mass", check_mass)
+        monkeypatch.setattr(bandit, "expit", counted("expit", bandit.expit))
+        batch = sample_prompts(BanditConfig(seed=3), 300)
+        evaluate_state(np.array([-1.5, -2.5]), batch, 5)
+        assert calls == {"check_mass": 1, "expit": 1}
 
 
 class TestTrajectory:

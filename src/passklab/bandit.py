@@ -150,46 +150,33 @@ def sample_prompts(config: BanditConfig, n: int) -> PromptBatch:
 def _sigmoid(theta, features) -> np.ndarray:
     """sigma(u) at the logits u = features @ theta: the probability of
     action 1, per row."""
-    return expit(np.asarray(features, dtype=float) @ _check_theta(theta))
-
-
-def _grad_rows(sig: np.ndarray, hard: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """-z*psi for easy rows, +z*psi for hard, with z = sig * (1 - sig).
-    One multiply per feature column gives the bits of the (n, 2)
-    broadcast without building it."""
-    z = sig * (1.0 - sig)
-    signed = np.where(hard, z, -z)
-    grads = np.empty(features.shape)
-    for j in range(features.shape[1]):
-        np.multiply(signed, features[:, j], out=grads[:, j])
-    return grads
+    return expit(features @ _check_theta(theta))
 
 
 def _success_and_grad(theta, batch: PromptBatch) -> tuple[np.ndarray, np.ndarray]:
-    """success_probs and grad_success_probs from one logit vector, bit for
-    bit as the two functions compute them."""
+    """p and its (n, 2) gradient in theta from one logit vector: the success
+    probability per prompt, and -z*psi for easy rows, +z*psi for hard, with
+    z = sigma * (1 - sigma).  One multiply per feature column gives the bits
+    of the (n, 2) broadcast without building it."""
     sig = _sigmoid(theta, batch.features)
     hard = batch.hard_mask
-    return np.where(hard, sig, 1.0 - sig), _grad_rows(sig, hard, batch.features)
+    z = sig * (1.0 - sig)
+    signed = np.where(hard, z, -z)
+    grads = np.empty(batch.features.shape)
+    for j in range(grads.shape[1]):
+        np.multiply(signed, batch.features[:, j], out=grads[:, j])
+    return np.where(hard, sig, 1.0 - sig), grads
 
 
 def success_probs(theta, batch: PromptBatch) -> np.ndarray:
     """Probability of picking the correct action, per prompt of the batch."""
-    p1 = _sigmoid(theta, batch.features)
-    return np.where(batch.hard_mask, p1, 1.0 - p1)
-
-
-def sigmoid_slope(theta, features) -> np.ndarray:
-    """z = sigma(u) * (1 - sigma(u)) at u = theta . features; in (0, 1/4]."""
-    sig = _sigmoid(theta, features)
-    return sig * (1.0 - sig)
+    return _success_and_grad(theta, batch)[0]
 
 
 def grad_success_probs(theta, batch: PromptBatch) -> np.ndarray:
     """(n, 2) matrix of per-prompt gradients of success_probs in theta:
     -z*psi for easy, +z*psi for hard."""
-    sig = _sigmoid(theta, batch.features)
-    return _grad_rows(sig, batch.hard_mask, batch.features)
+    return _success_and_grad(theta, batch)[1]
 
 
 # Feature rows of the overlap pair's easy and hard prompt.

@@ -41,7 +41,7 @@ from .gradlog import (
     report_to_json,
 )
 from .interference import GradientTable, kernel_matrix, kernel_matrix_to_csv
-from .objectives import wk
+from .objectives import MAX_K, wk
 from .optimizer import run_trajectory, trajectory_to_csv
 from .serialization import fmt, read_lines, write_json
 
@@ -251,6 +251,9 @@ def cmd_kstar(args) -> int:
         print("threshold is infinite; no finite k is certified")
         return 0
     k_max = args.k_max if args.k_max > 0 else max(2, 2 * math.ceil(threshold))
+    if k_max > MAX_K:
+        source = "" if args.k_max else " (2 * ceil(k_star)); pass a smaller --k-max"
+        raise DomainError(f"k_max must be <= {MAX_K}, got {k_max}{source}")
     print("k\tconflict_bound\tcertified")
     for k in range(1, k_max + 1):
         bound = conflict_bound(k, args.eps, args.delta_sep, args.q, args.m, args.g2)

@@ -22,10 +22,11 @@ from .errors import AlignmentError, DomainError, IdentityCheckError
 from .interference import GradientTable, agreement_scores
 from .objectives import (
     SuccessProfile,
+    _check_k,
+    _pow_one_minus,
     ordered_dot,
     weighted_row_sum,
     wk_array,
-    _pow_one_minus,
 )
 
 ROUTE_RTOL = 1e-10
@@ -242,6 +243,7 @@ def conflict_bound(
 
     Positive means the inner product is guaranteed negative at this k.
     """
+    k = _check_k(k)
     _check_separation_args(eps, delta_sep, q, m, g2)
     lo = float(_pow_one_minus(np.asarray(eps, float), k - 1))
     hi = float(_pow_one_minus(np.asarray(delta_sep, float), k - 1))
@@ -278,8 +280,7 @@ def smoothness_constants(g2: float, f: float, k: int) -> tuple[float, float, flo
     objectives plus the quadratic coefficient of the one-step bound."""
     if not (g2 > 0 and f > 0):
         raise DomainError(f"g2 and f must be > 0, got g2={g2} f={f}")
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    k = _check_k(k)
     l1 = g2 + f
     lk = k * k * g2 + k * f
     c2 = k * k * g2 * l1 / 2.0

@@ -24,7 +24,7 @@ from .conflict import conflict_report
 from .errors import DomainError
 from .interference import GradientTable
 from .objectives import SuccessProfile, ordered_dot
-from .serialization import read_records, write_csv, write_json
+from .serialization import number_list, read_records, write_csv, write_json
 
 ANTI_ALIGNMENT = 3.0  # synthetic log: hard-gradient scale against the easy one
 NOISE = 0.05  # synthetic log: per-entry gradient noise
@@ -44,8 +44,6 @@ class GradLogRecord:
         if self.label is not None and not isinstance(self.label, str):
             raise DomainError(f"label must be a string, got {self.label!r}")
         grad = np.asarray(self.grad)  # no dtype: text, null and bools stay as they are
-        if grad.dtype.kind == "O" and all(map(_is_real, grad.flat)):
-            grad = grad.astype(float)  # integers beyond 64 bits; OverflowError past float
         if grad.dtype.kind not in "fiu":
             raise DomainError("grad must hold numbers, not text, null or true/false")
         grad = np.asarray(grad, dtype=float)
@@ -62,12 +60,8 @@ class GradLogRecord:
                 raise DomainError(f"mass must be finite and >= 0, got {mass}")
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _real(name: str, value) -> float:
-    if not _is_real(value):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         got = "true/false" if isinstance(value, bool) else repr(value)
         raise DomainError(f"{name} must be a number, not {got}")
     return float(value)
@@ -139,7 +133,7 @@ def load_gradlog(path) -> list[GradLogRecord]:
             rec = GradLogRecord(
                 prompt_id=obj["prompt_id"],
                 pass1=obj["pass1"],
-                grad=obj["grad"],
+                grad=np.array(number_list(obj["grad"], "grad"), dtype=float),
                 label=obj.get("label"),
                 mass=obj.get("mass"),
             )

@@ -9,7 +9,6 @@ perturbs existing streams.
 
 import hashlib
 import json
-import math
 from functools import cached_property, lru_cache
 from itertools import islice
 from pathlib import Path
@@ -17,12 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bandit import PromptBatch, _check_seed, _check_theta, _id_index, expit
+from .bandit import PromptBatch, _check_seed, _id_index, _sigmoid
 from .conflict import assemble_passk_gradient
 from .errors import DomainError
 from .interference import GradientTable
 from .objectives import SuccessProfile
-from .serialization import read_records
+from .serialization import number_list, read_records
 
 
 class PromptSamples(NamedTuple):
@@ -335,11 +334,10 @@ def sample_actions(theta, batch: PromptBatch, n: int, seed: int) -> SampleSet:
     arrays; the actions, rewards and scores are one array pass each, and
     the set stores those arrays.  seed must be an integer >= 0.
     """
-    theta = _check_theta(theta)
+    sig = _sigmoid(theta, batch.features)[:, None]
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     seed = _check_seed(seed)
-    sig = expit(batch.features @ theta)[:, None]
     uniform = _uniform_draws(seed, batch.ids, n)
     actions = (uniform < sig).astype(int)
     # written over the spent uniform draws: one (P, n) array fewer
@@ -455,34 +453,25 @@ def import_samples(path) -> SampleSet:
     """Read a sample set written by export_samples (order-preserving).
 
     action must be the JSON integer 0 or 1, reward the number 0 or 1, and
-    score a nonempty list of finite numbers (not true/false) of one length
-    throughout; a bad record raises DomainError naming its line.  Prompts
-    come in order of first appearance, each with its draws in file order.
+    score a nonempty list of finite JSON numbers (serialization.number_list)
+    of one length throughout; a bad record raises DomainError naming its
+    line.  Prompts come in order of first appearance, each with its draws
+    in file order.
     """
     index: dict[str, int] = {}  # prompt_id -> position, in first-seen order
     owner, actions, rewards, scores = [], [], [], []
     dim = 0  # score length, set by the first record
     for lineno, rec in read_records(path):
         try:
-            action, reward, score = rec["action"], rec["reward"], rec["score"]
-            if type(score) is not list:
-                raise TypeError(f"score must be a list, got {type(score).__name__}")
-            # one C pass over the row: a non-number entry raises TypeError
-            # here, and only a sum that is not finite needs the entrywise test
-            finite = math.isfinite(sum(score)) or all(map(math.isfinite, score))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"{path}: line {lineno}: bad sample record ({exc})") from exc
+            action, reward = rec["action"], rec["reward"]
+            score = number_list(rec["score"], "score")
+        except (KeyError, DomainError, OverflowError) as exc:
+            raise DomainError(f"{path}: line {lineno}: {exc}") from exc
         dim = dim or len(score)
         if type(action) is not int or action not in (0, 1):
             bad = f"action must be 0 or 1, got {action!r}"
         elif type(reward) not in (int, float) or reward not in (0, 1):
             bad = f"reward must be 0 or 1, got {reward!r}"
-        elif not score:
-            bad = "score must be nonempty"
-        elif not finite:
-            bad = "score entries must be finite"
-        elif bool in map(type, score):
-            bad = "score entries must be numbers, not true/false"
         elif len(score) != dim:
             bad = f"score dimension {len(score)} differs from {dim}"
         else:  # a valid draw

@@ -1,8 +1,9 @@
-"""Text I/O helpers: fixed-precision floats for CSV, stable JSON, and the
-line reader behind every input file."""
+"""Text I/O helpers: fixed-precision floats for CSV, stable JSON, the
+line reader behind every input file and its rule for lists of numbers."""
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from .errors import DomainError
@@ -66,3 +67,26 @@ def read_records(path):
         yield lineno, rec
     if empty:
         raise DomainError(f"{path}: empty file, no records")
+
+
+_JSON_NUMBER = frozenset((int, float))  # the types json.loads gives a JSON number
+
+
+def number_list(value, name: str) -> list:
+    """value itself when it is a nonempty list of finite JSON numbers: no
+    true/false, text, null or nested list.  Otherwise DomainError names the
+    first bad entry; an integer too large for a float raises OverflowError.
+    """
+    if type(value) is not list or not value:
+        raise DomainError(f"{name} must be a nonempty list of numbers, got {json.dumps(value)}")
+    # one C pass for the types and one for the sum; a row that fails either,
+    # or whose integer sum is past the float range, is read entry by entry
+    try:
+        if _JSON_NUMBER.issuperset(map(type, value)) and math.isfinite(sum(value)):
+            return value
+    except OverflowError:
+        pass
+    for v in value:
+        if type(v) not in _JSON_NUMBER or not math.isfinite(v):
+            raise DomainError(f"{name} entries must be finite numbers, got {json.dumps(v)}")
+    return value  # finite entries whose sum overflows

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from passklab import SuccessProfile, pass_at_k, success_probs
-from passklab.bandit import EASY, expit, sigmoid_slope
+from passklab.bandit import EASY, expit
 from passklab.objectives import (
     EXTRACT_LIMIT,
     EXTRACT_PASSES,
@@ -28,6 +28,13 @@ from passklab.objectives import (
     ordered_dot,
     wk_array,
 )
+
+
+def slope(theta, psi):
+    """z = sigma(u) * (1 - sigma(u)) at u = psi @ theta, for one feature row
+    or an (n, 2) array of them; in (0, 1/4]."""
+    sig = expit(np.asarray(psi, dtype=float) @ np.asarray(theta, dtype=float))
+    return sig * (1.0 - sig)
 
 
 def action_prob(theta, psi, action: int) -> float:
@@ -44,7 +51,7 @@ def success_prob(theta, psi, label: str) -> float:
 def grad_success_prob(theta, psi, label: str) -> np.ndarray:
     """Gradient of success_prob in theta: -z*psi for easy, +z*psi for hard."""
     psi = np.asarray(psi, dtype=float)
-    z = float(sigmoid_slope(theta, psi))
+    z = float(slope(theta, psi))
     sign = -1.0 if label == EASY else 1.0
     return sign * z * psi
 

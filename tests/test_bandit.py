@@ -18,9 +18,9 @@ from passklab import (
     sample_prompts,
     success_probs,
 )
-from passklab.bandit import EASY, HARD, _success_and_grad, expit, logit, sigmoid_slope
+from passklab.bandit import EASY, HARD, _success_and_grad, expit, logit
 
-from oracles import action_prob, grad_success_prob, success_prob
+from oracles import action_prob, grad_success_prob, slope, success_prob
 
 # pinned by the exact 2x2 logit solve for targets (0.86, 0.10)
 THETA_REF = np.array([-2.0062572719872344, -1.909673053489852])
@@ -182,7 +182,7 @@ class TestGradients:
         feats = np.stack([np.ones(200), rng.normal(size=200)], axis=1)
         for _ in range(20):
             theta = rng.normal(size=2) * 3
-            z = sigmoid_slope(theta, feats)
+            z = slope(theta, feats)
             assert np.all(z > 0) and np.all(z <= 0.25)
 
     def test_gradient_norm_bound(self):
@@ -224,18 +224,18 @@ def _policy_cases():
 
 
 class TestOnePolicyEvaluation:
-    """_success_and_grad is success_probs and grad_success_probs from one
-    logit, bit for bit (int64 views, so -0.0 differs from 0.0)."""
+    """_success_and_grad, the one map from theta to (p, grad p), against the
+    reference forms, bit for bit (int64 views, so -0.0 differs from 0.0)."""
 
     @pytest.mark.parametrize("case", list(_policy_cases()), ids=lambda c: c[0])
-    def test_matches_the_public_functions_bit_for_bit(self, case):
+    def test_matches_the_broadcast_reference_bit_for_bit(self, case):
         _, batch, theta = case
         p, g = _success_and_grad(theta, batch)
-        assert np.array_equal(_bits(p), _bits(success_probs(theta, batch)))
-        assert np.array_equal(_bits(g), _bits(grad_success_probs(theta, batch)))
+        sig = expit(batch.features @ theta)
+        assert np.array_equal(_bits(p), _bits(np.where(batch.hard_mask, sig, 1.0 - sig)))
         # the column multiplies give the bits of the (n, 2) broadcast
         signs = np.where(batch.hard_mask, 1.0, -1.0)
-        broadcast = (signs * sigmoid_slope(theta, batch.features))[:, None] * batch.features
+        broadcast = (signs * slope(theta, batch.features))[:, None] * batch.features
         assert np.array_equal(_bits(g), _bits(broadcast))
 
     def test_large_logits_give_signed_zero_gradients(self):
@@ -279,7 +279,7 @@ class TestRegularityConstants:
         rng = np.random.default_rng(21)
         for _ in range(20):
             theta = rng.normal(size=2) * 5
-            z = sigmoid_slope(theta, batch.features)
+            z = slope(theta, batch.features)
             expected_sq = z * np.sum(batch.features**2, axis=1)
             assert np.all(expected_sq <= g2 + 1e-12)
 

@@ -12,6 +12,10 @@ import pytest
 
 import passklab
 from passklab.cli import main
+from passklab.objectives import MAX_K
+
+# the child processes import the same passklab as this process, installed or not
+PACKAGE_ROOT = str(Path(passklab.__file__).resolve().parent.parent)
 
 
 # seeded command on a batch small enough for precedence checks
@@ -172,6 +176,26 @@ class TestKstar:
         rc = main(["kstar", "--eps", "0.6", "--delta-sep", "0.5"])
         assert rc != 0
         assert "delta_sep" in capsys.readouterr().err
+
+    def test_infinite_threshold_certifies_no_k(self, capsys):
+        assert main(["kstar", "--eps", "0", "--delta-sep", "5e-324"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "k_star = inf",
+            "threshold is infinite; no finite k is certified",
+        ]
+
+    def test_huge_derived_k_max_exits_two_at_once(self):
+        # k_star is ~1e18 here; the sweep to 2 * ceil(k_star) must not start
+        proc = subprocess.run(
+            [sys.executable, "-m", "passklab.cli",
+             "kstar", "--eps", "0.05", "--delta-sep", "0.05000000000000001"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout.splitlines() == ["k_star = 9.8032840068270016e+17"]
+        assert proc.stderr.startswith(f"error: k_max must be <= {MAX_K}, got ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestDiagnose:
@@ -536,6 +560,18 @@ class TestUsageErrorsExitTwo:
         argv = ["kstar", "--k-max", "-1"]
         self.assert_one_line_error(argv, capsys, "k_max must be >= 0, got -1")
 
+    def test_kstar_k_max_above_max_k(self, capsys):
+        assert main(["kstar", "--k-max", str(MAX_K + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: k_max must be <= {MAX_K}, got {MAX_K + 1}\n"
+        assert "conflict_bound" not in captured.out  # refused before the table header
+
+    def test_synth_log_hard_fraction_leaves_a_group_empty(self, tmp_path, capsys):
+        out = tmp_path / "log.jsonl"
+        argv = ["synth-log", "--n", "10", "--hard-fraction", "0.04", "--out", str(out)]
+        self.assert_one_line_error(argv, capsys, "hard_fraction must leave both groups nonempty")
+        assert not out.exists()
+
     # (pass1, grad) records whose agreement products overflow: every mean
     # to nan, or to infinities of both signs
     OVERFLOW_LOGS = {
@@ -561,13 +597,11 @@ class TestUsageErrorsExitTwo:
 
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
-        # the child imports the same passklab as this process, installed or not
-        package_root = str(Path(passklab.__file__).resolve().parent.parent)
         proc = subprocess.run(
             [sys.executable, "-m", "passklab.cli", "kstar"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": package_root},
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("k_star")
@@ -605,13 +639,12 @@ print(result.double_sum.hex(), result.direct.hex())
 
 def run_blas_child(code, setting, *args):
     """Run code in a child with only the given OPENBLAS_* setting."""
-    package_root = str(Path(passklab.__file__).resolve().parent.parent)
     base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
-        env={**base, "PYTHONPATH": package_root, **setting},
+        env={**base, "PYTHONPATH": PACKAGE_ROOT, **setting},
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

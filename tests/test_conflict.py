@@ -30,7 +30,7 @@ from passklab import (
 )
 from passklab.conflict import ROUTE_RTOL
 from passklab.interference import GradientTable
-from passklab.objectives import ordered_dot, wk_array
+from passklab.objectives import MAX_K, ordered_dot, wk_array
 
 from oracles import batch_objective
 
@@ -434,8 +434,23 @@ class TestSmoothnessConstants:
         with pytest.raises(DomainError):
             smoothness_constants(0.0, 1.0, 2)
         for k in (0, -1):
-            with pytest.raises(DomainError, match=f"k must be >= 1, got {k}"):
+            with pytest.raises(DomainError, match=rf"k must be in \[1, {MAX_K}\], got {k}"):
                 smoothness_constants(1.0, 1.0, k)
+
+
+BAD_KS = [0, -3, 2.5, True, MAX_K + 1]
+
+
+@pytest.mark.parametrize("k", BAD_KS, ids=repr)
+def test_conflict_bound_rejects_k_outside_the_k_rule(k):
+    with pytest.raises(DomainError, match="^k must be"):
+        conflict_bound(k, 0.05, 0.5, 0.1, 0.01, 1.0)
+
+
+@pytest.mark.parametrize("k", BAD_KS, ids=repr)
+def test_smoothness_constants_reject_k_outside_the_k_rule(k):
+    with pytest.raises(DomainError, match="^k must be"):
+        smoothness_constants(1.0, 1.0, k)
 
 
 class TestMaxSafeStep:

@@ -20,9 +20,10 @@ from passklab import (
     sample_prompts,
     success_probs,
 )
-from passklab.bandit import sigmoid_slope
 from passklab.interference import GradientTable, kernel_matrix_to_csv
 from passklab.objectives import ordered_dot
+
+from oracles import slope
 
 
 def random_table(rng, n=None, d=None):
@@ -47,7 +48,7 @@ class TestKernel:
         # <g(x_e), g(x_h)> = -z_e * z_h * <psi_e, psi_h> for opposite labels
         batch, theta = overlap_pair()
         g = grad_success_probs(theta, batch)
-        z = sigmoid_slope(theta, batch.features)
+        z = slope(theta, batch.features)
         expected = -z[0] * z[1] * float(batch.features[0] @ batch.features[1])
         assert g[0] @ g[1] == pytest.approx(expected, abs=1e-12)
 
@@ -62,8 +63,8 @@ class TestKernel:
             psi2 = np.array([1.0, s2])
             if psi1 @ psi2 <= 0:
                 continue
-            z1 = float(sigmoid_slope(theta, psi1))
-            z2 = float(sigmoid_slope(theta, psi2))
+            z1 = float(slope(theta, psi1))
+            z2 = float(slope(theta, psi2))
             opposite = (-z1 * psi1) @ (z2 * psi2)
             matching = (z1 * psi1) @ (z2 * psi2)
             assert opposite < 0

@@ -159,17 +159,14 @@ def test_file_without_records_is_empty(tmp_path, name):
         load(path)
 
 
-GRAD_NOT_NUMBERS = "grad must hold numbers, not text, null or true/false"
-
-
 @pytest.mark.parametrize(
     "key,value,message",
     [
         ("pass1", "0.05", "pass1 must be a number, not '0.05'"),
         ("mass", "1", "mass must be a number, not '1'"),
-        ("grad", ["1.5", "2"], GRAD_NOT_NUMBERS),
-        ("grad", [True, False], GRAD_NOT_NUMBERS),
-        ("grad", [None, 1.0], GRAD_NOT_NUMBERS),
+        ("grad", ["1.5", "2"], 'grad entries must be finite numbers, got "1.5"'),
+        ("grad", [True, False], "grad entries must be finite numbers, got true"),
+        ("grad", [None, 1.0], "grad entries must be finite numbers, got null"),
         ("label", 7, "label must be a string, got 7"),
         ("label", ["x"], "label must be a string, got ['x']"),
     ],
@@ -185,8 +182,60 @@ def test_gradlog_reads_no_text_as_numbers(tmp_path, key, value, message):
     assert str(info.value) == f"{path}: line 3: {message}"
 
 
-def test_gradlog_boolean_among_numbers_loads(tmp_path):
-    # entries are not scanned one by one: true beside a number reads as 1.0
+def test_gradlog_boolean_among_numbers_is_rejected(tmp_path):
     path = tmp_path / "log.jsonl"
     path.write_text('{"prompt_id": "a", "pass1": 0.5, "grad": [true, 1.5]}\n')
-    assert load_gradlog(path)[0].grad.tolist() == [1.0, 1.5]
+    with pytest.raises(DomainError) as info:
+        load_gradlog(path)
+    assert str(info.value) == f"{path}: line 1: grad entries must be finite numbers, got true"
+
+
+# the list of numbers in each loader's records
+NUMBER_KEYS = {"import_samples": "score", "load_gradlog": "grad"}
+
+
+@pytest.mark.parametrize(
+    "value,fault",
+    [
+        ([], "{key} must be a nonempty list of numbers, got []"),
+        ("1.5", '{key} must be a nonempty list of numbers, got "1.5"'),
+        (None, "{key} must be a nonempty list of numbers, got null"),
+        (0.5, "{key} must be a nonempty list of numbers, got 0.5"),
+        ([0.5, "1.5"], '{key} entries must be finite numbers, got "1.5"'),
+        ([0.5, None], "{key} entries must be finite numbers, got null"),
+        ([True, 0.5], "{key} entries must be finite numbers, got true"),
+        ([0.5, False], "{key} entries must be finite numbers, got false"),
+        ([[0.5], 0.5], "{key} entries must be finite numbers, got [0.5]"),
+        ([0.5, math.nan], "{key} entries must be finite numbers, got NaN"),
+        ([-math.inf, 0.5], "{key} entries must be finite numbers, got -Infinity"),
+        ([0.5, 10**400], "int too large to convert to float"),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_one_number_list_rule(tmp_path, name, value, fault):
+    # the same fault gives the same message in both loaders, naming the line
+    write, load, error = LOADERS[name]
+    path = tmp_path / "records.jsonl"
+    write(path)
+    lines = path.read_text().splitlines()
+    key = NUMBER_KEYS[name]
+    lines[1] = json.dumps({**json.loads(lines[1]), key: value})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error) as info:
+        load(path)
+    assert str(info.value) == f"{path}: line 2: " + fault.format(key=key)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_integers_beyond_64_bits_load_as_floats(tmp_path, name):
+    write, load, _ = LOADERS[name]
+    path = tmp_path / "records.jsonl"
+    write(path)
+    lines = path.read_text().splitlines()
+    key = NUMBER_KEYS[name]
+    lines[1] = json.dumps({**json.loads(lines[1]), key: [2**64, -(2**70)]})
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load(path)
+    grads = loaded.scores[1] if name == "import_samples" else loaded[1].grad
+    assert grads.tolist() == [2.0**64, -(2.0**70)]

@@ -585,14 +585,16 @@ class TestSampleIO:
             '{"prompt_id": "a", "action": 0, "reward": 0, "score": [true, 0.5]}\n'
         )
         with pytest.raises(
-            DomainError, match="line 2: score entries must be numbers, not true/false"
+            DomainError, match="line 2: score entries must be finite numbers, got true"
         ):
             import_samples(path)
 
     def test_empty_score_names_line(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text('{"prompt_id": "a", "action": 1, "reward": 1, "score": []}\n')
-        with pytest.raises(DomainError, match="line 1: score must be nonempty"):
+        with pytest.raises(
+            DomainError, match=r"line 1: score must be a nonempty list of numbers, got \[\]"
+        ):
             import_samples(path)
 
     def test_export_matches_per_record_reference(self, tmp_path):

@@ -8,11 +8,12 @@ forms, which is what makes this environment usable as a ground-truth
 oracle for every estimator and bound in the package.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
+from .objectives import check_mass
 
 EASY, HARD = "easy", "hard"
 
@@ -43,13 +44,18 @@ class PromptBatch:
 
     Row i is one prompt: features [1.0, s] with s finite, a label EASY or
     HARD, and correct action 0 for easy and 1 for hard.  Ids are unique
-    strings.
+    strings.  Derived once, when built, as read-only fields: the uniform
+    mass (check_mass passed), each label's row indices with 1/size
+    coefficients, and policy_regularity_constants.
     """
 
     ids: tuple
     features: np.ndarray  # (n, 2)
     labels: np.ndarray  # (n,) of EASY/HARD
     correct_actions: np.ndarray  # (n,) of {0, 1}
+    mass: np.ndarray = field(init=False, repr=False, compare=False)
+    label_rows: tuple = field(init=False, repr=False, compare=False)  # (label, idx, coef)
+    constants: tuple = field(init=False, repr=False, compare=False)  # (g2, f)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
@@ -77,6 +83,15 @@ class PromptBatch:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "correct_actions", hard.astype(int))
         _id_index(self.ids)
+        mass = np.full(n, 1.0 / n)
+        check_mass(mass)
+        idx = np.flatnonzero(~hard), np.flatnonzero(hard)
+        coef = [np.full(i.size, 1.0 / max(i.size, 1)) for i in idx]  # empty if no row
+        for array in (mass, *idx, *coef):
+            array.flags.writeable = False
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "label_rows", tuple(zip((EASY, HARD), idx, coef)))
+        object.__setattr__(self, "constants", policy_regularity_constants(self))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -229,6 +244,7 @@ def policy_regularity_constants(batch: PromptBatch) -> tuple[float, float]:
     Using the uniform bound keeps smoothness certificates valid along
     whole update segments, not just at the current iterate.  Every psi is
     [1, s], and rounding is monotone, so max ||psi||**2 is 1 + max s**2.
+    A batch computes this once, when it is built (PromptBatch.constants).
     """
     s = batch.features[:, 1]
     bound = (1.0 + float(np.max(s * s))) / 4.0

@@ -43,7 +43,7 @@ from .gradlog import (
 from .interference import GradientTable, kernel_matrix, kernel_matrix_to_csv
 from .objectives import MAX_K, wk
 from .optimizer import run_trajectory, trajectory_to_csv
-from .serialization import fmt, read_lines, write_json
+from .serialization import fmt, line_error, read_lines, write_json
 
 
 def _read_config(path) -> dict:
@@ -55,7 +55,7 @@ def _read_config(path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise DomainError(f"{path}: line {lineno}: expected 'key = value'")
+            raise line_error(path, lineno, "expected 'key = value'")
         key, value = line.split("=", 1)
         out[key.strip().replace("-", "_")] = value.strip()
     return out

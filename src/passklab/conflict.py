@@ -90,11 +90,19 @@ def assemble_passk_gradient(
 ) -> np.ndarray:
     """Population k-attempt gradient: mass-weighted sum of w_k * row.  The
     profile must carry the table's ids and mass (AlignmentError otherwise)."""
+    return _weighted_gradient(table, profile, wk_array(profile.probs, k))
+
+
+def _weighted_gradient(
+    table: GradientTable, profile: SuccessProfile, weights: np.ndarray
+) -> np.ndarray:
+    """sum_i mass_i * weights_i * row_i, once the profile is seen to carry
+    the table's ids and mass; conflict_report's direct route calls it."""
     if profile.ids is not table.ids and profile.ids != table.ids:
         raise AlignmentError("profile and table must list the same prompt ids")
     if profile.mass is not table.mass and not np.array_equal(profile.mass, table.mass):
         raise AlignmentError("profile and table must carry the same prompt mass")
-    return weighted_row_sum(table.mass * wk_array(profile.probs, k), table.grads)
+    return weighted_row_sum(table.mass * weights, table.grads)
 
 
 def conflict_report(
@@ -107,8 +115,10 @@ def conflict_report(
     """Compute the full conflict diagnostic, cross-checking all routes.
 
     The mass-weighted mean agreement must equal ||mean grad||^2
-    (IdentityCheckError otherwise).  The direct route assembles grad_k
-    with its own weights, so the three routes stay independent.  A table
+    (IdentityCheckError otherwise).  w_k is taken once, as an input that
+    all three routes read, not an intermediate of the identity they check:
+    the direct route assembles grad_k from it, the other two reduce the
+    scores against it, so the routes stay independent.  A table
     with d * max|entry|**2 above 2**510 is refused (DomainError).
     constants, when given, is the (g2, f) pair bounding the expected
     squared score norm and expected score-Hessian norm; g2 defaults to
@@ -122,7 +132,8 @@ def conflict_report(
     d, top = table.grads.shape[1], float(max(table.grads.max(), -table.grads.min()))
     if not d * top * top <= 2.0**510:
         raise DomainError(f"gradient entries up to {top!r} are too large at d = {d}")
-    grad_k = assemble_passk_gradient(table, profile, k)
+    weights = wk_array(profile.probs, k)
+    grad_k = _weighted_gradient(table, profile, weights)
     margin, mass = float(margin), table.mass
     scores = agreement_scores(table)
     mean_score = ordered_dot(mass, scores)
@@ -133,7 +144,6 @@ def conflict_report(
             f"mean agreement {mean_score} != ||mean grad||^2 {norm_sq}"
         )
     neg = scores <= -margin
-    weights = wk_array(profile.probs, k)
     q = ordered_dot(mass, neg.astype(float))
     w_minus = ordered_dot(mass, np.where(neg, weights, 0.0))
     w_plus = ordered_dot(mass, np.where(neg, 0.0, weights))

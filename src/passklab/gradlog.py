@@ -24,7 +24,7 @@ from .conflict import conflict_report
 from .errors import DomainError
 from .interference import GradientTable
 from .objectives import SuccessProfile, ordered_dot
-from .serialization import number_list, read_records, write_csv, write_json
+from .serialization import line_error, number_list, read_records, write_csv, write_json
 
 ANTI_ALIGNMENT = 3.0  # synthetic log: hard-gradient scale against the easy one
 NOISE = 0.05  # synthetic log: per-entry gradient noise
@@ -43,10 +43,7 @@ class GradLogRecord:
             raise DomainError(f"prompt_id must be a string, got {self.prompt_id!r}")
         if self.label is not None and not isinstance(self.label, str):
             raise DomainError(f"label must be a string, got {self.label!r}")
-        grad = np.asarray(self.grad)  # no dtype: text, null and bools stay as they are
-        if grad.dtype.kind not in "fiu":
-            raise DomainError("grad must hold numbers, not text, null or true/false")
-        grad = np.asarray(grad, dtype=float)
+        grad = _number_vector(self.grad)
         object.__setattr__(self, "pass1", _real("pass1", self.pass1))
         object.__setattr__(self, "grad", grad)
         if not 0.0 <= self.pass1 <= 1.0:
@@ -60,8 +57,26 @@ class GradLogRecord:
                 raise DomainError(f"mass must be finite and >= 0, got {mass}")
 
 
+def _number_vector(value) -> np.ndarray:
+    """value as floats under a log's number rule (numpy numbers allowed).  A
+    list is read as given, so True stays a bool and 2**64 becomes a float."""
+    raw = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    bad = [v for v in raw.flat if not _is_real(v)] if raw.dtype.kind == "O" else []
+    if bad or raw.dtype.kind not in "fiuO":
+        got = f", got {bad[0]!r}" if bad else ", not text, null or true/false"
+        raise DomainError(f"grad entries must be finite numbers{got}")
+    try:
+        return np.asarray(raw, dtype=float)
+    except OverflowError as exc:  # an integer past the float range
+        raise DomainError(f"grad entries must be finite numbers ({exc})") from exc
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _real(name: str, value) -> float:
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    if not _is_real(value):
         got = "true/false" if isinstance(value, bool) else repr(value)
         raise DomainError(f"{name} must be a number, not {got}")
     return float(value)
@@ -146,7 +161,7 @@ def load_gradlog(path) -> list[GradLogRecord]:
                     f"(first on line {first_line[rec.prompt_id]})"
                 )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"{path}: line {lineno}: {exc}") from exc
+            raise line_error(path, lineno, exc) from exc
         first_line[rec.prompt_id] = lineno
         records.append(rec)
     return records

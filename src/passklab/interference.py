@@ -28,9 +28,19 @@ class GradientTable:
     mean_grad: np.ndarray = field(init=False)  # mass-weighted row sum
 
     def __post_init__(self):
-        grads = np.asarray(self.grads, dtype=float)
-        mass = np.asarray(self.mass, dtype=float)
-        ids = tuple(self.ids)
+        self._set_columns(self.grads, self.mass, self.ids, mass_checked=False)
+
+    @classmethod
+    def _on_checked_mass(cls, grads, mass, ids) -> "GradientTable":
+        """A table over a mass that check_mass has passed (a PromptBatch's)."""
+        table = object.__new__(cls)
+        table._set_columns(grads, mass, ids, mass_checked=True)
+        return table
+
+    def _set_columns(self, grads, mass, ids, mass_checked: bool) -> None:
+        grads = np.asarray(grads, dtype=float)
+        mass = np.asarray(mass, dtype=float)
+        ids = tuple(ids)
         if grads.ndim != 2 or grads.shape[0] == 0:
             raise DomainError("grads must be a nonempty (n, d) matrix")
         n = grads.shape[0]
@@ -38,7 +48,8 @@ class GradientTable:
             raise DomainError("grads, mass, and ids must share length n")
         if np.any(~np.isfinite(grads)):
             raise DomainError("gradient entries must be finite")
-        check_mass(mass)
+        if not mass_checked:
+            check_mass(mass)
         object.__setattr__(self, "grads", grads)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "ids", ids)

@@ -21,7 +21,7 @@ from .conflict import assemble_passk_gradient
 from .errors import DomainError
 from .interference import GradientTable
 from .objectives import SuccessProfile
-from .serialization import number_list, read_records
+from .serialization import line_error, number_list, read_records
 
 
 class PromptSamples(NamedTuple):
@@ -466,7 +466,7 @@ def import_samples(path) -> SampleSet:
             action, reward = rec["action"], rec["reward"]
             score = number_list(rec["score"], "score")
         except (KeyError, DomainError, OverflowError) as exc:
-            raise DomainError(f"{path}: line {lineno}: {exc}") from exc
+            raise line_error(path, lineno, exc) from exc
         dim = dim or len(score)
         if type(action) is not int or action not in (0, 1):
             bad = f"action must be 0 or 1, got {action!r}"
@@ -480,7 +480,7 @@ def import_samples(path) -> SampleSet:
             rewards.append(reward)
             scores.append(score)
             continue
-        raise DomainError(f"{path}: line {lineno}: {bad}")
+        raise line_error(path, lineno, bad)
     owner = np.array(owner)
     order = np.argsort(owner, kind="stable")  # group each prompt's draws
     return SampleSet(

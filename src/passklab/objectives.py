@@ -100,33 +100,40 @@ def ordered_dot(a, b) -> float:
 
     Up to EXTRACT_PASSES error-free extractions (Rump, Ogita and Oishi,
     "Accurate floating-point summation, part I", 2008) split the
-    products x into q + x'.  With sigma = 2**e >= 2**-1022, max|x| <
-    sigma / 2**M and 2**M >= n + 2, each q = (sigma + x) - sigma and
-    x' = x - q is exact, every q is a multiple of ulp(sigma) / 2 and
-    |sum q| < sigma, so numpy sums q exactly in any order.  fsum then
-    rounds the pass sums plus the few nonzero remainders.  Empty,
-    all-zero (fsum picks the sign of zero), non-finite and huge
-    (>= 2**960, where sigma could overflow) products go to fsum whole.
+    products x into q + x'.  Let sigma = 2**e >= 2**-1022, 2**M >= n + 2
+    and max|x| <= sigma / 2**M.  Then s = sigma + x lies in [sigma / 2,
+    2 sigma), so q = fl(s) - sigma (Sterbenz) and x' = x - q = s - fl(s)
+    are exact, |q| <= sigma / 2**M (rounding is monotone), every q and
+    partial sum of them is a multiple of ulp(sigma) / 2 below n sigma /
+    2**M < sigma, and numpy sums them exactly in any order.  Doubles in
+    [sigma / 2, 2 sigma) are at most ulp(sigma) apart, so |x'| <= 2**-53
+    sigma = sigma' / 2**M for sigma' = 2**(M - 53) sigma: as in AccSum,
+    each next pass takes that sigma' (at least 2**-1022) without a look
+    at x', and the bound's equality case needs nothing looser.  The first
+    sigma is 2**M times the power of two above max|x|.  fsum then rounds
+    the pass sums plus the few nonzero remainders.  Empty, all-zero (fsum
+    picks the sign of zero), non-finite and huge (>= 2**960, where sigma
+    could overflow) products go to fsum whole.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise DomainError(f"need two equal-length vectors, got {a.shape}, {b.shape}")
     x = a * b
     q = np.empty_like(x)  # |x| for max|x|, then each pass's q
-    top = float(np.abs(x, out=q).max()) if x.size else 0.0
+    top = float(np.maximum.reduce(np.abs(x, out=q))) if x.size else 0.0
     if not 0.0 < top < EXTRACT_LIMIT:
         return math.fsum(memoryview(x))
     shift = (x.size + 1).bit_length()  # ceil(log2(n + 2))
+    sigma = math.ldexp(1.0, max(shift + math.frexp(top)[1], -1022))
     parts = []
     for _ in range(EXTRACT_PASSES):
-        sigma = math.ldexp(1.0, max(shift + math.frexp(top)[1], -1022))
         np.add(x, sigma, out=q)
         q -= sigma
         x -= q
-        parts.append(float(q.sum()))
-        top = float(np.abs(x, out=q).max())
-        if top == 0.0:
+        parts.append(float(np.add.reduce(q)))
+        if not x.any():
             return math.fsum(parts)
+        sigma = max(math.ldexp(sigma, shift - 53), 2.0**-1022)
     return math.fsum(parts + x[x != 0].tolist())
 
 
@@ -167,8 +174,8 @@ class SuccessProfile:
     @classmethod
     def _on_checked_mass(cls, probs, mass, ids) -> "SuccessProfile":
         """A profile over a mass vector and ids that check_mass has already
-        passed, such as a GradientTable's just built: every check but the
-        mass check runs."""
+        passed, such as a PromptBatch's: every check but the mass check
+        runs."""
         profile = object.__new__(cls)
         profile._set_columns(probs, mass, ids)
         return profile

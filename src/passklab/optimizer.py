@@ -15,7 +15,6 @@ from .bandit import (
     PromptBatch,
     _check_theta,
     _success_and_grad,
-    policy_regularity_constants,
     reference_theta,
     sample_prompts,
 )
@@ -57,18 +56,15 @@ class TrajectoryRecord:
         return tuple(getattr(self, name) for name in TRAJECTORY_COLUMNS)
 
 
-def _objective_values(p: np.ndarray, k: int, mass: np.ndarray, hard: np.ndarray) -> dict:
+def _objective_values(p: np.ndarray, k: int, batch: PromptBatch) -> dict:
     """j1 and jk over the population and over each label's prompts (NaN for
-    a label with none).  A label's index set and 1/size coefficients are
-    built once for both of its means."""
+    a label with none), from the batch's mass and label index sets."""
     f1, fkv = fk_array(p, 1), fk_array(p, k)
-    values = {"j1_pop": ordered_dot(mass, f1), "jk_pop": ordered_dot(mass, fkv)}
-    for label, mask in (("easy", ~hard), ("hard", hard)):
-        idx = np.flatnonzero(mask)
+    values = {"j1_pop": ordered_dot(batch.mass, f1), "jk_pop": ordered_dot(batch.mass, fkv)}
+    for label, idx, coef in batch.label_rows:
         if not idx.size:
             values[f"j1_{label}"] = values[f"jk_{label}"] = float("nan")
             continue
-        coef = np.full(idx.size, 1.0 / idx.size)
         values[f"j1_{label}"] = ordered_dot(coef, f1.take(idx))
         values[f"jk_{label}"] = ordered_dot(coef, fkv.take(idx))
     return values
@@ -80,16 +76,11 @@ def evaluate_state(
     """All trajectory metrics at one parameter vector."""
     theta = _check_theta(theta)
     p, grads = _success_and_grad(theta, batch)
-    n = len(batch)
-    mass = np.full(n, 1.0 / n)
     # before the report, so that none of their temporaries adds to its peak
-    values = _objective_values(p, k, mass, batch.hard_mask)
-    table = GradientTable(grads=grads, mass=mass, ids=batch.ids)
-    profile = SuccessProfile._on_checked_mass(p, table.mass, table.ids)
-    report = conflict_report(
-        table, profile, k, margin=margin,
-        constants=policy_regularity_constants(batch),
-    )
+    values = _objective_values(p, k, batch)
+    table = GradientTable._on_checked_mass(grads, batch.mass, batch.ids)
+    profile = SuccessProfile._on_checked_mass(p, batch.mass, batch.ids)
+    report = conflict_report(table, profile, k, margin=margin, constants=batch.constants)
     return TrajectoryRecord(
         step=step,
         theta=theta.copy(),

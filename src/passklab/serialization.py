@@ -33,6 +33,14 @@ def write_json(path, obj) -> None:
     Path(path).write_text(text + "\n")
 
 
+def line_error(path, lineno: int, problem) -> DomainError:
+    """The one form of an input-file error; problem is a message or the
+    exception raised, a KeyError naming the record's missing key."""
+    if isinstance(problem, KeyError):
+        problem = f"missing key {problem.args[0]!r}"
+    return DomainError(f"{path}: line {lineno}: {problem}")
+
+
 def read_lines(path):
     """Yield (lineno, text) for each line of a UTF-8 file, stripped of ASCII
     whitespace; a byte that is not UTF-8 raises DomainError naming the line."""
@@ -41,28 +49,36 @@ def read_lines(path):
             try:
                 text = line.strip().decode()
             except UnicodeDecodeError as exc:
-                bad = f"not UTF-8 text ({exc})"
-                raise DomainError(f"{path}: line {lineno}: {bad}") from exc
+                raise line_error(path, lineno, f"not UTF-8 text ({exc})") from exc
             yield lineno, text
+
+
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def read_records(path):
     """Yield (lineno, record) per nonblank line of a JSON-lines file with at
-    least one record, each an object whose prompt_id is a JSON string."""
+    least one record, each an object whose prompt_id is a JSON string.  A
+    line that raw_decode refuses or does not end is parsed again by
+    json.loads, so each error (a leading BOM's too) reads as json.loads'."""
     empty = True
     for lineno, line in read_lines(path):
         if not line:
             continue
         try:
-            rec = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an int too long to parse
-            raise DomainError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
+            rec, end = _raw_decode(line)
+        except ValueError:
+            end = -1
+        if end != len(line):
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError, or an int too long to parse
+                raise line_error(path, lineno, f"invalid JSON ({exc})") from exc
         if type(rec) is not dict:
-            raise DomainError(f"{path}: line {lineno}: record must be an object")
+            raise line_error(path, lineno, "record must be an object")
         if type(rec.get("prompt_id")) is not str:
             got = json.dumps(rec["prompt_id"]) if "prompt_id" in rec else "nothing"
-            bad = f"prompt_id must be a JSON string, got {got}"
-            raise DomainError(f"{path}: line {lineno}: {bad}")
+            raise line_error(path, lineno, f"prompt_id must be a JSON string, got {got}")
         empty = False
         yield lineno, rec
     if empty:

@@ -12,6 +12,9 @@ Masked forms of the objective transforms and the allocating form of
 its own branch (a boolean gather and scatter), and each extraction pass
 allocates its arrays.  The package's branch-free, in-place forms give
 the same bits.
+
+`reference_state`: one trajectory step from these forms alone, the plain
+definition that `optimizer.evaluate_state` must match bit for bit.
 """
 
 import math
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 from passklab import SuccessProfile, pass_at_k, success_probs
-from passklab.bandit import EASY, expit
+from passklab.bandit import EASY, HARD, expit
 from passklab.objectives import (
     EXTRACT_LIMIT,
     EXTRACT_PASSES,
@@ -88,22 +91,22 @@ def masked_wk_array(p, k: int) -> np.ndarray:
 
 
 def allocating_ordered_dot(a, b) -> float:
-    """The extraction of `objectives.ordered_dot`, top from np.abs and new
-    arrays for every (sigma + x) - sigma."""
+    """The extraction of `objectives.ordered_dot`, top from np.max(np.abs)
+    and new arrays for every (sigma + x) - sigma and every pass's test."""
     x = np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
     top = float(np.max(np.abs(x), initial=0.0))
     if not 0.0 < top < EXTRACT_LIMIT:
         return math.fsum(memoryview(x))
     shift = (x.size + 1).bit_length()
+    sigma = math.ldexp(1.0, max(shift + math.frexp(top)[1], -1022))
     parts = []
     for _ in range(EXTRACT_PASSES):
-        sigma = math.ldexp(1.0, max(shift + math.frexp(top)[1], -1022))
         q = (sigma + x) - sigma
         x -= q
         parts.append(float(q.sum()))
-        top = float(np.max(np.abs(x)))
-        if top == 0.0:
+        if np.count_nonzero(x) == 0:
             break
+        sigma = max(math.ldexp(sigma, shift - 53), 2.0**-1022)
     return math.fsum(parts + x[x != 0].tolist())
 
 
@@ -182,3 +185,51 @@ def exact_form_mismatches(seed: int, size: int, ks, lengths) -> list:
             if got != want:
                 bad.append(f"{dot.__name__} n={a.size}: {got} != {want}")
     return bad
+
+
+def reference_state(theta, batch, k: int, margin: float = 1e-6) -> dict:
+    """The fields of evaluate_state(theta, batch, k, margin), each from its
+    plain definition over arrays built afresh from the batch's columns:
+    the logit as psi_0 theta_0 + psi_1 theta_1, the masked transforms,
+    math.fsum for every expectation and an ascending loop for every
+    mass-weighted sum of gradient rows (as weighted_row_sum adds them)."""
+    theta = np.asarray(theta, dtype=float)
+    psi, labels = batch.features, batch.labels.tolist()
+    sig = expit(psi[:, 0] * theta[0] + psi[:, 1] * theta[1])
+    hard = np.array([label == HARD for label in labels])
+    p = np.where(hard, sig, 1.0 - sig)
+    grads = (np.where(hard, 1.0, -1.0) * (sig * (1.0 - sig)))[:, None] * psi
+    mass = np.full(len(labels), 1.0 / len(labels))
+
+    def expect(coef, values):
+        return math.fsum((coef * values).tolist())
+
+    def row_sum(coef, vectors):
+        total = np.zeros(vectors.shape[1])
+        for c, v in zip(coef, vectors):
+            total += c * v
+        return total
+
+    f1, fk, wk = masked_fk_array(p, 1), masked_fk_array(p, k), masked_wk_array(p, k)
+    state = {"step": 0, "theta": theta,
+             "j1_pop": expect(mass, f1), "jk_pop": expect(mass, fk)}
+    for label in (EASY, HARD):
+        idx = [i for i, name in enumerate(labels) if name == label]
+        coef = np.full(len(idx), 1.0 / max(len(idx), 1))
+        state[f"j1_{label}"] = expect(coef, f1[idx]) if idx else math.nan
+        state[f"jk_{label}"] = expect(coef, fk[idx]) if idx else math.nan
+    mean_grad = row_sum(mass, grads)
+    state["grad_k"] = row_sum(mass * wk, grads)
+    state["inner_product"] = expect(state["grad_k"], mean_grad)
+    scores = np.array([g[0] * mean_grad[0] + g[1] * mean_grad[1] for g in grads])
+    neg = scores <= -margin
+    w_minus = expect(mass, np.where(neg, wk, 0.0))
+    w_plus = expect(mass, np.where(neg, 0.0, wk))
+    g2 = f = (1.0 + max(s * s for _, s in batch.features.tolist())) / 4.0
+    delta = margin * w_minus - g2 * w_plus
+    state["delta_bound"] = delta
+    state["eta_max"] = None
+    if delta > 0:
+        lk, c2 = k * k * g2 + k * f, k * k * g2 * (g2 + f) / 2.0
+        state["eta_max"] = min(delta / c2, 1.0 / lk)
+    return state

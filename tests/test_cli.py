@@ -265,9 +265,10 @@ class TestDiagnose:
     ):
         import passklab.conflict
 
-        original = passklab.conflict.assemble_passk_gradient
+        # the direct route's grad_k, scaled off the other two routes
+        original = passklab.conflict._weighted_gradient
         monkeypatch.setattr(
-            "passklab.conflict.assemble_passk_gradient",
+            "passklab.conflict._weighted_gradient",
             lambda *args: (1.0 + 1e-6) * original(*args),
         )
         rc = main(["diagnose", "--input", str(synth_log), "--out", str(tmp_path / "d")])

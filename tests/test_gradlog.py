@@ -129,6 +129,68 @@ class TestLoadGradlog:
             load_gradlog(path)
 
 
+    @pytest.mark.parametrize("key", ["pass1", "grad"])
+    def test_missing_key_named(self, tmp_path, key):
+        path = tmp_path / "missing.jsonl"
+        record = {"prompt_id": "b", "pass1": 0.5, "grad": [1.0]}
+        del record[key]
+        path.write_text(
+            '{"prompt_id": "a", "pass1": 0.5, "grad": [1.0]}\n' + json.dumps(record) + "\n"
+        )
+        with pytest.raises(DomainError) as exc:
+            load_gradlog(path)
+        assert str(exc.value) == f"{path}: line 2: missing key {key!r}"
+
+
+class TestCodeBuiltGrad:
+    # a record built in code follows the number rule of a loaded log
+
+    @pytest.mark.parametrize(
+        "grad", [[True, 1.5], [1.5, False], [np.True_, 1.0], np.array([True, False])]
+    )
+    def test_true_false_refused(self, grad):
+        with pytest.raises(DomainError, match="grad"):
+            GradLogRecord("a", 0.5, grad)
+
+    def test_true_false_refused_by_the_loader_too(self, tmp_path):
+        path = tmp_path / "bool.jsonl"
+        path.write_text('{"prompt_id": "a", "pass1": 0.5, "grad": [true, 1.5]}\n')
+        with pytest.raises(DomainError, match="line 1: grad entries must be finite numbers"):
+            load_gradlog(path)
+
+    @pytest.mark.parametrize("grad", [[1.5, 2**64], [-1, 2**63], [2**64, -(2**70)]])
+    def test_integers_beyond_64_bits_become_floats(self, tmp_path, grad):
+        built = GradLogRecord("a", 0.5, grad).grad
+        path = tmp_path / "big.jsonl"
+        path.write_text(json.dumps({"prompt_id": "a", "pass1": 0.5, "grad": grad}) + "\n")
+        loaded = load_gradlog(path)[0].grad
+        assert built.dtype == float and built.tobytes() == loaded.tobytes()
+
+    def test_integer_too_large_for_a_float_refused(self):
+        with pytest.raises(DomainError, match="int too large to convert to float"):
+            GradLogRecord("a", 0.5, [1.5, 10**400])
+
+    @pytest.mark.parametrize("grad", [["1.5"], [None, 1.0], [[1.0], [1.0, 2.0]]])
+    def test_text_null_and_ragged_lists_refused(self, grad):
+        with pytest.raises(DomainError, match="grad entries must be finite numbers"):
+            GradLogRecord("a", 0.5, grad)
+
+    @pytest.mark.parametrize(
+        "grad",
+        [
+            np.array([1.5, -2.0]),
+            np.array([3, -4], dtype=np.int32),
+            np.array([1.5, -2.0], dtype=np.float32),
+            [np.float64(1.5), np.int64(-2)],
+            np.array([1.5, -2], dtype=object),
+        ],
+    )
+    def test_numpy_arrays_and_scalars_accepted(self, grad):
+        got = GradLogRecord("a", 0.5, grad).grad
+        assert got.dtype == float
+        assert got.tolist() == [float(v) for v in grad]
+
+
 class TestFilterByDifficulty:
     def test_threshold_bands(self):
         records = [
@@ -212,9 +274,10 @@ class TestDiagnose:
     def test_inherits_route_cross_check(self, conflict_filtered, monkeypatch):
         import passklab.conflict
 
-        original = passklab.conflict.assemble_passk_gradient
+        # the direct route's grad_k, scaled off the other two routes
+        original = passklab.conflict._weighted_gradient
         monkeypatch.setattr(
-            "passklab.conflict.assemble_passk_gradient",
+            "passklab.conflict._weighted_gradient",
             lambda *args: (1.0 + 1e-6) * original(*args),
         )
         with pytest.raises(IdentityCheckError, match="routes disagree"):

@@ -534,6 +534,19 @@ class TestSampleIO:
         with pytest.raises(DomainError, match="line 1"):
             import_samples(path)
 
+    @pytest.mark.parametrize("key", ["action", "reward", "score"])
+    def test_missing_key_named(self, tmp_path, key):
+        path = tmp_path / "missing.jsonl"
+        record = {"prompt_id": "a", "action": 0, "reward": 0, "score": [0.5, 0.1]}
+        del record[key]
+        path.write_text(
+            '{"prompt_id": "a", "action": 1, "reward": 1, "score": [0.5, 0.1]}\n'
+            + json.dumps(record) + "\n"
+        )
+        with pytest.raises(DomainError) as exc:
+            import_samples(path)
+        assert str(exc.value) == f"{path}: line 2: missing key {key!r}"
+
     def test_action_outside_zero_one_names_line(self, tmp_path):
         path = tmp_path / "action.jsonl"
         path.write_text(

@@ -176,6 +176,32 @@ class TestSuccessProfile:
         assert len(prof) == 10**6
 
 
+def fuzz_family(rng, family: int, n: int):
+    """(a, b) of length n (2n for family 2) from one of five families of
+    hard sums."""
+
+    def mantissas(n):
+        return rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n)
+
+    if family == 0:  # exponents anywhere in -1074..1000
+        lo, hi = np.sort(rng.integers(-1074, 1001, size=2))
+        a = np.ldexp(mantissas(n), rng.integers(lo, hi + 1, size=n))
+    elif family == 1:  # a narrow range
+        e = int(rng.integers(-1000, 900))
+        a = np.ldexp(mantissas(n), rng.integers(e, e + 8, size=n))
+    elif family == 2:  # x and -x + tiny: near-total cancellation
+        x = np.ldexp(mantissas(n), rng.integers(-500, 500, size=n))
+        tiny = math.ldexp(1.0, int(rng.integers(-1074, -500)))
+        a = rng.permutation(np.concatenate([x, -x + tiny]))
+    elif family == 3:  # subnormals only
+        a = rng.integers(-(2**52), 2**52, size=n) * 5e-324
+    else:  # mass * weight products, with signed zeros mixed in
+        a = rng.random(n) / n
+        a[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+    b = np.ones(a.size) if family < 4 else rng.normal(size=n) ** 9
+    return a, b
+
+
 class TestReductionPrimitives:
     def test_ordered_dot_is_the_correctly_rounded_sum(self):
         # summed left to right, 1e16 + 1 rounds back to 1e16 and the 1 is lost
@@ -196,31 +222,36 @@ class TestReductionPrimitives:
     def test_ordered_dot_matches_fsum_bit_for_bit_on_fuzzed_vectors(self):
         # float.hex tells -0.0 from 0.0, so the sign of a zero sum counts
         rng = np.random.default_rng(11)
-
-        def mantissas(n):
-            return rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n)
-
         for trial in range(6000):
             n = 1 if trial % 10 == 0 else int(rng.integers(2, 400))
-            family = trial % 5
-            if family == 0:  # exponents anywhere in -1074..1000
-                lo, hi = np.sort(rng.integers(-1074, 1001, size=2))
-                a = np.ldexp(mantissas(n), rng.integers(lo, hi + 1, size=n))
-            elif family == 1:  # a narrow range
-                e = int(rng.integers(-1000, 900))
-                a = np.ldexp(mantissas(n), rng.integers(e, e + 8, size=n))
-            elif family == 2:  # x and -x + tiny: near-total cancellation
-                x = np.ldexp(mantissas(n), rng.integers(-500, 500, size=n))
-                tiny = math.ldexp(1.0, int(rng.integers(-1074, -500)))
-                a = rng.permutation(np.concatenate([x, -x + tiny]))
-            elif family == 3:  # subnormals only
-                a = rng.integers(-(2**52), 2**52, size=n) * 5e-324
-            else:  # mass * weight products, with signed zeros mixed in
-                a = rng.random(n) / n
-                a[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
-            b = np.ones(a.size) if family < 4 else rng.normal(size=n) ** 9
+            a, b = fuzz_family(rng, trial % 5, n)
             got, want = ordered_dot(a, b), math.fsum((a * b).tolist())
-            assert got.hex() == want.hex(), (trial, family)
+            assert got.hex() == want.hex(), (trial, trial % 5)
+
+    @pytest.mark.parametrize("n", [1000, 10**4, 10**5])
+    def test_ordered_dot_matches_fsum_on_fuzz_families_at_scale(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(10):
+            a, b = fuzz_family(rng, trial % 5, n)
+            got, want = ordered_dot(a, b), math.fsum((a * b).tolist())
+            assert got.hex() == want.hex(), (n, trial)
+
+    @pytest.mark.parametrize("n", [2, 6, 6000])
+    def test_ordered_dot_remainder_on_the_derived_bound(self, n):
+        # With top = 1, pass 1 runs at sigma = 2**(M + 1) and h = ulp(sigma) / 2.
+        # sigma + (2j + 1) h is a tie, so every odd multiple of h leaves a
+        # remainder of exactly +-h, and h = sigma' / 2**M for the derived
+        # sigma' = 2**(M - 53) sigma: pass 2 starts with max|x| on its bound.
+        shift = (n + 1).bit_length()
+        sigma = 2.0 ** (shift + 1)
+        h = sigma * 2.0**-53
+        rng = np.random.default_rng(n)
+        x = np.concatenate([[1.0], (2 * rng.integers(0, 2**20, n - 1) + 1) * h])
+        remainder = x - ((sigma + x) - sigma)
+        assert np.abs(remainder).max() == math.ldexp(sigma, shift - 53) / 2**shift
+        for a in (x, -x, rng.permutation(x), np.append(x[:-1], 3 * 2.0**-1070)):
+            got, want = ordered_dot(a, np.ones(n)), math.fsum(a.tolist())
+            assert got.hex() == want.hex()
 
     @pytest.mark.parametrize("side", ["all-negative", "min-dominates", "max-dominates"])
     def test_ordered_dot_matches_fsum_on_one_sided_products(self, side):
@@ -240,6 +271,21 @@ class TestReductionPrimitives:
             b = np.ldexp(1.0, rng.integers(-3, 4, size=n))
             got, want = ordered_dot(x, b), math.fsum((x * b).tolist())
             assert got.hex() == want.hex(), (side, trial)
+
+    @pytest.mark.parametrize("n", [14, 254, 8190])
+    def test_ordered_dot_second_pass_fills_its_bound(self, n):
+        # n = 2**M - 2.  The pass-1 parts cancel, and each x = (2 - v) h
+        # leaves -v h, with v in (1/2, 1) to the last bit, so the second pass
+        # sums n - 4 remainders near sigma' / 2**M, most of the way to sigma'.
+        # A sigma' half as large would round that sum, and fsum would differ.
+        shift = (n + 1).bit_length()
+        h = 2.0 ** (shift + 1 - 53)
+        rng = np.random.default_rng(n)
+        for trial in range(50):
+            tail = h * (2.0 - rng.uniform(0.5, 1.0, n - 4))
+            a = rng.permutation(np.concatenate([[1.0, -1.0, -h * (n - 4), -h * (n - 4)], tail]))
+            got, want = ordered_dot(a, np.ones(n)), math.fsum(a.tolist())
+            assert got.hex() == want.hex(), trial
 
     def test_ordered_dot_takes_every_pass_and_the_remainder(self, monkeypatch):
         # Each level lies below the previous pass's resolution, so pass j

@@ -1,5 +1,6 @@
 """One-step and trajectory tests, including the two-prompt golden run."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from passklab.conflict import assemble_passk_gradient
 from passklab.interference import GradientTable, agreement_scores
 from passklab.optimizer import trajectory_to_csv
 
-from oracles import batch_objective
+from oracles import batch_objective, reference_state
 
 
 class TestAscentStep:
@@ -76,7 +77,9 @@ class TestAscentStep:
         assert batch_objective(after.theta, batch, 1) > batch_objective(theta, batch, 1)
 
     def test_one_evaluation_checks_mass_once_and_takes_one_logit(self, monkeypatch):
-        calls = {"check_mass": 0, "expit": 0}
+        # the batch checks its mass and takes its constants once, when built;
+        # each evaluation then takes one logit
+        calls = {"check_mass": 0, "expit": 0, "policy_regularity_constants": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -86,12 +89,47 @@ class TestAscentStep:
             return wrapper
 
         check_mass = counted("check_mass", objectives.check_mass)
-        monkeypatch.setattr(objectives, "check_mass", check_mass)
-        monkeypatch.setattr(interference, "check_mass", check_mass)
+        for module in (objectives, interference, bandit):
+            monkeypatch.setattr(module, "check_mass", check_mass)
         monkeypatch.setattr(bandit, "expit", counted("expit", bandit.expit))
+        monkeypatch.setattr(
+            bandit, "policy_regularity_constants",
+            counted("policy_regularity_constants", bandit.policy_regularity_constants),
+        )
         batch = sample_prompts(BanditConfig(seed=3), 300)
-        evaluate_state(np.array([-1.5, -2.5]), batch, 5)
-        assert calls == {"check_mass": 1, "expit": 1}
+        for theta in ([-1.5, -2.5], [0.5, 1.0]):
+            evaluate_state(np.array(theta), batch, 5)
+        assert calls == {"check_mass": 1, "expit": 2, "policy_regularity_constants": 1}
+
+
+class TestReferenceState:
+    """evaluate_state against its plain definition, field by field and bit
+    for bit: a step refactor that moves a bit fails here."""
+
+    @staticmethod
+    def assert_same_bits(record, want: dict) -> None:
+        assert set(want) == {f.name for f in dataclasses.fields(record)}
+        for name, value in want.items():
+            got = getattr(record, name)
+            if isinstance(value, np.ndarray):
+                assert got.tobytes() == value.tobytes(), name
+            elif isinstance(value, float):
+                assert got.hex() == value.hex(), name
+            else:
+                assert got == value, name
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    @pytest.mark.parametrize("theta", [[-1.2, -2.9], [0.0, 0.0], [0.8, 3.5]])
+    def test_matches_the_plain_step(self, theta, k):
+        batch = sample_prompts(BanditConfig(), 600)
+        want = reference_state(theta, batch, k)
+        self.assert_same_bits(evaluate_state(np.array(theta), batch, k), want)
+
+    def test_matches_with_a_certified_step(self):
+        batch, theta = overlap_pair()
+        want = reference_state(theta, batch, 10, margin=1e-3)
+        assert want["eta_max"] is not None
+        self.assert_same_bits(evaluate_state(theta, batch, 10, margin=1e-3), want)
 
 
 class TestTrajectory:

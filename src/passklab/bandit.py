@@ -131,8 +131,8 @@ def logit(p):
 
 def _check_theta(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or np.any(~np.isfinite(theta)):
-        raise DomainError("theta must be a finite 1-d vector")
+    if theta.shape != (2,) or np.any(~np.isfinite(theta)):
+        raise DomainError("theta must be a finite 1-d vector of length 2")
     return theta
 
 
@@ -163,9 +163,10 @@ def sample_prompts(config: BanditConfig, n: int) -> PromptBatch:
 
 
 def _sigmoid(theta, features) -> np.ndarray:
-    """sigma(u) at the logits u = features @ theta: the probability of
-    action 1, per row."""
-    return expit(features @ _check_theta(theta))
+    """sigma(u) at the logits u = theta_0 + s * theta_1 of a batch's rows
+    [1, s], elementwise and so free of BLAS: P(action 1), per row."""
+    theta_0, theta_1 = _check_theta(theta)
+    return expit(features[:, 1] * theta_1 + theta_0)
 
 
 def _success_and_grad(theta, batch: PromptBatch) -> tuple[np.ndarray, np.ndarray]:

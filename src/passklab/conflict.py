@@ -14,7 +14,8 @@ silently wrong report.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class ConflictReport:
     <= -margin, q their mass, and w_minus / w_plus the weights inside and
     outside it.  The certified step eta_max is None when no Hessian-norm
     bound f was supplied (e.g. external gradient logs) or delta_bound <= 0.
+    No step reads sigma_w, sigma_a, correlation or neg_set, so each is
+    computed from the fields and the table's mass on first read.
     """
 
     margin: float
@@ -56,9 +59,6 @@ class ConflictReport:
     cov_form: float  # E[w] * ||mean grad||^2 + cov(w, a)
     mean_weight: float
     covariance: float
-    correlation: float | None
-    sigma_w: float
-    sigma_a: float
     norm_sq_mean_grad: float
     reweighted_mean_agreement: float
     q: float
@@ -70,7 +70,29 @@ class ConflictReport:
     scores: np.ndarray
     weights: np.ndarray
     mean_score: float
-    neg_set: tuple
+    mass: np.ndarray = field(repr=False)  # the table's, by reference
+
+    @cached_property
+    def sigma_w(self) -> float:
+        return math.sqrt(
+            max(ordered_dot(self.mass, (self.weights - self.mean_weight) ** 2), 0.0)
+        )
+
+    @cached_property
+    def sigma_a(self) -> float:
+        return math.sqrt(
+            max(ordered_dot(self.mass, (self.scores - self.mean_score) ** 2), 0.0)
+        )
+
+    @cached_property
+    def correlation(self) -> float | None:
+        if self.sigma_w > SIGMA_FLOOR and self.sigma_a > SIGMA_FLOOR:
+            return self.covariance / (self.sigma_w * self.sigma_a)
+        return None
+
+    @cached_property
+    def neg_set(self) -> tuple:
+        return tuple(np.flatnonzero(self.scores <= -self.margin).tolist())
 
 
 def default_score_bound_sq(table: GradientTable) -> float:
@@ -143,10 +165,12 @@ def conflict_report(
         raise IdentityCheckError(
             f"mean agreement {mean_score} != ||mean grad||^2 {norm_sq}"
         )
+    # over the interfering set and its complement: the products dropped are 0
     neg = scores <= -margin
-    q = ordered_dot(mass, neg.astype(float))
-    w_minus = ordered_dot(mass, np.where(neg, weights, 0.0))
-    w_plus = ordered_dot(mass, np.where(neg, 0.0, weights))
+    inside, outside = np.flatnonzero(neg), np.flatnonzero(~neg)
+    q = ordered_dot(mass.take(inside), np.ones(inside.size))
+    w_minus = ordered_dot(mass.take(inside), weights.take(inside))
+    w_plus = ordered_dot(mass.take(outside), weights.take(outside))
 
     mean_weight = ordered_dot(mass, weights)
     if mean_weight == 0.0:
@@ -176,12 +200,6 @@ def conflict_report(
             f"weighted={weighted_form!r} cov={cov_form!r} (scale {scale!r})"
         )
 
-    sigma_w = math.sqrt(max(ordered_dot(mass, (weights - mean_weight) ** 2), 0.0))
-    sigma_a = math.sqrt(max(ordered_dot(mass, (scores - mean_score) ** 2), 0.0))
-    correlation = None
-    if sigma_w > SIGMA_FLOOR and sigma_a > SIGMA_FLOOR:
-        correlation = covariance / (sigma_w * sigma_a)
-
     reweighted_mean = weighted_form / mean_weight
 
     if constants is None:
@@ -203,9 +221,6 @@ def conflict_report(
         cov_form=cov_form,
         mean_weight=mean_weight,
         covariance=covariance,
-        correlation=correlation,
-        sigma_w=sigma_w,
-        sigma_a=sigma_a,
         norm_sq_mean_grad=norm_sq,
         reweighted_mean_agreement=reweighted_mean,
         q=q,
@@ -217,7 +232,7 @@ def conflict_report(
         scores=scores,
         weights=weights,
         mean_score=mean_score,
-        neg_set=tuple(np.flatnonzero(neg).tolist()),
+        mass=mass,
     )
 
 
@@ -330,10 +345,11 @@ def inner_product_k_m(
     blocks are einsum products and the scalar contractions ordered_dot,
     so neither route depends on the BLAS core or thread count.
     """
-    grad_k = assemble_passk_gradient(table, profile, k)
-    grad_m = assemble_passk_gradient(table, profile, m_order)
-    wk_w = wk_array(profile.probs, k) * table.mass
-    wm_w = wk_array(profile.probs, m_order) * table.mass
+    wk = wk_array(profile.probs, k)
+    grad_k = _weighted_gradient(table, profile, wk)
+    wm = wk_array(profile.probs, m_order)
+    grad_m = _weighted_gradient(table, profile, wm)
+    wk_w, wm_w = wk * table.mass, wm * table.mass
     grads, blocks = table.grads, []
     for start in range(0, len(table), KERNEL_BLOCK_ROWS):
         rows = slice(start, start + KERNEL_BLOCK_ROWS)

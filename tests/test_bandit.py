@@ -15,6 +15,7 @@ from passklab import (
     overlap_pair,
     policy_regularity_constants,
     reference_theta,
+    sample_actions,
     sample_prompts,
     success_probs,
 )
@@ -102,6 +103,15 @@ class TestPolicy:
         for fn in (success_probs, grad_success_probs):
             with pytest.raises(DomainError, match="theta must be a finite 1-d vector"):
                 fn(theta, batch)
+
+    @pytest.mark.parametrize("theta", [[], [0.5], [0.5, -1.0, 2.0]])
+    def test_theta_must_have_one_entry_per_feature(self, theta):
+        batch, _ = overlap_pair()
+        for fn in (success_probs, grad_success_probs):
+            with pytest.raises(DomainError, match="vector of length 2"):
+                fn(theta, batch)
+        with pytest.raises(DomainError, match="vector of length 2"):
+            sample_actions(theta, batch, 4, 0)
 
     def test_reference_targets(self):
         assert action_prob(THETA_REF, psi(0.1), 1) == pytest.approx(0.10, abs=1e-12)

@@ -629,12 +629,17 @@ for argv in (
 # Library calls outside the CLI commands; the child prints each result's hex.
 BLAS_LIBRARY_CHILD = """
 import numpy as np
-from passklab import GradientTable, SuccessProfile, inner_product_k_m
+from passklab import BanditConfig, GradientTable, SuccessProfile, inner_product_k_m
+from passklab import sample_prompts
+from passklab.bandit import _success_and_grad
 rng = np.random.default_rng(5)
 table = GradientTable.uniform(rng.normal(size=(700, 64)))
 profile = SuccessProfile.uniform(rng.random(700))
 result = inner_product_k_m(table, profile, 7, 3)
 print(result.double_sum.hex(), result.direct.hex())
+batch = sample_prompts(BanditConfig(), 600)
+p, grads = _success_and_grad(np.array([-1.2, -2.9]), batch)  # one policy evaluation
+print(p.tobytes().hex(), grads.tobytes().hex())
 """
 
 

@@ -28,7 +28,8 @@ from passklab import (
     success_probs,
     grad_success_probs,
 )
-from passklab.conflict import ROUTE_RTOL
+from passklab import conflict
+from passklab.conflict import ROUTE_RTOL, SIGMA_FLOOR
 from passklab.interference import GradientTable
 from passklab.objectives import MAX_K, ordered_dot, wk_array
 
@@ -49,12 +50,19 @@ def random_case(rng, max_n=100, max_d=16):
     return table, profile, k
 
 
-def two_point(k=10, margin=1e-3):
-    batch, theta = overlap_pair()
+def policy_report(theta, batch, k, margin=1e-6):
+    """The policy's report at theta, and the mass of its table."""
     table = GradientTable.uniform(grad_success_probs(theta, batch), ids=batch.ids)
     profile = SuccessProfile.uniform(success_probs(theta, batch), ids=batch.ids)
-    constants = policy_regularity_constants(batch)
-    return conflict_report(table, profile, k, margin=margin, constants=constants)
+    report = conflict_report(
+        table, profile, k, margin=margin, constants=policy_regularity_constants(batch)
+    )
+    return report, table.mass
+
+
+def two_point(k=10, margin=1e-3):
+    batch, theta = overlap_pair()
+    return policy_report(theta, batch, k, margin)[0]
 
 
 class TestConflictReportRoutes:
@@ -87,9 +95,10 @@ class TestConflictReportRoutes:
             )
 
     def test_correlation_condition_matches_sign(self):
+        # bounded, so that a correlation that is always None fails, not stalls
         rng = np.random.default_rng(12)
         checked = 0
-        while checked < 300:
+        for _ in range(2000):
             table, profile, k = random_case(rng, max_n=40, max_d=8)
             r = conflict_report(table, profile, k)
             if r.correlation is None:
@@ -97,6 +106,9 @@ class TestConflictReportRoutes:
             threshold = -r.mean_weight * r.norm_sq_mean_grad / (r.sigma_w * r.sigma_a)
             assert (r.correlation < threshold) == (r.inner_product < 0)
             checked += 1
+            if checked == 300:
+                break
+        assert checked == 300
 
     def test_routes_agree_at_a_million_prompts(self):
         batch = sample_prompts(BanditConfig(seed=0), 10**6)
@@ -217,6 +229,66 @@ class TestConflictReportRoutes:
         }[case]
         with pytest.raises(AlignmentError):
             assemble_passk_gradient(table, profile, 5)
+
+
+ON_READ = ("sigma_w", "sigma_a", "correlation", "neg_set")
+
+
+def plain_on_read_fields(report, mass) -> dict:
+    """The on-read fields, with q, w_minus and w_plus, from their plain
+    definitions: math.fsum over Python floats and a loop for the set."""
+    m, w, a = mass.tolist(), report.weights.tolist(), report.scores.tolist()
+    inside = [s <= -report.margin for s in a]
+    dw = [x - report.mean_weight for x in w]
+    da = [x - report.mean_score for x in a]
+    sigma_w = math.sqrt(max(math.fsum(mi * (d * d) for mi, d in zip(m, dw)), 0.0))
+    sigma_a = math.sqrt(max(math.fsum(mi * (d * d) for mi, d in zip(m, da)), 0.0))
+    correlation = None
+    if sigma_w > SIGMA_FLOOR and sigma_a > SIGMA_FLOOR:
+        correlation = report.covariance / (sigma_w * sigma_a)
+    return {
+        "sigma_w": sigma_w,
+        "sigma_a": sigma_a,
+        "correlation": correlation,
+        "neg_set": tuple(i for i, neg in enumerate(inside) if neg),
+        "q": math.fsum(mi for mi, neg in zip(m, inside) if neg),
+        "w_minus": math.fsum(mi * wi for mi, wi, neg in zip(m, w, inside) if neg),
+        "w_plus": math.fsum(mi * wi for mi, wi, neg in zip(m, w, inside) if not neg),
+    }
+
+
+class TestOnReadFields:
+    """sigma_w, sigma_a, correlation and neg_set are computed on first read;
+    q, w_minus and w_plus sum over the interfering set and its complement."""
+
+    @staticmethod
+    def assert_plain(report, mass) -> None:
+        for name, want in plain_on_read_fields(report, mass).items():
+            got = getattr(report, name)
+            if isinstance(want, float):
+                assert got.hex() == want.hex(), name
+            else:
+                assert got == want, name
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    @pytest.mark.parametrize("theta", [[-1.2, -2.9], [0.0, 0.0], [0.8, 3.5]])
+    def test_match_their_plain_definitions(self, theta, k):
+        batch = sample_prompts(BanditConfig(), 600)
+        self.assert_plain(*policy_report(np.array(theta), batch, k))
+
+    def test_match_their_plain_definitions_on_the_overlap_pair(self):
+        batch, theta = overlap_pair()
+        report, mass = policy_report(theta, batch, 10, 1e-3)
+        assert report.neg_set == (1,) and report.correlation is not None
+        self.assert_plain(report, mass)
+
+    def test_absent_until_first_read(self):
+        report = two_point()
+        assert not set(ON_READ) & set(vars(report))
+        for i, name in enumerate(ON_READ):
+            value = getattr(report, name)
+            assert set(ON_READ) & set(vars(report)) == set(ON_READ[: i + 1])
+            assert getattr(report, name) is value
 
 
 class TestOverflowGuard:
@@ -527,6 +599,18 @@ class TestInnerProductKM:
         wm_w = wk_array(profile.probs, 9) * mass
         full = float(wk_w @ (table.grads @ table.grads.T) @ wm_w)
         assert result.double_sum == pytest.approx(full, rel=1e-12)
+
+    def test_takes_wk_once_per_order(self, monkeypatch):
+        orders = []
+
+        def counting(probs, k):
+            orders.append(k)
+            return wk_array(probs, k)
+
+        monkeypatch.setattr(conflict, "wk_array", counting)
+        table, profile, _ = random_case(np.random.default_rng(22), max_n=20, max_d=4)
+        inner_product_k_m(table, profile, 3, 7)
+        assert orders == [3, 7]
 
     def test_nonnegative_kernel_implies_no_conflict(self):
         # gradients in the positive orthant give a nonnegative kernel, so

@@ -314,6 +314,33 @@ class TestReductionPrimitives:
             assert got.hex() == want.hex() and got != math.fsum(levels) * scale, trial
 
     @pytest.mark.parametrize(
+        "case", ["integers", "bits-times-powers-of-two", "one-element", "signed-zeros"]
+    )
+    def test_ordered_dot_on_a_remainder_zero_after_one_pass(self, monkeypatch, case):
+        # Every product is a multiple of pass 1's resolution, so pass 1 takes
+        # all of it; the second pass then finds the remainder zero and adds 0.
+        rng = np.random.default_rng(len(case))
+        a, b = {
+            "integers": (rng.integers(-1000, 1000, 50), rng.integers(-1000, 1000, 50)),
+            "bits-times-powers-of-two": (
+                rng.integers(0, 2, 64), np.ldexp(1.0, rng.integers(-20, 1, 64))
+            ),
+            "one-element": ([3.0], [-0.5]),
+            "signed-zeros": ([0.0, -0.0, 2.5, -0.0, 0.0], [1.0, 1.0, -3.0, -1.0, 7.0]),
+        }[case]
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        rounded = []
+        fsum = types.SimpleNamespace(
+            **{**vars(math), "fsum": lambda v: rounded.append(list(v)) or math.fsum(v)}
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(objectives, "math", fsum)
+            got = ordered_dot(a, b)
+        want = math.fsum((a * b).tolist())
+        assert got.hex() == want.hex() != 0.0.hex()
+        assert rounded == [[want, 0.0]]
+
+    @pytest.mark.parametrize(
         "values",
         [
             [],

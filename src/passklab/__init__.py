@@ -21,14 +21,11 @@ from .bandit import (
 )
 from .conflict import (
     ConflictReport,
-    KernelInnerProduct,
     conflict_bound,
     conflict_report,
     delta_bound,
-    inner_product_k_m,
     k_star,
     max_safe_step,
-    reweighted_distribution,
     smoothness_constants,
 )
 from .errors import (
@@ -51,7 +48,6 @@ from .interference import GradientTable, agreement_scores, kernel_matrix
 from .mc import (
     SampleSet,
     empirical_profile,
-    mc_grad_pass1,
     mc_grad_passk,
     sample_actions,
 )

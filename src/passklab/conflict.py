@@ -32,8 +32,6 @@ from .objectives import (
 
 ROUTE_RTOL = 1e-10
 SIGMA_FLOOR = 1e-14
-# Kernel rows per block of the double-sum route in inner_product_k_m.
-KERNEL_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -236,19 +234,6 @@ def conflict_report(
     )
 
 
-def reweighted_distribution(profile: SuccessProfile, k: int) -> np.ndarray:
-    """Prompt mass tilted by the pass@k weights: mass_i * w_i / sum."""
-    weights = wk_array(profile.probs, k)
-    tilted = profile.mass * weights
-    total = ordered_dot(profile.mass, weights)
-    if total == 0.0:
-        raise DomainError(
-            "all pass@k weights are zero; the reweighted distribution "
-            "has a zero denominator"
-        )
-    return tilted / total
-
-
 def delta_bound(margin: float, w_minus: float, w_plus: float, g2: float) -> float:
     """Conflict certificate margin*W- - g2*W+.
 
@@ -291,9 +276,15 @@ def k_star(eps: float, delta_sep: float, q: float, m: float, g2: float) -> float
     1 + log((1-q)*g2 / (q*m)) / log((1-eps)/(1-delta_sep)).
 
     Callers compare integer k strictly greater than the returned value.
+    A log argument that rounds to 0 or overflows is refused (DomainError).
     """
     _check_separation_args(eps, delta_sep, q, m, g2)
-    numerator = math.log((1.0 - q) * g2 / (q * m))
+    ratio = (1.0 - q) * g2 / (q * m) if q * m else math.inf
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(
+            f"(1-q)*g2/(q*m) leaves the float range at q={q} m={m} g2={g2}"
+        )
+    numerator = math.log(ratio)
     if delta_sep == 1.0:
         return 1.0  # denominator is +inf, any k >= 2 conflicts
     denominator = math.log1p(-eps) - math.log1p(-delta_sep)
@@ -320,40 +311,3 @@ def max_safe_step(delta_theta: float, c2: float, lk: float) -> float:
             f"no degradation certificate exists for delta <= 0, got {delta_theta}"
         )
     return min(delta_theta / c2, 1.0 / lk)
-
-
-@dataclass(frozen=True)
-class KernelInnerProduct:
-    """Both routes to the inner product of two population gradients."""
-
-    double_sum: float
-    direct: float
-
-
-def inner_product_k_m(
-    table: GradientTable, profile: SuccessProfile, k: int, m_order: int
-) -> KernelInnerProduct:
-    """Inner product between the k- and m-attempt population gradients.
-
-    The double-sum route contracts the pairwise kernel against both
-    weight vectors, KERNEL_BLOCK_ROWS kernel rows at a time so memory
-    stays O(KERNEL_BLOCK_ROWS * n); the direct route assembles each
-    gradient and dots them.  Both are returned so callers can audit the
-    agreement.  The double sum still forms every kernel entry, so its
-    time is O(n^2 * d): an audit for subsamples, not for n = 10^6
-    (where only the direct route, O(n * d), is affordable).  The kernel
-    blocks are einsum products and the scalar contractions ordered_dot,
-    so neither route depends on the BLAS core or thread count.
-    """
-    wk = wk_array(profile.probs, k)
-    grad_k = _weighted_gradient(table, profile, wk)
-    wm = wk_array(profile.probs, m_order)
-    grad_m = _weighted_gradient(table, profile, wm)
-    wk_w, wm_w = wk * table.mass, wm * table.mass
-    grads, blocks = table.grads, []
-    for start in range(0, len(table), KERNEL_BLOCK_ROWS):
-        rows = slice(start, start + KERNEL_BLOCK_ROWS)
-        kernel = np.einsum("ij,kj->ik", grads[rows], grads)
-        blocks.append(ordered_dot(wk_w[rows], np.einsum("ij,j->i", kernel, wm_w)))
-    double_sum = math.fsum(blocks)
-    return KernelInnerProduct(double_sum=double_sum, direct=ordered_dot(grad_k, grad_m))

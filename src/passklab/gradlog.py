@@ -208,7 +208,10 @@ def _prompt_masses(records) -> np.ndarray:
             "either every filtered record must carry a mass or none may"
         )
     mass = np.array(supplied, dtype=float)
-    total = ordered_dot(mass, np.ones_like(mass))
+    try:
+        total = ordered_dot(mass, np.ones_like(mass))
+    except OverflowError:
+        raise DomainError("record masses sum past the float range") from None
     if total <= 0:
         raise DomainError("record masses must not all be zero")
     return mass / total

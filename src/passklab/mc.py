@@ -359,12 +359,6 @@ def sample_actions(theta, batch: PromptBatch, n: int, seed: int) -> SampleSet:
     )
 
 
-def mc_grad_pass1(samples: SampleSet, prompt_id: str) -> np.ndarray:
-    """Unbiased per-prompt gradient estimate: mean of reward * score."""
-    block = samples[prompt_id]
-    return (block.rewards[:, None] * block.scores).mean(axis=0)
-
-
 def _reward_score_means(samples: SampleSet) -> np.ndarray:
     """(P, d) per-prompt mean of reward * score.
 

@@ -153,7 +153,8 @@ def check_mass(mass: np.ndarray) -> None:
     """Mass must be finite, nonnegative, and fsum to 1 within 1e-12."""
     if np.any(~np.isfinite(mass)) or np.any(mass < 0):
         raise DomainError("mass entries must be finite and nonnegative")
-    if abs(ordered_dot(mass, np.ones_like(mass)) - 1.0) > 1e-12:
+    # no sum of entries <= 2 overflows; an entry above 2 fails the test anyway
+    if np.any(mass > 2.0) or abs(ordered_dot(mass, np.ones_like(mass)) - 1.0) > 1e-12:
         raise DomainError("mass must sum to 1 within 1e-12")
 
 

@@ -13,6 +13,9 @@ its own branch (a boolean gather and scatter), and each extraction pass
 allocates its arrays.  The package's branch-free, in-place forms give
 the same bits.
 
+`block_mean_grad`: one prompt's Monte Carlo gradient from its own block
+of draws, the per-prompt form of `SampleSet.table`.
+
 `reference_state`: one trajectory step from these forms alone, the plain
 definition that `optimizer.evaluate_state` must match bit for bit.
 """
@@ -62,6 +65,13 @@ def grad_success_prob(theta, psi, label: str) -> np.ndarray:
 def batch_objective(theta, batch, k: int) -> float:
     """Mass-uniform k-attempt objective over the batch (exact closed form)."""
     return pass_at_k(SuccessProfile.uniform(success_probs(theta, batch)), k)
+
+
+def block_mean_grad(samples, prompt_id: str) -> np.ndarray:
+    """One prompt's mean of reward * score over its own block of draws, the
+    row that `SampleSet.table` must hold for it."""
+    block = samples[prompt_id]
+    return (block.rewards[:, None] * block.scores).mean(axis=0)
 
 
 def masked_pow_one_minus(p, n: int) -> np.ndarray:

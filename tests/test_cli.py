@@ -528,6 +528,30 @@ class TestUsageErrorsExitTwo:
     def test_kstar_bound_not_finite(self, capsys, flags):
         self.assert_one_line_error(["kstar", *flags], capsys, "must be finite and > 0")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--q", "1e-30", "--m", "1e-300"],
+            ["--m", "1e308", "--g2", "1e-308", "--q", "0.5"],
+            ["--g2", "1e308", "--m", "1e-308", "--q", "0.5"],
+        ],
+    )
+    def test_kstar_log_argument_outside_the_float_range(self, capsys, flags):
+        # these died with a traceback or printed an infinite threshold
+        self.assert_one_line_error(["kstar", *flags], capsys, "leaves the float range")
+
+    def test_diagnose_mass_sum_past_the_float_range(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(
+            json.dumps({"prompt_id": pid, "pass1": p1, "grad": [1.0, 0.5], "mass": 1e308})
+            + "\n"
+            for pid, p1 in (("a", 0.05), ("b", 0.9), ("c", 0.95))
+        ))
+        out = tmp_path / "out"
+        argv = ["diagnose", "--input", str(log), "--out", str(out)]
+        self.assert_one_line_error(argv, capsys, "record masses sum past the float range")
+        assert not (out / "diagnose.json").exists()
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"k = 3\n\xff\xfe = 1\n")
@@ -629,14 +653,15 @@ for argv in (
 # Library calls outside the CLI commands; the child prints each result's hex.
 BLAS_LIBRARY_CHILD = """
 import numpy as np
-from passklab import BanditConfig, GradientTable, SuccessProfile, inner_product_k_m
+from passklab import BanditConfig, GradientTable, SuccessProfile, conflict_report
 from passklab import sample_prompts
 from passklab.bandit import _success_and_grad
 rng = np.random.default_rng(5)
 table = GradientTable.uniform(rng.normal(size=(700, 64)))
 profile = SuccessProfile.uniform(rng.random(700))
-result = inner_product_k_m(table, profile, 7, 3)
-print(result.double_sum.hex(), result.direct.hex())
+r = conflict_report(table, profile, 7)
+print(r.inner_product.hex(), r.weighted_form.hex(), r.cov_form.hex())
+print(r.grad_k.tobytes().hex())
 batch = sample_prompts(BanditConfig(), 600)
 p, grads = _success_and_grad(np.array([-1.2, -2.9]), batch)  # one policy evaluation
 print(p.tobytes().hex(), grads.tobytes().hex())

@@ -1,7 +1,6 @@
 """Conflict identities, certificates, thresholds, and smoothness bounds."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,20 +14,17 @@ from passklab import (
     conflict_report,
     delta_bound,
     evaluate_state,
-    inner_product_k_m,
     k_star,
     max_safe_step,
     overlap_pair,
     policy_regularity_constants,
     reference_theta,
-    reweighted_distribution,
     run_trajectory,
     sample_prompts,
     smoothness_constants,
     success_probs,
     grad_success_probs,
 )
-from passklab import conflict
 from passklab.conflict import ROUTE_RTOL, SIGMA_FLOOR
 from passklab.interference import GradientTable
 from passklab.objectives import MAX_K, ordered_dot, wk_array
@@ -210,8 +206,6 @@ class TestConflictReportRoutes:
         assert pass_at_k(skewed, 5) != pass_at_k(SuccessProfile.uniform(probs), 5)
         with pytest.raises(AlignmentError, match="mass"):
             conflict_report(table, skewed, 5)
-        with pytest.raises(AlignmentError, match="mass"):
-            inner_product_k_m(table, skewed, 5, 1)
         # equal mass held in a separate array still aligns
         conflict_report(table, SuccessProfile.uniform(probs), 5)
 
@@ -322,47 +316,29 @@ def report_weights(profile, k):
     return wk_array(profile.probs, k)
 
 
-class TestReweightedDistribution:
-    def test_uniform_probs_identity(self):
-        profile = SuccessProfile.uniform(np.full(6, 0.4))
-        np.testing.assert_allclose(
-            reweighted_distribution(profile, 7), profile.mass, rtol=1e-12
-        )
-
-    def test_k1_identity(self):
-        rng = np.random.default_rng(15)
-        raw = rng.random(9) + 0.01
-        profile = SuccessProfile(
-            probs=rng.random(9), mass=raw / raw.sum(), ids=range(9)
-        )
-        np.testing.assert_allclose(
-            reweighted_distribution(profile, 1), profile.mass, rtol=1e-12
-        )
-
+class TestReweighting:
     def test_two_point_hard_dominates(self):
-        batch, theta = overlap_pair()
-        profile = SuccessProfile.uniform(success_probs(theta, batch), ids=batch.ids)
-        tilted = reweighted_distribution(profile, 10)
-        from passklab import wk
-
-        w_e = wk(float(profile.probs[0]), 10)
-        w_h = wk(float(profile.probs[1]), 10)
+        # w_k moves the mass onto the hard prompt (index 1)
+        r = two_point(k=10)
+        tilted = r.mass * r.weights / r.mean_weight
+        w_e, w_h = r.weights
+        assert tilted[1] > r.mass[1]
         assert tilted[1] == pytest.approx(w_h / (w_e + w_h), rel=1e-12)
         assert tilted[1] > 1 - 1e-7
 
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(16)
+    def test_nonnegative_kernel_implies_no_conflict(self):
+        # gradients in the positive orthant give a nonnegative kernel, so
+        # the k-attempt and 1-attempt gradients stay aligned on every route
+        rng = np.random.default_rng(20)
         for _ in range(50):
-            raw = rng.random(12) + 0.01
-            profile = SuccessProfile(
-                probs=rng.random(12), mass=raw / raw.sum(), ids=range(12)
-            )
-            assert reweighted_distribution(profile, 9).sum() == pytest.approx(1.0)
-
-    def test_all_zero_weights_error(self):
-        profile = SuccessProfile.uniform(np.ones(4))
-        with pytest.raises(DomainError):
-            reweighted_distribution(profile, 3)
+            n = int(rng.integers(2, 15))
+            grads = rng.random((n, 4))  # entrywise positive rows
+            table = GradientTable.uniform(grads)
+            profile = SuccessProfile.uniform(rng.random(n))
+            r = conflict_report(table, profile, int(rng.integers(1, 20)))
+            assert r.inner_product >= -1e-15
+            assert r.weighted_form >= -1e-15
+            assert r.cov_form >= -1e-15
 
 
 class TestDeltaBound:
@@ -421,6 +397,16 @@ class TestKStar:
             k_star(0.1, 0.5, 0.0, 0.01, 1.0)  # q on the boundary
         with pytest.raises(DomainError):
             k_star(0.1, 0.5, 0.3, 0.0, 1.0)  # margin <= 0
+
+    @pytest.mark.parametrize(
+        "q,m,g2",
+        [(1e-30, 1e-300, 1.0), (0.5, 1e308, 1e-308), (0.5, 1e-308, 1e308)],
+        ids=["q*m-underflows", "ratio-underflows", "ratio-overflows"],
+    )
+    def test_log_argument_outside_the_float_range(self, q, m, g2):
+        # these raised ZeroDivisionError, raised ValueError, and returned inf
+        with pytest.raises(DomainError, match="leaves the float range"):
+            k_star(0.05, 0.5, q, m, g2)
 
     def test_bound_flips_exactly_at_threshold(self):
         eps, d_sep, q, m, g2 = 0.05, 0.5, 0.1, 0.01, 1.0
@@ -558,74 +544,6 @@ class TestMaxSafeStep:
         theta_plus = after.theta
         assert batch_objective(theta_plus, batch, 1) < batch_objective(theta, batch, 1)
         assert batch_objective(theta_plus, batch, k) > batch_objective(theta, batch, k)
-
-
-class TestInnerProductKM:
-    def test_k_equals_m_norm(self):
-        rng = np.random.default_rng(18)
-        table, profile, k = random_case(rng, max_n=20, max_d=6)
-        result = inner_product_k_m(table, profile, k, k)
-        assert result.direct >= 0
-        assert result.double_sum == pytest.approx(result.direct, rel=1e-9)
-
-    def test_dual_route_identity(self):
-        rng = np.random.default_rng(19)
-        for _ in range(200):
-            table, profile, k = random_case(rng, max_n=40, max_d=8)
-            m_order = int(rng.integers(1, 33))
-            result = inner_product_k_m(table, profile, k, m_order)
-            scale = max(abs(result.direct), abs(result.double_sum), 1e-300)
-            assert abs(result.direct - result.double_sum) <= 1e-9 * scale
-
-    def test_double_sum_is_row_blocked(self):
-        # the full 6000 x 6000 kernel alone would take 288 MB
-        rng = np.random.default_rng(21)
-        n = 6000
-        raw = rng.random(n) + 1e-3
-        mass = raw / raw.sum()
-        ids = tuple(str(i) for i in range(n))
-        table = GradientTable(grads=rng.normal(size=(n, 2)), mass=mass, ids=ids)
-        profile = SuccessProfile(probs=rng.random(n), mass=mass, ids=ids)
-        tracemalloc.start()
-        try:
-            result = inner_product_k_m(table, profile, 4, 9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
-        scale = max(abs(result.direct), abs(result.double_sum), 1e-300)
-        assert abs(result.direct - result.double_sum) <= 1e-9 * scale
-        wk_w = wk_array(profile.probs, 4) * mass
-        wm_w = wk_array(profile.probs, 9) * mass
-        full = float(wk_w @ (table.grads @ table.grads.T) @ wm_w)
-        assert result.double_sum == pytest.approx(full, rel=1e-12)
-
-    def test_takes_wk_once_per_order(self, monkeypatch):
-        orders = []
-
-        def counting(probs, k):
-            orders.append(k)
-            return wk_array(probs, k)
-
-        monkeypatch.setattr(conflict, "wk_array", counting)
-        table, profile, _ = random_case(np.random.default_rng(22), max_n=20, max_d=4)
-        inner_product_k_m(table, profile, 3, 7)
-        assert orders == [3, 7]
-
-    def test_nonnegative_kernel_implies_no_conflict(self):
-        # gradients in the positive orthant give a nonnegative kernel, so
-        # every pair of attempt-count objectives stays aligned
-        rng = np.random.default_rng(20)
-        for _ in range(50):
-            n = int(rng.integers(2, 15))
-            grads = rng.random((n, 4))  # entrywise positive rows
-            table = GradientTable.uniform(grads)
-            profile = SuccessProfile.uniform(rng.random(n))
-            k = int(rng.integers(1, 20))
-            m_order = int(rng.integers(1, 20))
-            result = inner_product_k_m(table, profile, k, m_order)
-            assert result.double_sum >= -1e-15
-            assert result.direct >= -1e-15
 
 
 class TestToySmoothnessCertificate:

@@ -371,6 +371,15 @@ class TestOptionalMassColumn:
         with pytest.raises(DomainError, match="record masses must not all be zero"):
             diagnose(filtered, 4)
 
+    def test_mass_sum_past_the_float_range_rejected(self):
+        records = [
+            GradLogRecord(pid, p1, np.ones(2), mass=1e308)
+            for pid, p1 in (("a", 0.05), ("b", 0.9), ("c", 0.95))
+        ]
+        filtered = filter_by_difficulty(records, FilterSpec(0.85, 0.10))
+        with pytest.raises(DomainError, match="record masses sum past the float range"):
+            diagnose(filtered, 4)
+
     def test_negative_mass_rejected(self):
         with pytest.raises(DomainError):
             GradLogRecord("a", 0.5, np.ones(2), mass=-1.0)

@@ -277,6 +277,9 @@ class TestGradientTableValidation:
         # a NaN mass used to pass validation and give mean_grad = [nan, nan]
         with pytest.raises(DomainError):
             GradientTable(grads=np.ones((3, 2)), mass=[0.5, np.nan, 0.5], ids=(0, 1, 2))
+        # a sum past the float range used to escape as OverflowError
+        with pytest.raises(DomainError, match="mass must sum to 1 within 1e-12"):
+            GradientTable(grads=np.ones((2, 2)), mass=[1e308, 1e308], ids=(0, 1))
 
     @pytest.mark.parametrize(
         "grads,mass,ids,message",

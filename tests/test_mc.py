@@ -15,7 +15,6 @@ from passklab import (
     conflict_report,
     empirical_profile,
     grad_success_probs,
-    mc_grad_pass1,
     mc_grad_passk,
     overlap_pair,
     reference_theta,
@@ -35,6 +34,8 @@ from passklab.mc import (
     prompt_rng,
 )
 from passklab.objectives import weighted_row_sum, wk_array
+
+from oracles import block_mean_grad
 
 
 def make_samples(rewards, scores, pid="p"):
@@ -127,7 +128,7 @@ class TestSampleSetValidation:
     def test_unknown_prompt(self):
         ss = make_samples([1.0], [[1.0, 2.0]])
         with pytest.raises(DomainError, match="unknown prompt"):
-            mc_grad_pass1(ss, "nope")
+            ss["nope"]
 
     @pytest.mark.parametrize("pid", [None, 1, ("a",)])
     def test_non_string_id_rejected(self, pid):
@@ -142,14 +143,16 @@ class TestSampleSetValidation:
             ss[pid]
 
 
-class TestMcGradPass1:
+class TestPerPromptGradient:
+    """Row i of SampleSet.table is prompt i's estimate of grad p_i."""
+
     def test_all_rewards_zero(self):
         ss = make_samples([0, 0, 0], [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        np.testing.assert_array_equal(mc_grad_pass1(ss, "p"), [0.0, 0.0])
+        np.testing.assert_array_equal(ss.table.grads[0], [0.0, 0.0])
 
     def test_single_correct_sample(self):
         ss = make_samples([1], [[0.25, -0.5]])
-        np.testing.assert_array_equal(mc_grad_pass1(ss, "p"), [0.25, -0.5])
+        np.testing.assert_array_equal(ss.table.grads[0], [0.25, -0.5])
 
     def test_large_sample_matches_closed_form(self):
         batch, theta = overlap_pair()
@@ -159,7 +162,7 @@ class TestMcGradPass1:
             block = ss[pid]
             rs = block.rewards[:, None] * block.scores
             se = rs.std(axis=0, ddof=1) / np.sqrt(block.n)
-            dev = np.abs(mc_grad_pass1(ss, pid) - exact[i])
+            dev = np.abs(ss.table.grads[i] - exact[i])
             assert np.all(dev <= 3 * se + 1e-12)
 
     def test_unbiased_over_replications(self):
@@ -170,10 +173,7 @@ class TestMcGradPass1:
         exact = grad_success_probs(theta, batch)
         reps = np.array(
             [
-                [
-                    mc_grad_pass1(sample_actions(theta, batch, 100, seed=5000 + r), pid)
-                    for pid in batch.ids
-                ]
+                sample_actions(theta, batch, 100, seed=5000 + r).table.grads
                 for r in range(1000)
             ]
         )
@@ -189,7 +189,7 @@ class TestMcGradPassK:
         prof = empirical_profile(ss)
         expected = np.zeros(2)
         for pid in batch.ids:
-            expected += mc_grad_pass1(ss, pid) / len(batch)
+            expected += block_mean_grad(ss, pid) / len(batch)
         np.testing.assert_allclose(mc_grad_passk(ss, prof, 1), expected, rtol=1e-12)
 
     def test_all_success_zero_vector(self):
@@ -680,7 +680,7 @@ def reference_sample_actions(theta, batch, n, seed):
 def reference_estimates(samples, profile, k):
     """Per-prompt means, one block at a time, then the weighted row sum."""
     probs = np.array([b.rewards.mean() for b in samples.blocks])
-    grads = np.stack([mc_grad_pass1(samples, pid) for pid in samples.ids])
+    grads = np.stack([block_mean_grad(samples, pid) for pid in samples.ids])
     return probs, weighted_row_sum(profile.mass * wk_array(profile.probs, k), grads)
 
 
@@ -741,7 +741,7 @@ class TestVectorisedEstimators:
             rewards.reshape(-1),
             scores,
         )
-        want = np.stack([mc_grad_pass1(ss, pid) for pid in ss.ids])
+        want = np.stack([block_mean_grad(ss, pid) for pid in ss.ids])
         assert_same_bits(ss.table.grads, want)
 
     def test_unequal_draw_counts_interleaved(self):

@@ -161,6 +161,11 @@ class TestSuccessProfile:
         with pytest.raises(DomainError):
             SuccessProfile(probs=np.full(3, 0.5), mass=[0.5, np.nan, 0.5], ids="abc")
 
+    def test_mass_sum_past_the_float_range(self):
+        # used to escape as OverflowError from the exact sum
+        with pytest.raises(DomainError, match="mass must sum to 1 within 1e-12"):
+            SuccessProfile(probs=[0.5, 0.5], mass=[1e308, 1e308], ids=("a", "b"))
+
     def test_uniform_constructor(self):
         prof = SuccessProfile.uniform([0.2, 0.4, 0.9])
         assert prof.mass == pytest.approx([1 / 3] * 3)

@@ -41,7 +41,7 @@ from .gradlog import (
     report_to_json,
 )
 from .interference import GradientTable, kernel_matrix, kernel_matrix_to_csv
-from .objectives import MAX_K, wk
+from .objectives import MAX_K, weighted_row_sum, wk
 from .optimizer import run_trajectory, trajectory_to_csv
 from .serialization import fmt, line_error, read_lines, write_json
 
@@ -113,7 +113,6 @@ def cmd_toy_demo(args) -> int:
     p, g = _success_and_grad(theta, batch)
     psi_e, psi_h = batch.features
     g_e, g_h = g
-    table = GradientTable.uniform(g, ids=batch.ids)
 
     before, after = run_trajectory(
         theta0=theta, k=k, eta=eta, steps=1, margin=args.margin, batch=batch
@@ -128,7 +127,7 @@ def cmd_toy_demo(args) -> int:
         "cos_grads": _cosine(g_e, g_h),
         "w_easy": wk(float(p[0]), k),
         "w_hard": wk(float(p[1]), k),
-        "cos_grad_j1_grad_jk": _cosine(before.grad_k, table.mean_grad),
+        "cos_grad_j1_grad_jk": _cosine(before.grad_k, weighted_row_sum(batch.mass, g)),
         "inner_product": before.inner_product,
         "delta_bound": before.delta_bound,
         "k": k,
@@ -181,6 +180,10 @@ def cmd_heatmap(args) -> int:
     easy_idx = np.flatnonzero(~batch.hard_mask)[:n_easy]
     hard_idx = np.flatnonzero(batch.hard_mask)[:n_hard]
     sub = np.concatenate([easy_idx, hard_idx])
+    if not sub.size:  # n_easy >= 1, so the batch has no easy prompt
+        raise PassKLabError(
+            f"--subsample {args.subsample} takes easy prompts, and the batch has none"
+        )
     if sub.size < args.subsample:
         print(
             f"warning: only {sub.size} prompts available for subsample "

@@ -48,7 +48,7 @@ class ConflictReport:
     outside it.  The certified step eta_max is None when no Hessian-norm
     bound f was supplied (e.g. external gradient logs) or delta_bound <= 0.
     No step reads sigma_w, sigma_a, correlation or neg_set, so each is
-    computed from the fields and the table's mass on first read.
+    computed from the fields and the profile's mass on first read.
     """
 
     margin: float
@@ -68,7 +68,7 @@ class ConflictReport:
     scores: np.ndarray
     weights: np.ndarray
     mean_score: float
-    mass: np.ndarray = field(repr=False)  # the table's, by reference
+    mass: np.ndarray = field(repr=False)  # the profile's, by reference
 
     @cached_property
     def sigma_w(self) -> float:
@@ -108,21 +108,19 @@ def default_score_bound_sq(table: GradientTable) -> float:
 def assemble_passk_gradient(
     table: GradientTable, profile: SuccessProfile, k: int
 ) -> np.ndarray:
-    """Population k-attempt gradient: mass-weighted sum of w_k * row.  The
-    profile must carry the table's ids and mass (AlignmentError otherwise)."""
+    """Population k-attempt gradient: sum of the profile's mass * w_k * row.
+    The profile must list the table's ids (AlignmentError otherwise)."""
     return _weighted_gradient(table, profile, wk_array(profile.probs, k))
 
 
 def _weighted_gradient(
     table: GradientTable, profile: SuccessProfile, weights: np.ndarray
 ) -> np.ndarray:
-    """sum_i mass_i * weights_i * row_i, once the profile is seen to carry
-    the table's ids and mass; conflict_report's direct route calls it."""
+    """sum_i profile.mass_i * weights_i * row_i, once the profile is seen to
+    list the table's ids; conflict_report's direct route calls it."""
     if profile.ids is not table.ids and profile.ids != table.ids:
         raise AlignmentError("profile and table must list the same prompt ids")
-    if profile.mass is not table.mass and not np.array_equal(profile.mass, table.mass):
-        raise AlignmentError("profile and table must carry the same prompt mass")
-    return weighted_row_sum(table.mass * weights, table.grads)
+    return weighted_row_sum(profile.mass * weights, table.grads)
 
 
 def conflict_report(
@@ -134,12 +132,13 @@ def conflict_report(
 ) -> ConflictReport:
     """Compute the full conflict diagnostic, cross-checking all routes.
 
-    The mass-weighted mean agreement must equal ||mean grad||^2
-    (IdentityCheckError otherwise).  w_k is taken once, as an input that
-    all three routes read, not an intermediate of the identity they check:
-    the direct route assembles grad_k from it, the other two reduce the
-    scores against it, so the routes stay independent.  A table
-    with d * max|entry|**2 above 2**510 is refused (DomainError).
+    The profile's mass weights every sum, the mean gradient's too, and the
+    mean agreement must equal ||mean grad||^2 (IdentityCheckError
+    otherwise).  w_k is taken once, as an input that all three routes
+    read, not an intermediate of the identity they check: the direct route
+    assembles grad_k from it, the other two reduce the scores against it,
+    so the routes stay independent.  A table with d * max|entry|**2 above
+    2**510 is refused (DomainError).
     constants, when given, is the (g2, f) pair bounding the expected
     squared score norm and expected score-Hessian norm; g2 defaults to
     the max squared gradient row norm and f to None (eta_max then stays
@@ -154,10 +153,11 @@ def conflict_report(
         raise DomainError(f"gradient entries up to {top!r} are too large at d = {d}")
     weights = wk_array(profile.probs, k)
     grad_k = _weighted_gradient(table, profile, weights)
-    margin, mass = float(margin), table.mass
-    scores = agreement_scores(table)
+    margin, mass = float(margin), profile.mass
+    mean_grad = weighted_row_sum(mass, table.grads)
+    scores = agreement_scores(table, mean_grad)
     mean_score = ordered_dot(mass, scores)
-    norm_sq = ordered_dot(table.mean_grad, table.mean_grad)
+    norm_sq = ordered_dot(mean_grad, mean_grad)
     identity_scale = max(abs(norm_sq), ordered_dot(mass, np.abs(scores)), 1e-300)
     if not abs(mean_score - norm_sq) <= 1e-10 * identity_scale:
         raise IdentityCheckError(
@@ -178,7 +178,7 @@ def conflict_report(
         )
 
     weighted_form = ordered_dot(mass, weights * scores)
-    inner_product = ordered_dot(grad_k, table.mean_grad)
+    inner_product = ordered_dot(grad_k, mean_grad)
     covariance = ordered_dot(
         mass, (weights - mean_weight) * (scores - mean_score)
     )
@@ -255,6 +255,7 @@ def conflict_bound(
     """
     k = _check_k(k)
     _check_separation_args(eps, delta_sep, q, m, g2)
+    _check_some_population(q, m, g2)
     lo = float(_pow_one_minus(np.asarray(eps, float), k - 1))
     hi = float(_pow_one_minus(np.asarray(delta_sep, float), k - 1))
     return k * (lo * m * q - hi * g2 * (1.0 - q))
@@ -271,12 +272,18 @@ def _check_separation_args(eps, delta_sep, q, m, g2) -> None:
         raise DomainError(f"m and g2 must be finite and > 0, got m={m} g2={g2}")
 
 
+def _check_some_population(q, m, g2) -> None:
+    """The k = 1 bound q*m - (1-q)*g2 must not make ||grad J1||^2 negative."""
+    if q * m > (1.0 - q) * g2:
+        raise DomainError(f"no population has q*m > (1-q)*g2, got q={q} m={m} g2={g2}")
+
+
 def k_star(eps: float, delta_sep: float, q: float, m: float, g2: float) -> float:
     """Threshold attempt count beyond which conflict is guaranteed:
     1 + log((1-q)*g2 / (q*m)) / log((1-eps)/(1-delta_sep)).
 
     Callers compare integer k strictly greater than the returned value.
-    A log argument that rounds to 0 or overflows is refused (DomainError).
+    A log argument that overflows or is below 1 is refused (DomainError).
     """
     _check_separation_args(eps, delta_sep, q, m, g2)
     ratio = (1.0 - q) * g2 / (q * m) if q * m else math.inf
@@ -284,6 +291,7 @@ def k_star(eps: float, delta_sep: float, q: float, m: float, g2: float) -> float
         raise DomainError(
             f"(1-q)*g2/(q*m) leaves the float range at q={q} m={m} g2={g2}"
         )
+    _check_some_population(q, m, g2)
     numerator = math.log(ratio)
     if delta_sep == 1.0:
         return 1.0  # denominator is +inf, any k >= 2 conflicts

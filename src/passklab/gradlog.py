@@ -220,8 +220,8 @@ def _prompt_masses(records) -> np.ndarray:
 def diagnose(filtered: FilteredLog, k: int) -> DiagReport:
     """Agreement/weight/contribution view of one conflict_report.
 
-    The filtered records become one table and profile (uniform mass
-    unless the log carries explicit masses), so the report inherits
+    The filtered records become one table and a profile (its mass uniform
+    unless they carry masses), so the report inherits
     conflict_report's cross-checks: three inner-product routes and the
     mean-agreement identity.  The reference direction is the mean
     gradient of the filtered records; the weighted mean agreement is
@@ -233,7 +233,7 @@ def diagnose(filtered: FilteredLog, k: int) -> DiagReport:
     ids = tuple(rec.prompt_id for rec in filtered.records)
     pass1 = np.array([rec.pass1 for rec in filtered.records])
     mass = _prompt_masses(filtered.records)
-    table = GradientTable(np.stack([rec.grad for rec in filtered.records]), mass, ids)
+    table = GradientTable(np.stack([rec.grad for rec in filtered.records]), ids)
     report = conflict_report(table, SuccessProfile(pass1, mass, ids), k)
     agreements, weights = report.scores, report.weights
     contributions = weights * agreements

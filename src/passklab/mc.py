@@ -53,11 +53,12 @@ class SampleSet:
         ids = tuple(ids)
         try:
             offsets = np.asarray(offsets, dtype=np.int64)
-            actions = np.asarray(actions, dtype=int)
-            rewards = np.asarray(rewards, dtype=float)
-            scores = np.asarray(scores, dtype=float)
+            actions, rewards, scores = map(np.asarray, (actions, rewards, scores))
         except (TypeError, ValueError) as exc:
             raise DomainError(f"bad sample arrays ({exc})") from exc
+        if rewards.dtype.kind not in "biuf" or scores.dtype.kind not in "biuf":
+            raise DomainError("rewards and scores must be numbers, not text or objects")
+        rewards, scores = (a.astype(float, copy=False) for a in (rewards, scores))
         if not ids:
             raise DomainError("sample set must contain at least one prompt")
         if actions.ndim != 1 or rewards.shape != actions.shape:
@@ -78,8 +79,10 @@ class SampleSet:
             )
         if not ((rewards == 0.0) | (rewards == 1.0)).all():
             raise DomainError("rewards must be exactly 0 or 1")
-        index = _id_index(ids)
-        self.ids, self.offsets, self._index = ids, offsets, index
+        # one pass: the bitwise OR of integers is 0 or 1 exactly when each is
+        if actions.dtype.kind not in "iu" or np.bitwise_or.reduce(actions) | 1 != 1:
+            raise DomainError("actions must be the integers 0 or 1")
+        self.ids, self.offsets, self._index = ids, offsets, _id_index(ids)
         self.actions, self.rewards, self.scores = actions, rewards, scores
 
     @property
@@ -101,12 +104,10 @@ class SampleSet:
 
     @cached_property
     def table(self) -> GradientTable:
-        """Uniform-mass table whose row i is prompt i's mean of reward * score,
-        built once per set with read-only arrays, so every estimate over the
-        set shares it."""
-        table = GradientTable.uniform(_reward_score_means(self), ids=self.ids)
-        for array in (table.grads, table.mass, table.mean_grad):
-            array.flags.writeable = False
+        """Row i is prompt i's mean of reward * score; built once per set with
+        read-only rows, so every estimate over the set shares it."""
+        table = GradientTable(_reward_score_means(self), self.ids)
+        table.grads.flags.writeable = False
         return table
 
     def __getitem__(self, prompt_id: str) -> PromptSamples:
@@ -412,8 +413,8 @@ def mc_grad_passk(samples: SampleSet, profile: SuccessProfile, k: int) -> np.nda
     weight factor is biased upward at finite n (w_k is convex in p for
     k >= 3, so E[w_k(c/n)] >= w_k(p)); the bias vanishes as n grows and
     is measured in the test suite.  This is assemble_passk_gradient over
-    samples.table, so the profile must carry the set's ids and uniform
-    mass (AlignmentError otherwise).
+    samples.table: the profile's mass weights the set's prompts, and the
+    profile must carry the set's ids (AlignmentError otherwise).
     """
     return assemble_passk_gradient(samples.table, profile, k)
 

@@ -78,7 +78,7 @@ def evaluate_state(
     p, grads = _success_and_grad(theta, batch)
     # before the report, so that none of their temporaries adds to its peak
     values = _objective_values(p, k, batch)
-    table = GradientTable._on_checked_mass(grads, batch.mass, batch.ids)
+    table = GradientTable(grads, batch.ids)
     profile = SuccessProfile._on_checked_mass(p, batch.mass, batch.ids)
     report = conflict_report(table, profile, k, margin=margin, constants=batch.constants)
     return TrajectoryRecord(

@@ -540,6 +540,22 @@ class TestUsageErrorsExitTwo:
         # these died with a traceback or printed an infinite threshold
         self.assert_one_line_error(["kstar", *flags], capsys, "leaves the float range")
 
+    @pytest.mark.parametrize(
+        "flags", [["--q", "0.6", "--m", "1", "--g2", "0.5"], ["--q", "0.999999"]]
+    )
+    def test_kstar_parameters_no_population_has(self, capsys, flags):
+        # these printed a negative k_star and certified conflict at k = 1
+        self.assert_one_line_error(["kstar", *flags], capsys, "no population has")
+
+    def test_heatmap_subsample_with_no_prompts(self, tmp_path, capsys):
+        # this warned of 0 prompts and then named an empty gradient table
+        argv = ["heatmap", "--n", "300", "--hard-fraction", "1", "--subsample", "1",
+                "--out", str(tmp_path)]
+        self.assert_one_line_error(
+            argv, capsys, "--subsample 1 takes easy prompts, and the batch has none"
+        )
+        assert not (tmp_path / "heatmap.csv").exists()
+
     def test_diagnose_mass_sum_past_the_float_range(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         log.write_text("".join(

@@ -27,7 +27,7 @@ from passklab import (
 )
 from passklab.conflict import ROUTE_RTOL, SIGMA_FLOOR
 from passklab.interference import GradientTable
-from passklab.objectives import MAX_K, ordered_dot, wk_array
+from passklab.objectives import MAX_K, ordered_dot, weighted_row_sum, wk_array
 
 from oracles import batch_objective
 
@@ -40,20 +40,20 @@ def random_case(rng, max_n=100, max_d=16):
     mass = raw / raw.sum()
     probs = rng.random(n)
     ids = tuple(str(i) for i in range(n))
-    table = GradientTable(grads=grads, mass=mass, ids=ids)
+    table = GradientTable(grads=grads, ids=ids)
     profile = SuccessProfile(probs=probs, mass=mass, ids=ids)
     k = int(rng.integers(1, 33))
     return table, profile, k
 
 
 def policy_report(theta, batch, k, margin=1e-6):
-    """The policy's report at theta, and the mass of its table."""
+    """The policy's report at theta, and the mass of its profile."""
     table = GradientTable.uniform(grad_success_probs(theta, batch), ids=batch.ids)
     profile = SuccessProfile.uniform(success_probs(theta, batch), ids=batch.ids)
     report = conflict_report(
         table, profile, k, margin=margin, constants=policy_regularity_constants(batch)
     )
-    return report, table.mass
+    return report, profile.mass
 
 
 def two_point(k=10, margin=1e-3):
@@ -67,10 +67,11 @@ class TestConflictReportRoutes:
         for _ in range(1000):
             table, profile, k = random_case(rng)
             report = conflict_report(table, profile, k)  # raises on disagreement
+            mean_grad = weighted_row_sum(profile.mass, table.grads)
             scale = max(
                 abs(report.inner_product),
-                ordered_dot(table.mass, report_weights(profile, k) *
-                            np.abs(table.grads @ table.mean_grad)),
+                ordered_dot(profile.mass, report_weights(profile, k) *
+                            np.abs(table.grads @ mean_grad)),
                 1e-300,
             )
             assert abs(report.inner_product - report.weighted_form) <= 1e-10 * scale
@@ -118,7 +119,7 @@ class TestConflictReportRoutes:
             abs(report.inner_product),
             abs(report.weighted_form),
             abs(report.cov_form),
-            ordered_dot(table.mass, report.weights * np.abs(report.scores)),
+            ordered_dot(profile.mass, report.weights * np.abs(report.scores)),
         )
         routes = (report.inner_product, report.weighted_form, report.cov_form)
         assert max(routes) - min(routes) <= ROUTE_RTOL * scale
@@ -141,9 +142,8 @@ class TestConflictReportRoutes:
         from passklab.conflict import assemble_passk_gradient
 
         gk = assemble_passk_gradient(table, profile, 10)
-        cosine = r.inner_product / (
-            np.linalg.norm(gk) * np.linalg.norm(table.mean_grad)
-        )
+        mean_grad = weighted_row_sum(profile.mass, table.grads)
+        cosine = r.inner_product / (np.linalg.norm(gk) * np.linalg.norm(mean_grad))
         assert cosine == pytest.approx(-0.77, abs=0.05)
         assert r.inner_product < 0
 
@@ -154,7 +154,7 @@ class TestConflictReportRoutes:
         original = passklab.conflict.agreement_scores
         monkeypatch.setattr(
             "passklab.conflict.agreement_scores",
-            lambda table: (1.0 + 1e-6) * original(table),
+            lambda table, mean_grad: (1.0 + 1e-6) * original(table, mean_grad),
         )
         with pytest.raises(IdentityCheckError, match="mean agreement"):
             two_point()
@@ -194,22 +194,23 @@ class TestConflictReportRoutes:
         with pytest.raises(AlignmentError):
             conflict_report(table, bad, k)
 
-    def test_profile_mass_must_match_table(self):
-        # a profile whose mass differs from the table's describes another
-        # population, whatever the table's rows say
-        from passklab import AlignmentError, pass_at_k
+    def test_profile_mass_weights_the_rows(self):
+        # the table holds no mass: the profile's weights every row sum
+        from passklab.conflict import assemble_passk_gradient
 
         grads = np.array([[1.0, 0.0], [0.2, 1.0], [-0.5, 0.3]])
         probs = np.array([0.9, 0.4, 0.1])
         table = GradientTable.uniform(grads)
         skewed = SuccessProfile(probs=probs, mass=[0.8, 0.1, 0.1], ids=table.ids)
-        assert pass_at_k(skewed, 5) != pass_at_k(SuccessProfile.uniform(probs), 5)
-        with pytest.raises(AlignmentError, match="mass"):
-            conflict_report(table, skewed, 5)
-        # equal mass held in a separate array still aligns
-        conflict_report(table, SuccessProfile.uniform(probs), 5)
+        mean_grad = weighted_row_sum(skewed.mass, grads)
+        grad_k = weighted_row_sum(skewed.mass * wk_array(probs, 5), grads)
+        assert assemble_passk_gradient(table, skewed, 5).tobytes() == grad_k.tobytes()
+        report = conflict_report(table, skewed, 5)
+        assert report.mass is skewed.mass
+        assert report.grad_k.tobytes() == grad_k.tobytes()
+        assert report.inner_product == ordered_dot(grad_k, mean_grad)
 
-    @pytest.mark.parametrize("case", ["reversed ids", "other mass", "other length"])
+    @pytest.mark.parametrize("case", ["reversed ids", "other length"])
     def test_assembly_rejects_misaligned_profile(self, case):
         from passklab import AlignmentError
         from passklab.conflict import assemble_passk_gradient
@@ -218,7 +219,6 @@ class TestConflictReportRoutes:
         probs = [0.9, 0.4, 0.1]
         profile = {
             "reversed ids": SuccessProfile.uniform(probs, ids=table.ids[::-1]),
-            "other mass": SuccessProfile(probs, [0.8, 0.1, 0.1], table.ids),
             "other length": SuccessProfile.uniform(probs[:2]),
         }[case]
         with pytest.raises(AlignmentError):
@@ -355,7 +355,7 @@ class TestDeltaBound:
         grads = np.array([[1.0, 0.0], [1.0, 0.1], [-0.8, 0.0]])
         table = GradientTable.uniform(grads)
         profile = SuccessProfile.uniform([1.0, 1.0, 0.0])
-        scores = table.grads @ table.mean_grad
+        scores = table.grads @ weighted_row_sum(profile.mass, table.grads)
         assert scores[2] < 0
         m = -scores[2] * 0.99
         report = conflict_report(table, profile, 6, margin=m)
@@ -407,6 +407,15 @@ class TestKStar:
         # these raised ZeroDivisionError, raised ValueError, and returned inf
         with pytest.raises(DomainError, match="leaves the float range"):
             k_star(0.05, 0.5, q, m, g2)
+
+    @pytest.mark.parametrize("q,m,g2", [(0.6, 1.0, 0.5), (0.999999, 0.01, 1.0)])
+    def test_parameters_no_population_has(self, q, m, g2):
+        # q*m > (1-q)*g2 certified conflict at k = 1, where the inner product
+        # is ||grad J1||^2 >= 0, and gave a k_star below 1
+        with pytest.raises(DomainError, match="no population has"):
+            k_star(0.05, 0.5, q, m, g2)
+        with pytest.raises(DomainError, match="no population has"):
+            conflict_bound(1, 0.05, 0.5, q, m, g2)
 
     def test_bound_flips_exactly_at_threshold(self):
         eps, d_sep, q, m, g2 = 0.05, 0.5, 0.1, 0.01, 1.0

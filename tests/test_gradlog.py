@@ -176,6 +176,13 @@ class TestCodeBuiltGrad:
             GradLogRecord("a", 0.5, grad)
 
     @pytest.mark.parametrize(
+        "grad", [[], [np.nan], np.array([np.inf])], ids=["empty", "nan", "inf"]
+    )
+    def test_empty_or_nonfinite_grad_refused(self, grad):
+        with pytest.raises(DomainError, match="grad must be a nonempty finite vector"):
+            GradLogRecord("a", 0.5, grad)
+
+    @pytest.mark.parametrize(
         "grad",
         [
             np.array([1.5, -2.0]),
@@ -361,6 +368,17 @@ class TestOptionalMassColumn:
         filtered = filter_by_difficulty(records, FilterSpec(0.85, 0.10))
         with pytest.raises(DomainError, match="mass"):
             diagnose(filtered, 4)
+
+    def test_mass_on_a_dropped_record_is_not_read(self):
+        # the all-or-none rule is over the filtered records only
+        records = [
+            GradLogRecord("a", 0.05, np.array([1.0, 0.5])),
+            GradLogRecord("b", 0.5, np.array([1.0, 0.5]), mass=3.0),
+            GradLogRecord("c", 0.9, np.array([0.2, 0.5])),
+        ]
+        report = diagnose(filter_by_difficulty(records, FilterSpec(0.85, 0.10)), 4)
+        plain = diagnose(filter_by_difficulty(records[::2], FilterSpec(0.85, 0.10)), 4)
+        assert report == plain
 
     def test_all_zero_masses_rejected(self):
         records = [

@@ -21,17 +21,18 @@ from passklab import (
     success_probs,
 )
 from passklab.interference import GradientTable, kernel_matrix_to_csv
-from passklab.objectives import ordered_dot
+from passklab.objectives import ordered_dot, weighted_row_sum
 
 from oracles import slope
 
 
 def random_table(rng, n=None, d=None):
+    """A random table and a random prompt mass over its rows."""
     n = n or int(rng.integers(2, 30))
     d = d or int(rng.integers(1, 8))
     grads = rng.normal(size=(n, d))
     raw = rng.random(n) + 1e-3
-    return GradientTable(grads=grads, mass=raw / raw.sum(), ids=range(n))
+    return GradientTable(grads=grads, ids=range(n)), raw / raw.sum()
 
 
 class TestKernel:
@@ -74,7 +75,7 @@ class TestKernel:
 class TestKernelMatrix:
     def test_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(1)
-        table = random_table(rng, n=20, d=5)
+        table, _ = random_table(rng, n=20, d=5)
         cos = kernel_matrix(table)
         np.testing.assert_allclose(cos, cos.T, atol=1e-12)
         np.testing.assert_allclose(np.diag(cos), 1.0, atol=1e-12)
@@ -88,7 +89,7 @@ class TestKernelMatrix:
     def test_raw_matches_pairwise_kernel(self):
         # the cosine kernel scaled back by the row norms is the raw kernel
         rng = np.random.default_rng(2)
-        table = random_table(rng, n=10, d=4)
+        table, _ = random_table(rng, n=10, d=4)
         norms = np.linalg.norm(table.grads, axis=1)
         mat = kernel_matrix(table) * np.outer(norms, norms)
         for i in range(10):
@@ -121,26 +122,27 @@ class TestAgreementScores:
     def test_single_prompt(self):
         g = np.array([[0.4, -0.3]])
         table = GradientTable.uniform(g)
-        assert agreement_scores(table)[0] == pytest.approx(float(g[0] @ g[0]))
+        assert agreement_scores(table, g[0])[0] == pytest.approx(float(g[0] @ g[0]))
 
     def test_dual_route_vs_kernel_row_mean(self):
         # direct inner product with the mean gradient equals the
         # mass-weighted row mean of the kernel matrix
         rng = np.random.default_rng(3)
         for _ in range(50):
-            table = random_table(rng)
-            direct = agreement_scores(table)
-            via_kernel = (table.grads @ table.grads.T) @ table.mass
+            table, mass = random_table(rng)
+            direct = agreement_scores(table, weighted_row_sum(mass, table.grads))
+            via_kernel = (table.grads @ table.grads.T) @ mass
             np.testing.assert_allclose(direct, via_kernel, rtol=1e-12, atol=1e-14)
 
     def test_mean_agreement_identity(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            table = random_table(rng)
-            scores = agreement_scores(table)
-            mean_score = ordered_dot(table.mass, scores)
-            norm_sq = float(table.mean_grad @ table.mean_grad)
-            scale = max(norm_sq, ordered_dot(table.mass, np.abs(scores)), 1e-300)
+            table, mass = random_table(rng)
+            mean_grad = weighted_row_sum(mass, table.grads)
+            scores = agreement_scores(table, mean_grad)
+            mean_score = ordered_dot(mass, scores)
+            norm_sq = float(mean_grad @ mean_grad)
+            scale = max(norm_sq, ordered_dot(mass, np.abs(scores)), 1e-300)
             assert abs(mean_score - norm_sq) <= 1e-10 * scale
 
     def test_agreement_bounded_by_score_bound(self):
@@ -152,10 +154,11 @@ class TestAgreementScores:
 
         g2, _ = policy_regularity_constants(batch)
         table = GradientTable.uniform(grad_success_probs(theta, batch))
-        scores = agreement_scores(table)
+        mean_grad = weighted_row_sum(batch.mass, table.grads)
+        scores = agreement_scores(table, mean_grad)
         g_bound = np.sqrt(g2)
         assert np.all(
-            np.abs(scores) <= g_bound * np.linalg.norm(table.mean_grad) + 1e-12
+            np.abs(scores) <= g_bound * np.linalg.norm(mean_grad) + 1e-12
         )
         assert np.all(np.abs(scores) <= g2 + 1e-12)
 
@@ -164,7 +167,7 @@ class TestAgreementScores:
         batch = sample_prompts(cfg, 6000)
         theta = reference_theta()
         table = GradientTable.uniform(grad_success_probs(theta, batch))
-        scores = agreement_scores(table)
+        scores = agreement_scores(table, weighted_row_sum(batch.mass, table.grads))
         overlap_hard = batch.hard_mask & (np.abs(batch.features[:, 1]) <= 0.3)
         assert overlap_hard.sum() > 100
         assert np.all(scores[overlap_hard] < 0)
@@ -199,7 +202,7 @@ class TestClassifyInterference:
 
         report, table, profile = self.two_point()
         assert report.weights.tobytes() == wk_array(profile.probs, 10).tobytes()
-        assert report.mean_score == ordered_dot(table.mass, report.scores)
+        assert report.mean_score == ordered_dot(profile.mass, report.scores)
         grads = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         profile = SuccessProfile.uniform([0.0, 0.5, 1.0])
         table = GradientTable.uniform(grads)
@@ -224,30 +227,29 @@ class TestClassifyInterference:
         from passklab.objectives import wk_array
 
         for _ in range(100):
-            table = random_table(rng)
-            probs = rng.random(len(table))
-            profile = SuccessProfile(probs=probs, mass=table.mass, ids=table.ids)
+            table, mass = random_table(rng)
+            probs = rng.random(len(table.grads))
+            profile = SuccessProfile(probs=probs, mass=mass, ids=table.ids)
             k = int(rng.integers(1, 20))
             report = conflict_report(table, profile, k, margin=1e-4)
-            total = ordered_dot(table.mass, wk_array(probs, k))
+            total = ordered_dot(mass, wk_array(probs, k))
             assert report.w_minus + report.w_plus == pytest.approx(
                 total, abs=1e-12
             )
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
-        table = random_table(rng, n=12, d=3)
+        table, mass = random_table(rng, n=12, d=3)
         probs = rng.random(12)
-        profile = SuccessProfile(probs=probs, mass=table.mass, ids=table.ids)
+        profile = SuccessProfile(probs=probs, mass=mass, ids=table.ids)
         base = conflict_report(table, profile, 7, margin=1e-3)
         perm = rng.permutation(12)
         table_p = GradientTable(
             grads=table.grads[perm],
-            mass=table.mass[perm],
             ids=[table.ids[i] for i in perm],
         )
         profile_p = SuccessProfile(
-            probs=probs[perm], mass=table.mass[perm], ids=[table.ids[i] for i in perm]
+            probs=probs[perm], mass=mass[perm], ids=[table.ids[i] for i in perm]
         )
         shuffled = conflict_report(table_p, profile_p, 7, margin=1e-3)
         assert {table_p.ids[i] for i in shuffled.neg_set} == {
@@ -271,29 +273,18 @@ class TestClassifyInterference:
 
 
 class TestGradientTableValidation:
-    def test_mass_must_normalize(self):
-        with pytest.raises(DomainError):
-            GradientTable(grads=np.ones((2, 2)), mass=np.array([0.7, 0.7]), ids=(0, 1))
-        # a NaN mass used to pass validation and give mean_grad = [nan, nan]
-        with pytest.raises(DomainError):
-            GradientTable(grads=np.ones((3, 2)), mass=[0.5, np.nan, 0.5], ids=(0, 1, 2))
-        # a sum past the float range used to escape as OverflowError
-        with pytest.raises(DomainError, match="mass must sum to 1 within 1e-12"):
-            GradientTable(grads=np.ones((2, 2)), mass=[1e308, 1e308], ids=(0, 1))
-
     @pytest.mark.parametrize(
-        "grads,mass,ids,message",
+        "grads,ids,message",
         [
-            (np.ones((2, 2)), [0.5, 0.5], ("a",), "must share length n"),
-            (np.ones((2, 2)), [1.0], ("a", "b"), "must share length n"),
-            ([[1.0, np.nan], [0.0, 1.0]], [0.5, 0.5], ("a", "b"), "must be finite"),
-            ([[1.0, 0.0], [-np.inf, 1.0]], [0.5, 0.5], ("a", "b"), "must be finite"),
+            (np.ones((2, 2)), ("a",), "must share length n"),
+            ([[1.0, np.nan], [0.0, 1.0]], ("a", "b"), "must be finite"),
+            ([[1.0, 0.0], [-np.inf, 1.0]], ("a", "b"), "must be finite"),
         ],
-        ids=["short-ids", "short-mass", "nan", "-inf"],
+        ids=["short-ids", "nan", "-inf"],
     )
-    def test_rejects_malformed_table(self, grads, mass, ids, message):
+    def test_rejects_malformed_table(self, grads, ids, message):
         with pytest.raises(DomainError, match=message):
-            GradientTable(grads=grads, mass=mass, ids=ids)
+            GradientTable(grads=grads, ids=ids)
 
     def test_uniform_needs_a_prompt(self):
         # a scalar is no (n, d) matrix either
@@ -304,19 +295,21 @@ class TestGradientTableValidation:
     def test_uniform_at_a_million_prompts(self):
         n = 10**6
         table = GradientTable.uniform(np.ones((n, 2)))
+        mean_grad = weighted_row_sum(np.full(n, 1.0 / n), table.grads)
         # the row sum is sequential, so only the n * eps error bound holds
-        np.testing.assert_allclose(table.mean_grad, [1.0, 1.0], rtol=n * 2.0**-53)
+        np.testing.assert_allclose(mean_grad, [1.0, 1.0], rtol=n * 2.0**-53)
 
     def test_mean_grad_computed(self):
         grads = np.array([[1.0, 0.0], [0.0, 1.0]])
         table = GradientTable.uniform(grads)
-        np.testing.assert_allclose(table.mean_grad, [0.5, 0.5])
+        mean_grad = weighted_row_sum(np.full(2, 0.5), table.grads)
+        np.testing.assert_allclose(mean_grad, [0.5, 0.5])
 
 
 class TestCsvExports:
     def test_kernel_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        table = random_table(rng, n=5, d=3)
+        table, _ = random_table(rng, n=5, d=3)
         mat = kernel_matrix(table)
         path = tmp_path / "kernel.csv"
         kernel_matrix_to_csv(mat, table.ids, path)

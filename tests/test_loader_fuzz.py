@@ -227,15 +227,26 @@ def test_one_number_list_rule(tmp_path, name, value, fault):
     assert str(info.value) == f"{path}: line 2: " + fault.format(key=key)
 
 
-@pytest.mark.parametrize("name", sorted(LOADERS))
-def test_integers_beyond_64_bits_load_as_floats(tmp_path, name):
+def _load_second_row(tmp_path, name, value) -> np.ndarray:
+    """Load a file whose second record's number list is value; return that row."""
     write, load, _ = LOADERS[name]
     path = tmp_path / "records.jsonl"
     write(path)
     lines = path.read_text().splitlines()
     key = NUMBER_KEYS[name]
-    lines[1] = json.dumps({**json.loads(lines[1]), key: [2**64, -(2**70)]})
+    lines[1] = json.dumps({**json.loads(lines[1]), key: value})
     path.write_text("\n".join(lines) + "\n")
     loaded = load(path)
-    grads = loaded.scores[1] if name == "import_samples" else loaded[1].grad
+    return loaded.scores[1] if name == "import_samples" else loaded[1].grad
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_integers_beyond_64_bits_load_as_floats(tmp_path, name):
+    grads = _load_second_row(tmp_path, name, [2**64, -(2**70)])
     assert grads.tolist() == [2.0**64, -(2.0**70)]
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_finite_entries_whose_sum_overflows_load(tmp_path, name):
+    # the one-pass sum is inf, so the row is read entry by entry, and kept
+    assert _load_second_row(tmp_path, name, [1e308, 1e308]).tolist() == [1e308, 1e308]

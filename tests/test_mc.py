@@ -100,6 +100,27 @@ class TestSampleSetValidation:
         with pytest.raises(DomainError):
             SampleSet(ids, offsets, actions, rewards, scores)
 
+    @pytest.mark.parametrize(
+        "actions,rewards,scores,message",
+        [
+            ([2, 0.7], [1, 0], [[1.0], ["1.5"]], "rewards and scores must be numbers"),
+            ([2, 0.7], [1, 0], [[1.0], [1.5]], "actions must be the integers"),
+            ([2, 0], [1, 0], [[1.0], [1.5]], "actions must be the integers"),
+            ([-1, 0], [1, 0], [[1.0], [1.5]], "actions must be the integers"),
+            ([1.0, 0.0], [1, 0], [[1.0], [1.5]], "actions must be the integers"),
+            ([True, False], [1, 0], [[1.0], [1.5]], "actions must be the integers"),
+            ([1, 0], ["1", "0"], [[1.0], [1.5]], "rewards and scores must be numbers"),
+            ([1, 0], [1, 0], [[1.0], [None]], "rewards and scores must be numbers"),
+        ],
+        ids=["text-score", "fraction", "two", "minus-one", "float", "bool",
+             "text-reward", "null-score"],
+    )
+    def test_from_arrays_keeps_the_file_rule(self, actions, rewards, scores, message):
+        # each was stored (0.7 truncated, text parsed), and the file that
+        # export_samples wrote from it failed import_samples
+        with pytest.raises(DomainError, match=message):
+            SampleSet(("a",), [0, 2], actions, rewards, scores)
+
     def test_repeated_prompt_id_rejected(self):
         # the batch refuses the repeat, so sample_actions never streams it
         batch = sample_prompts(BanditConfig(seed=4), 3)
@@ -225,12 +246,12 @@ class TestMcGradPassK:
         with pytest.raises(AlignmentError):
             mc_grad_passk(ss, prof, 3)
 
-    def test_profile_must_carry_the_sets_uniform_mass(self):
+    def test_profile_mass_weights_the_prompts(self):
         batch, theta = overlap_pair()
         ss = sample_actions(theta, batch, 10, seed=1)
         skewed = SuccessProfile([0.5, 0.5], [0.25, 0.75], ss.ids)
-        with pytest.raises(AlignmentError, match="mass"):
-            mc_grad_passk(ss, skewed, 3)
+        want = weighted_row_sum(skewed.mass * wk_array(skewed.probs, 3), ss.table.grads)
+        assert_same_bits(mc_grad_passk(ss, skewed, 3), want)
 
     def test_sampled_conflict_report(self):
         # a sample set's table and empirical profile are a conflict_report

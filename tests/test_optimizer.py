@@ -21,10 +21,11 @@ from passklab import (
     smoothness_constants,
     success_probs,
 )
-from passklab import bandit, interference, objectives
+from passklab import bandit, objectives
 from passklab.bandit import EASY, HARD
 from passklab.conflict import assemble_passk_gradient
 from passklab.interference import GradientTable, agreement_scores
+from passklab.objectives import weighted_row_sum
 from passklab.optimizer import trajectory_to_csv
 
 from oracles import batch_objective, reference_state
@@ -89,7 +90,7 @@ class TestAscentStep:
             return wrapper
 
         check_mass = counted("check_mass", objectives.check_mass)
-        for module in (objectives, interference, bandit):
+        for module in (objectives, bandit):
             monkeypatch.setattr(module, "check_mass", check_mass)
         monkeypatch.setattr(bandit, "expit", counted("expit", bandit.expit))
         monkeypatch.setattr(
@@ -208,7 +209,8 @@ class TestTrajectory:
         )
         theta = np.array([0.4, 1.34])
         table = GradientTable.uniform(grad_success_probs(theta, batch))
-        margin = float(-agreement_scores(table).min()) * (1 - 1e-6)
+        mean_grad = weighted_row_sum(batch.mass, table.grads)
+        margin = float(-agreement_scores(table, mean_grad).min()) * (1 - 1e-6)
         records = self.certified_run(batch, theta, margin)
         assert 1 < len(records) < 26
         assert records[-1].delta_bound <= 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .objectives import check_mass
+from .objectives import _check_int, _index_ids, check_mass
 
 EASY, HARD = "easy", "hard"
 
@@ -107,12 +107,7 @@ def _id_index(ids: tuple) -> dict:
     bad = [pid for pid in ids if not isinstance(pid, str)]
     if bad:
         raise DomainError(f"prompt_id must be a string, got {bad[0]!r}")
-    index = {pid: i for i, pid in enumerate(ids)}
-    if len(index) < len(ids):
-        # index keeps each id's last position, so the first mismatch is a repeat
-        dup = next(pid for i, pid in enumerate(ids) if index[pid] != i)
-        raise DomainError(f"prompt id {dup!r} appears more than once")
-    return index
+    return _index_ids(ids)
 
 
 def expit(u):
@@ -148,8 +143,7 @@ def sample_prompts(config: BanditConfig, n: int) -> PromptBatch:
 
     Deterministic for a given config.seed.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _check_int("n", n, 1)
     rng = np.random.default_rng(config.seed)
     hard = rng.random(n) < config.hard_fraction
     centers = np.where(hard, config.separation / 2.0, -config.separation / 2.0)

@@ -184,10 +184,12 @@ def cmd_heatmap(args) -> int:
         raise PassKLabError(
             f"--subsample {args.subsample} takes easy prompts, and the batch has none"
         )
-    if sub.size < args.subsample:
+    sizes = (("easy", easy_idx.size, n_easy), ("hard", hard_idx.size, n_hard))
+    short = [f"{size} {label}" for label, size, want in sizes if size < want]
+    if short:
         print(
-            f"warning: only {sub.size} prompts available for subsample "
-            f"{args.subsample}",
+            f"warning: subsample {args.subsample} takes {n_easy} easy and {n_hard} "
+            f"hard prompts, and the batch has {' and '.join(short)}",
             file=sys.stderr,
         )
     table = GradientTable.uniform(grads[sub], ids=[batch.ids[i] for i in sub])

@@ -23,7 +23,7 @@ from .bandit import _check_seed
 from .conflict import conflict_report
 from .errors import DomainError
 from .interference import GradientTable
-from .objectives import SuccessProfile, ordered_dot
+from .objectives import SuccessProfile, _check_int, ordered_dot
 from .serialization import line_error, number_list, read_records, write_csv, write_json
 
 ANTI_ALIGNMENT = 3.0  # synthetic log: hard-gradient scale against the easy one
@@ -301,10 +301,7 @@ def make_synthetic_conflict_log(
     positive, hard agreements negative, and the k-attempt weights (which
     concentrate on low pass1) drag the weighted mean below zero.
     """
-    if n < 10:
-        raise DomainError(f"n must be >= 10, got {n}")
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    n, d = _check_int("n", n, 10), _check_int("d", d, 1)
     if not 0 < hard_fraction < 1:
         raise DomainError(f"hard_fraction must lie in (0, 1), got {hard_fraction}")
     rng = np.random.default_rng(_check_seed(seed))

@@ -20,7 +20,7 @@ from .bandit import PromptBatch, _check_seed, _id_index, _sigmoid
 from .conflict import assemble_passk_gradient
 from .errors import DomainError
 from .interference import GradientTable
-from .objectives import SuccessProfile
+from .objectives import SuccessProfile, _check_int
 from .serialization import line_error, number_list, read_records
 
 
@@ -120,7 +120,7 @@ class SampleSet:
 # Prompts per array pass in the chunked loops: bounds their temporaries, so
 # memory does not grow with the number of prompts.
 CHUNK_PROMPTS = 512
-# PCG64 lanes per array pass of the stream kernel: bounds its temporaries, so
+# Prompts per array pass of the stream kernel: bounds its temporaries, so
 # memory grows with neither the number of prompts nor the number of draws.
 LANES = 1 << 12
 
@@ -155,7 +155,7 @@ INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-MASK32, MASK64, MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+MASK32, MASK64 = 2**32 - 1, 2**64 - 1
 
 
 def _seed_states(entropy: list) -> list:
@@ -223,7 +223,7 @@ def _pcg64_seeds(seed: int, ids) -> np.ndarray:
 # 64 x 64-bit product is assembled from 32-bit limbs.
 _U1, _U11, _U32, _U58, _U63, _U64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
 _LOW32 = np.uint64(MASK32)
-_ZERO = (np.uint64(0), np.uint64(0))
+_MULT = (np.uint64(PCG64_MULT >> 64), np.uint64(PCG64_MULT & MASK64))
 
 
 def _mulhi(a, b):
@@ -250,76 +250,35 @@ def _xsl_rr(hi, lo):
     return (v >> rot) | (v << ((_U64 - rot) & _U63))
 
 
-def _as_words(values) -> tuple:
-    """Python ints below 2**128 as a (hi, lo) pair of read-only uint64 arrays."""
-    words = (
-        np.array([v >> 64 for v in values], dtype=np.uint64),
-        np.array([v & MASK64 for v in values], dtype=np.uint64),
-    )
-    for w in words:
-        w.flags.writeable = False
-    return words
-
-
-@lru_cache(maxsize=32)
-def _jump_tables(phases: int) -> tuple:
-    """Jump-ahead coefficients of the LCG x -> M x + inc for ``phases`` lanes.
-
-    j steps take x to A_j x + C_j inc, with A_j = M**j and
-    C_j = sum_{i<j} M**i (mod 2**128).  Returns (A_{j+2}, C_{j+2}) for
-    j < phases, which start the lanes, and (A_phases, C_phases), which
-    advance them, all as (hi, lo) words.
-    """
-    a, c, table = 1, 0, []
-    for _ in range(phases + 2):
-        table.append((a, c))
-        a, c = a * PCG64_MULT & MASK128, (c * PCG64_MULT + 1) & MASK128
-    a_step, c_step = table[phases]
-    starts = table[2:]
-    return (
-        _as_words([a for a, _ in starts]),
-        _as_words([c for _, c in starts]),
-        _as_words([a_step]),
-        _as_words([c_step]),
-    )
-
-
 def _pcg64_doubles(seeds: np.ndarray, out: np.ndarray) -> None:
     """Fill the (p, n) ``out`` with the doubles of the p PCG64 streams that
     ``seeds`` (4, p) seeds, as Generator.random(n) makes them.
 
-    Lane (i, j) runs stream i from its draw j, J draws apart, so one array
-    pass advances all p * J lanes and yields columns tJ..tJ + J - 1.
-    Seeding (pcg_setseq_128_srandom_r) sets inc = (initseq << 1) | 1 and
-    leaves the state one LCG step past y = inc + initstate, and each draw
-    steps first, so draw j is the output of A_{j+2} y + C_{j+2} inc.
+    The streams step in lockstep, one LCG step per draw column.  Seeding
+    (pcg_setseq_128_srandom_r) sets inc = (initseq << 1) | 1 and leaves the
+    state one LCG step past inc + initstate, and each draw steps first.
     """
-    p, n = out.shape
-    phases = min(n, -(-LANES // p))
-    start_a, start_c, step_a, step_c = _jump_tables(phases)
-    s_hi, s_lo, q_hi, q_lo = seeds[:, :, None]
+    s_hi, s_lo, q_hi, q_lo = seeds
     inc = ((q_hi << _U1) | (q_lo >> _U63), (q_lo << _U1) | _U1)
     y_lo = inc[1] + s_lo
-    y = (inc[0] + s_hi + (y_lo < s_lo), y_lo)
-    lanes = _muladd(start_a, y, _muladd(start_c, inc, _ZERO))
-    step_inc = _muladd(step_c, inc, _ZERO)
-    for t in range(0, n, phases):
-        w = min(phases, n - t)
-        raw = _xsl_rr(*lanes)[:, :w]
-        np.multiply(raw >> _U11, 2.0**-53, out=out[:, t : t + w], casting="unsafe")
-        if t + phases < n:
-            lanes = _muladd(step_a, lanes, step_inc)
+    state = _muladd(_MULT, (inc[0] + s_hi + (y_lo < s_lo), y_lo), inc)
+    for j in range(out.shape[1]):
+        state = _muladd(_MULT, state, inc)
+        np.multiply(_xsl_rr(*state) >> _U11, 2.0**-53, out=out[:, j], casting="unsafe")
 
 
 def _uniform_draws(seed: int, ids, n: int) -> np.ndarray:
     """(P, n) array whose row i is prompt_rng(seed, ids[i]).random(n), bit for bit.
 
-    Prompts are taken LANES at a time; a batch of p of them runs
-    J = min(n, ceil(LANES / p)) lanes per prompt, so each array pass covers
-    about LANES draws however few prompts or many draws there are.
+    With fewer prompts than draws each row is read from prompt_rng itself;
+    otherwise the kernel runs the streams LANES prompts per array pass.
     """
-    seeds = _pcg64_seeds(seed, ids)
     out = np.empty((len(ids), n))
+    if len(ids) < n:
+        for pid, row in zip(ids, out):
+            prompt_rng(seed, pid).random(out=row)
+        return out
+    seeds = _pcg64_seeds(seed, ids)
     for lo in range(0, len(ids), LANES):
         rows = slice(lo, lo + LANES)
         _pcg64_doubles(seeds[:, rows], out[rows])
@@ -331,13 +290,12 @@ def sample_actions(theta, batch: PromptBatch, n: int, seed: int) -> SampleSet:
 
     For the logistic policy the score of action 1 is (1 - sigma) * psi
     and of action 0 is -sigma * psi.  Prompt i's uniform draws are
-    prompt_rng(seed, prompt id).random(n), computed for the whole batch in
-    arrays; the actions, rewards and scores are one array pass each, and
-    the set stores those arrays.  seed must be an integer >= 0.
+    prompt_rng(seed, prompt id).random(n) (_uniform_draws); the actions,
+    rewards and scores are one array pass each, and the set stores those
+    arrays.  seed must be an integer >= 0.
     """
     sig = _sigmoid(theta, batch.features)[:, None]
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _check_int("n", n, 1)
     seed = _check_seed(seed)
     uniform = _uniform_draws(seed, batch.ids, n)
     actions = (uniform < sig).astype(int)

@@ -26,12 +26,33 @@ EXTRACT_PASSES = 3
 EXTRACT_LIMIT = 2.0**960
 
 
+def _check_int(name: str, value, least=None) -> int:
+    """value as an int: bools, non-integers and values below least are refused."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _check_k(k: int) -> int:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise DomainError(f"k must be an integer, got {k!r}")
+    k = _check_int("k", k)
     if k < 1 or k > MAX_K:
         raise DomainError(f"k must be in [1, {MAX_K}], got {k}")
-    return int(k)
+    return k
+
+
+def _index_ids(ids: tuple) -> dict:
+    """Map each id to its position, rejecting an id that appears twice."""
+    try:
+        index = {pid: i for i, pid in enumerate(ids)}
+    except TypeError as exc:  # an unhashable id
+        raise DomainError(f"prompt ids must be hashable ({exc})") from None
+    if len(index) < len(ids):
+        # index keeps each id's last position, so the first mismatch is a repeat
+        dup = next(pid for i, pid in enumerate(ids) if index[pid] != i)
+        raise DomainError(f"prompt id {dup!r} appears more than once")
+    return index
 
 
 def _check_prob(p: float, name: str = "p") -> float:
@@ -162,8 +183,8 @@ def check_mass(mass: np.ndarray) -> None:
 class SuccessProfile:
     """Per-prompt success probabilities plus the prompt distribution.
 
-    probs and mass are aligned with ids; mass must be a probability
-    vector (nonnegative, summing to 1 within 1e-12).
+    probs and mass are aligned with ids, and no id may repeat; mass must be
+    a probability vector (nonnegative, summing to 1 within 1e-12).
     """
 
     probs: np.ndarray
@@ -172,13 +193,14 @@ class SuccessProfile:
 
     def __post_init__(self):
         self._set_columns(self.probs, self.mass, self.ids)
+        _index_ids(self.ids)
         check_mass(self.mass)
 
     @classmethod
     def _on_checked_mass(cls, probs, mass, ids) -> "SuccessProfile":
-        """A profile over a mass vector and ids that check_mass has already
-        passed, such as a PromptBatch's: every check but the mass check
-        runs."""
+        """A profile over a mass vector that check_mass has already passed
+        and ids already checked for repeats, such as a PromptBatch's: every
+        other check runs."""
         profile = object.__new__(cls)
         profile._set_columns(probs, mass, ids)
         return profile
@@ -242,8 +264,7 @@ def unbiased_pass_at_k(n: int, c: int, k: int) -> float:
 
 def _check_counts(n, c, k) -> None:
     for name, v in (("n", n), ("c", c), ("k", k)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise DomainError(f"{name} must be an integer, got {v!r}")
+        _check_int(name, v)
     if n < 1 or not 0 <= c <= n or not 1 <= k <= n:
         raise DomainError(
             f"require 0 <= c <= n and 1 <= k <= n, got n={n} c={c} k={k}"

@@ -21,7 +21,7 @@ from .bandit import (
 from .conflict import conflict_report
 from .errors import DomainError
 from .interference import GradientTable
-from .objectives import SuccessProfile, fk_array, ordered_dot
+from .objectives import SuccessProfile, _check_int, fk_array, ordered_dot
 from .serialization import write_csv
 
 TRAJECTORY_COLUMNS = (
@@ -111,8 +111,7 @@ def run_trajectory(
     Without a pre-built batch, n prompts are sampled from config
     (default BanditConfig()); with one, config is not read.
     """
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    steps = _check_int("steps", steps, 1)
     if eta is not None and not 0 < eta < np.inf:
         raise DomainError(f"eta must be > 0 and finite, got {eta}")
     if batch is None:

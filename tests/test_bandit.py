@@ -52,6 +52,12 @@ class TestConfigAndSampling:
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
             BanditConfig(seed=seed)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_prompt_count_must_be_an_integer(self, n):
+        # 2.5 and 2.0 raised numpy's TypeError; True drew one prompt
+        with pytest.raises(DomainError, match=f"n must be an integer, got {n!r}"):
+            sample_prompts(BanditConfig(), n)
+
     def test_law_of_large_numbers_hard_fraction(self):
         cfg = BanditConfig(separation=0.2, hard_fraction=0.5, seed=7)
         batch = sample_prompts(cfg, 6000)

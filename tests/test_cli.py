@@ -109,9 +109,23 @@ class TestHeatmap:
         out = tmp_path / "hm4"
         assert main(["heatmap", "--out", str(out), "--n", "20"]) == 0
         captured = capsys.readouterr()
-        assert captured.err == "warning: only 20 prompts available for subsample 200\n"
+        assert captured.err == (
+            "warning: subsample 200 takes 120 easy and 80 hard prompts, "
+            "and the batch has 16 easy and 4 hard\n"
+        )
         lines = (out / "heatmap.csv").read_text().splitlines()
         assert len(lines) == 21
+
+    def test_short_label_named(self, tmp_path, capsys):
+        # this warned of "only 3 prompts" on a batch of 50 easy prompts
+        out = tmp_path / "hm5"
+        argv = ["heatmap", "--out", str(out), "--n", "50", "--hard-fraction", "0",
+                "--subsample", "5"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: subsample 5 takes 3 easy and 2 hard prompts, and the batch has 0 hard\n"
+        )
+        assert len((out / "heatmap.csv").read_text().splitlines()) == 4
 
     def test_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

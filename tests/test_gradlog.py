@@ -474,10 +474,23 @@ class TestSyntheticLogConstruction:
             np.testing.assert_array_equal(ra.grad, rb.grad)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n must be >= 10, got 5"):
             make_synthetic_conflict_log(n=5)
         with pytest.raises(DomainError):
             make_synthetic_conflict_log(n=100, hard_fraction=0.0)
         for seed in (-1, True):
             with pytest.raises(DomainError, match="seed must be an integer >= 0"):
                 make_synthetic_conflict_log(n=100, seed=seed)
+
+    @pytest.mark.parametrize(
+        "size,message",
+        [
+            ({"n": 20.0}, "n must be an integer, got 20.0"),
+            ({"d": True}, "d must be an integer, got True"),
+            ({"d": 2.0}, "d must be an integer, got 2.0"),
+        ],
+    )
+    def test_sizes_must_be_integers(self, size, message):
+        # each raised a bare TypeError from numpy or range
+        with pytest.raises(DomainError, match=message):
+            make_synthetic_conflict_log(**size)

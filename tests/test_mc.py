@@ -349,8 +349,10 @@ class TestStreams:
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5, 2**96 + 7])
     @pytest.mark.parametrize("key", EDGE_KEYS)
     def test_edge_key_one_long_stream(self, monkeypatch, seed, key):
+        # the kernel itself: _uniform_draws reads so short a batch from prompt_rng
         monkeypatch.setattr(mc, "_stream_key", lambda pid: key)
-        got = mc._uniform_draws(seed, ("p",), 1000)
+        got = np.empty((1, 1000))
+        mc._pcg64_doubles(mc._pcg64_seeds(seed, ("p",)), got)
         assert_same_bits(got[0], prompt_rng(seed, "p").random(1000))
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5, 2**96 + 7])
@@ -380,6 +382,13 @@ class TestStreams:
         with pytest.raises(DomainError, match=f"n must be >= 1, got {n}"):
             sample_actions(theta, batch, n, 0)
 
+    @pytest.mark.parametrize("n", [2.0, True, "4"])
+    def test_rejects_draw_count_that_is_not_an_integer(self, n):
+        # 2.0 and "4" raised a bare TypeError; True drew one action each
+        batch, theta = overlap_pair()
+        with pytest.raises(DomainError, match=f"n must be an integer, got {n!r}"):
+            sample_actions(theta, batch, n, 0)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_rejects_bad_seed(self, seed):
         batch = sample_prompts(BanditConfig(seed=4), 3)
@@ -405,10 +414,13 @@ class TestStreams:
         assert not np.array_equal(a, c)
 
 
+MASK128 = 2**128 - 1
+
+
 def pcg64_ints(state, inc, steps):
     """The LCG x -> M x + inc stepped ``steps`` times, in Python integers."""
     for _ in range(steps):
-        state = (state * mc.PCG64_MULT + inc) & mc.MASK128
+        state = (state * mc.PCG64_MULT + inc) & MASK128
     return state
 
 
@@ -416,6 +428,14 @@ def xsl_rr_int(state):
     hi, lo = state >> 64, state & mc.MASK64
     v, rot = hi ^ lo, hi >> 58
     return ((v >> rot) | (v << (64 - rot))) & mc.MASK64
+
+
+def as_words(values) -> tuple:
+    """Python ints below 2**128 as a (hi, lo) pair of uint64 arrays."""
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & mc.MASK64 for v in values], dtype=np.uint64),
+    )
 
 
 def word_ints(hi, lo):
@@ -442,38 +462,20 @@ class TestStreamKernel:
         rng = np.random.default_rng(3)
         extra = [int(v) << 64 | int(w) for v, w in rng.integers(0, 2**63, (6, 2))]
         values = [v for pair in self.EDGES for v in pair] + extra
-        xs = mc._as_words(values)
+        xs = as_words(values)
         for a in (mc.PCG64_MULT, 2**128 - 1, 2**64 + 3, 1):
             for c in (0, 2**64 - 1, 2**128 - 1, 2**127 | 1):
-                got = mc._muladd(mc._as_words([a]), xs, mc._as_words([c]))
-                want = [(a * x + c) & mc.MASK128 for x in values]
+                got = mc._muladd(as_words([a]), xs, as_words([c]))
+                want = [(a * x + c) & MASK128 for x in values]
                 assert word_ints(*got) == want
-
-    @pytest.mark.parametrize("phases", [1, 3, 7, 64])
-    def test_jump_ahead_matches_stepping(self, phases):
-        start_a, start_c, step_a, step_c = mc._jump_tables(phases)
-        states, incs = zip(*self.EDGES)
-        x = tuple(w[:, None] for w in mc._as_words(states))
-        inc = tuple(w[:, None] for w in mc._as_words(incs))
-        lanes = mc._muladd(start_a, x, mc._muladd(start_c, inc, mc._ZERO))
-        assert word_ints(*lanes) == [
-            pcg64_ints(s, q, j + 2) for s, q in self.EDGES for j in range(phases)
-        ]
-        advanced = mc._muladd(step_a, lanes, mc._muladd(step_c, inc, mc._ZERO))
-        assert word_ints(*advanced) == [
-            pcg64_ints(s, q, j + 2 + phases) for s, q in self.EDGES for j in range(phases)
-        ]
 
     def test_output_matches_python_ints(self):
         states = [s for pair in self.EDGES for s in pair]
-        got = mc._xsl_rr(*mc._as_words(states))
+        got = mc._xsl_rr(*as_words(states))
         assert got.tolist() == [xsl_rr_int(s) for s in states]
 
-    def test_kernel_matches_numpy_bit_generator(self, monkeypatch):
-        # seed words (initstate, initseq) at the edges; with 11 prompts,
-        # LANES = 24 gives 3 lanes per prompt, so 37 draws end on a
-        # partial pass
-        monkeypatch.setattr(mc, "LANES", 24)
+    def test_kernel_matches_numpy_bit_generator(self):
+        # seed words (initstate, initseq) at the edges
         pairs = [(2**128 - 1, 2**127 - 1), (2**128 - 1, 2**126), (0, 2**127 | 5)]
         pairs += [(s, q >> 1) for s, q in self.EDGES]
         seeds = np.array(
@@ -484,28 +486,30 @@ class TestStreamKernel:
         mc._pcg64_doubles(seeds, out)
         bitgen = np.random.PCG64(0)
         for row, (initstate, initseq) in zip(out, pairs):
-            inc = (initseq << 1 | 1) & mc.MASK128
+            inc = (initseq << 1 | 1) & MASK128
             config = bitgen.state
             config["state"] = {"state": pcg64_ints(initstate + inc, inc, 1), "inc": inc}
             bitgen.state = config
             assert_same_bits(row, np.random.Generator(bitgen).random(37))
 
-    @pytest.mark.parametrize("n_prompts,draws", [(3, 5000), (700, 9), (1, 1), (6000, 1)])
+    @pytest.mark.parametrize(
+        "n_prompts,draws",
+        [(3, 5000), (700, 9), (1, 1), (6000, 1), (63, 64), (64, 64), (65, 64),
+         (mc.LANES + 1, 2)],
+    )
     def test_uniform_draws_match_prompt_rng(self, n_prompts, draws):
-        phases = min(draws, -(-mc.LANES // n_prompts))
-        if draws > 1:
-            assert draws % phases, "the case should end on a partial pass"
         ids = tuple(f"p{i}" for i in range(n_prompts))
         got = mc._uniform_draws(9, ids, draws)
         for pid, row in zip(ids, got):
             assert_same_bits(row, prompt_rng(9, pid).random(draws))
 
     def test_key_cache_honours_patched_key(self, monkeypatch):
+        # as many prompts as draws, so the kernel reads the cached keys
         ids = ("a", "b", "c")
-        real = mc._uniform_draws(5, ids, 4)  # caches the sha256 keys of ids
+        real = mc._uniform_draws(5, ids, 3)  # caches the sha256 keys of ids
         monkeypatch.setattr(mc, "_stream_key", lambda pid: 2**40 + ord(pid))
-        patched = mc._uniform_draws(5, ids, 4)
-        expected = [np.random.default_rng([5, 2**40 + ord(p)]).random(4) for p in ids]
+        patched = mc._uniform_draws(5, ids, 3)
+        expected = [np.random.default_rng([5, 2**40 + ord(p)]).random(3) for p in ids]
         assert_same_bits(patched, np.stack(expected))
         assert not np.array_equal(real, patched)
 

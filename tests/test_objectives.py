@@ -166,6 +166,16 @@ class TestSuccessProfile:
         with pytest.raises(DomainError, match="mass must sum to 1 within 1e-12"):
             SuccessProfile(probs=[0.5, 0.5], mass=[1e308, 1e308], ids=("a", "b"))
 
+    def test_repeated_id_refused(self):
+        # this built, and a report over it had rows that no id named
+        with pytest.raises(DomainError, match="prompt id 'a' appears more than once"):
+            SuccessProfile.uniform([0.5, 0.1], ids=("a", "a"))
+        with pytest.raises(DomainError, match="prompt id 3 appears more than once"):
+            SuccessProfile(probs=[0.5] * 3, mass=[0.25, 0.5, 0.25], ids=(3, 1, 3))
+        assert SuccessProfile.uniform([0.5, 0.1], ids=range(2)).ids == (0, 1)
+        with pytest.raises(DomainError, match="prompt ids must be hashable"):
+            SuccessProfile.uniform([0.5], ids=[["a"]])
+
     def test_uniform_constructor(self):
         prof = SuccessProfile.uniform([0.2, 0.4, 0.9])
         assert prof.mass == pytest.approx([1 / 3] * 3)

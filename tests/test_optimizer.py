@@ -141,6 +141,12 @@ class TestTrajectory:
         expected = records[0].theta + eta * records[0].grad_k
         assert records[1].theta.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("steps", [True, 2.0])
+    def test_step_count_must_be_an_integer(self, steps):
+        # True ran one step; 2.0 raised range's TypeError
+        with pytest.raises(DomainError, match=f"steps must be an integer, got {steps!r}"):
+            run_trajectory(steps=steps, n=50)
+
     def test_deterministic(self):
         cfg = BanditConfig(seed=11)
         a = run_trajectory(cfg, k=5, eta=0.5, steps=5, n=300)

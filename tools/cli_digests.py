@@ -1,0 +1,63 @@
+"""Print the sha256 of what a fixed set of CLI invocations writes.
+
+    python3 tools/cli_digests.py
+
+Run from anywhere: the commands import passklab from this checkout's
+src/ and run in a temporary directory, with output paths relative to it.
+Each line is "<sha256>  <output>", where output names the invocation and
+the file it wrote, or its stdout.  Nothing is asserted: the digests depend
+on numpy's SIMD level, so compare the lines of two checkouts on one host,
+say before and after a change that is meant to keep every bit.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (label, argv, files it writes); each file is hashed, and so is stdout
+RUNS = [
+    ("trajectory", ["trajectory", "--out", "traj"], ["traj/trajectory.csv"]),
+    (
+        "trajectory --k 10 --steps 25",
+        ["trajectory", "--k", "10", "--steps", "25", "--out", "traj10"],
+        ["traj10/trajectory.csv"],
+    ),
+    ("toy-demo", ["toy-demo", "--out", "demo"], ["demo/toy_demo.json"]),
+    (
+        "synth-log --n 2000 --d 64",
+        ["synth-log", "--n", "2000", "--d", "64", "--out", "log.jsonl"],
+        ["log.jsonl"],
+    ),
+    (
+        "diagnose --k 32",
+        ["diagnose", "--input", "log.jsonl", "--k", "32", "--out", "diag"],
+        ["diag/diagnose.json", "diag/prompts.csv", "diag/scatter.csv"],
+    ),
+    ("heatmap", ["heatmap", "--out", "hm"], ["hm/heatmap.csv"]),
+    ("kstar", ["kstar"], []),
+]
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    cli = "import sys; from passklab.cli import main; sys.exit(main(sys.argv[1:]))"
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, argv, files in RUNS:
+            run = subprocess.run(
+                [sys.executable, "-c", cli, *argv],
+                cwd=tmp, env=env, capture_output=True, check=True,
+            )
+            print(f"{hashlib.sha256(run.stdout).hexdigest()}  {label}: stdout")
+            for name in files:
+                digest = hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
+                print(f"{digest}  {label}: {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

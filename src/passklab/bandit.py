@@ -8,6 +8,7 @@ forms, which is what makes this environment usable as a ground-truth
 oracle for every estimator and bound in the package.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,8 @@ class BanditConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not self.separation > 0:
-            raise DomainError(f"separation must be > 0, got {self.separation}")
+        if not 0 < self.separation < math.inf:
+            raise DomainError(f"separation must be finite and > 0, got {self.separation}")
         if not 0.0 <= self.hard_fraction <= 1.0:
             raise DomainError(
                 f"hard_fraction must lie in [0, 1], got {self.hard_fraction}"
@@ -42,9 +43,9 @@ class BanditConfig:
 class PromptBatch:
     """Column-oriented batch of prompts.
 
-    Row i is one prompt: features [1.0, s] with s finite, a label EASY or
-    HARD, and correct action 0 for easy and 1 for hard.  Ids are unique
-    strings.  Derived once, when built, as read-only fields: the uniform
+    Row i is one prompt: features [1.0, s] with s and s**2 finite, a label
+    EASY or HARD, and correct action 0 for easy and 1 for hard.  Ids are
+    unique strings.  Derived once, when built, as read-only fields: the uniform
     mass (check_mass passed), each label's row indices with 1/size
     coefficients, and policy_regularity_constants.
     """
@@ -239,8 +240,11 @@ def policy_regularity_constants(batch: PromptBatch) -> tuple[float, float]:
     Using the uniform bound keeps smoothness certificates valid along
     whole update segments, not just at the current iterate.  Every psi is
     [1, s], and rounding is monotone, so max ||psi||**2 is 1 + max s**2.
-    A batch computes this once, when it is built (PromptBatch.constants).
+    A batch computes this once, when it is built (PromptBatch.constants),
+    and so refuses an s whose square leaves the float range (DomainError).
     """
-    s = batch.features[:, 1]
-    bound = (1.0 + float(np.max(s * s))) / 4.0
+    top = float(np.max(np.abs(batch.features[:, 1])))
+    if not top * top < math.inf:
+        raise DomainError(f"features up to |s| = {top!r} square past the float range")
+    bound = (1.0 + top * top) / 4.0
     return bound, bound

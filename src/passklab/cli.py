@@ -192,7 +192,7 @@ def cmd_heatmap(args) -> int:
             f"hard prompts, and the batch has {' and '.join(short)}",
             file=sys.stderr,
         )
-    table = GradientTable.uniform(grads[sub], ids=[batch.ids[i] for i in sub])
+    table = GradientTable(grads[sub], [batch.ids[i] for i in sub])
     cos = kernel_matrix(table)
 
     out_dir = Path(args.out)
@@ -318,9 +318,18 @@ def cmd_synth_log(args) -> int:
     return 0
 
 
-def _add_spec_flags(parser, spec):
-    for name, (cast, _default) in spec.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", type=cast, default=None)
+# name: (command, help line, flags, --out: None left out, False optional, True required)
+COMMANDS = {
+    "toy-demo": (cmd_toy_demo, "two-prompt conflict walkthrough", TOY_DEMO_SPEC, False),
+    "heatmap": (cmd_heatmap, "cosine kernel matrix over a sampled batch",
+                HEATMAP_SPEC, True),
+    "trajectory": (cmd_trajectory, "multi-step ascent with objective tracking",
+                   TRAJECTORY_SPEC, True),
+    "kstar": (cmd_kstar, "conflict threshold in k and bound sweep", KSTAR_SPEC, None),
+    "diagnose": (cmd_diagnose, "analyze an external gradient log", DIAGNOSE_SPEC, True),
+    "synth-log": (cmd_synth_log, "write a synthetic conflict gradient log",
+                  SYNTH_LOG_SPEC, True),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,37 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("toy-demo", help="two-prompt conflict walkthrough")
-    _add_spec_flags(p, TOY_DEMO_SPEC)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_toy_demo, spec=TOY_DEMO_SPEC)
-
-    p = sub.add_parser("heatmap", help="cosine kernel matrix over a sampled batch")
-    _add_spec_flags(p, HEATMAP_SPEC)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_heatmap, spec=HEATMAP_SPEC)
-
-    p = sub.add_parser("trajectory", help="multi-step ascent with objective tracking")
-    _add_spec_flags(p, TRAJECTORY_SPEC)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_trajectory, spec=TRAJECTORY_SPEC)
-
-    p = sub.add_parser("kstar", help="conflict threshold in k and bound sweep")
-    _add_spec_flags(p, KSTAR_SPEC)
-    p.set_defaults(func=cmd_kstar, spec=KSTAR_SPEC)
-
-    p = sub.add_parser("diagnose", help="analyze an external gradient log")
-    p.add_argument("--input", required=True)
-    _add_spec_flags(p, DIAGNOSE_SPEC)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_diagnose, spec=DIAGNOSE_SPEC)
-
-    p = sub.add_parser("synth-log", help="write a synthetic conflict gradient log")
-    _add_spec_flags(p, SYNTH_LOG_SPEC)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth_log, spec=SYNTH_LOG_SPEC)
-
+    for name, (func, help_line, spec, out) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == "diagnose":  # the one command that reads an input file
+            p.add_argument("--input", required=True)
+        for flag, (cast, _default) in spec.items():
+            p.add_argument(f"--{flag.replace('_', '-')}", type=cast, default=None)
+        if out is not None:
+            p.add_argument("--out", required=out)
+        p.set_defaults(func=func, spec=spec)
     return parser
 
 

@@ -145,6 +145,9 @@ def load_gradlog(path) -> list[GradLogRecord]:
     dim = 0  # gradient length, set by the first record
     for lineno, obj in read_records(path):
         try:
+            for key, kind in (("label", "a string, got"), ("mass", "a number, not")):
+                if key in obj and obj[key] is None:  # a record's None means absent
+                    raise DomainError(f"{key} must be {kind} null")
             rec = GradLogRecord(
                 prompt_id=obj["prompt_id"],
                 pass1=obj["pass1"],

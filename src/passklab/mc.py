@@ -40,8 +40,8 @@ class PromptSamples(NamedTuple):
 class SampleSet:
     """The draws of a set of prompts, stored as whole arrays.
 
-    Row j of ``actions`` (N,), ``rewards`` (N,) and ``scores`` (N, d) is one
-    draw; prompt ``ids[i]``, a str, owns rows ``offsets[i]:offsets[i + 1]``,
+    Row j of ``actions`` (N,), ``rewards`` (N,) and finite ``scores`` (N, d)
+    is one draw; prompt ``ids[i]``, a str, owns rows ``offsets[i]:offsets[i + 1]``,
     so prompts may have different draw counts, and no id may repeat.  The
     arrays are checked once, when the set is built; ``blocks`` and
     ``set[prompt_id]`` are views of them.  They are not to be changed afterwards: the
@@ -77,6 +77,8 @@ class SampleSet:
                 "offsets must rise from 0 to the number of draws, "
                 "with at least one sample per prompt"
             )
+        if not np.isfinite(scores).all():
+            raise DomainError("score entries must be finite")
         if not ((rewards == 0.0) | (rewards == 1.0)).all():
             raise DomainError("rewards must be exactly 0 or 1")
         # one pass: the bitwise OR of integers is 0 or 1 exactly when each is
@@ -144,6 +146,7 @@ def _stream_keys(ids: tuple, key) -> np.ndarray:
 def prompt_rng(seed: int, prompt_id: str) -> np.random.Generator:
     """The stream of one prompt: the definition sample_actions reproduces."""
     seed = _check_seed(seed)
+    _id_index((prompt_id,))  # a str, as every prompt id
     return np.random.default_rng(np.random.SeedSequence([seed, _stream_key(prompt_id)]))
 
 
@@ -382,11 +385,8 @@ def export_samples(samples: SampleSet, path) -> None:
 
     Each line holds the bytes json.dumps gives for the record: a per-prompt
     prefix with the JSON-escaped id, then repr of each score, which is how
-    json writes a finite float.  Scores must be finite, as import_samples
-    requires.
+    json writes a finite float (a SampleSet's scores are finite).
     """
-    if not np.isfinite(samples.scores).all():
-        raise DomainError("score entries must be finite")
     path = Path(path)
     rows = zip(
         samples.actions.tolist(),

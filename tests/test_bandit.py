@@ -47,6 +47,17 @@ class TestConfigAndSampling:
         with pytest.raises(DomainError):
             BanditConfig(hard_fraction=1.5)
 
+    @pytest.mark.parametrize("separation", [math.inf, math.nan])
+    def test_separation_must_be_finite(self, separation):
+        message = f"separation must be finite and > 0, got {separation}"
+        with pytest.raises(DomainError, match=message):
+            BanditConfig(separation=separation)
+
+    def test_features_squared_past_the_float_range(self):
+        # --separation 1e300 wrote delta_bound = -inf rows after an overflow warning
+        with pytest.raises(DomainError, match=r"\|s\| = 5e\+299 square past the float range"):
+            sample_prompts(BanditConfig(separation=1e300), 5)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
     def test_seed_must_be_an_integer_at_least_zero(self, seed):
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
@@ -341,3 +352,10 @@ class TestPromptInstanceValidation:
     def test_non_finite_feature(self, bad):
         with pytest.raises(DomainError, match="finite"):
             make_batch([[1.0, 0.1], [1.0, bad]], [EASY, HARD], [0, 1])
+
+    def test_largest_square_must_be_finite(self):
+        # sqrt of the largest double is 1.3407807929942596e154
+        batch = make_batch([[1.0, 0.1], [1.0, -1.34e154]], [EASY, HARD], [0, 1])
+        assert math.isfinite(batch.constants[0])
+        with pytest.raises(DomainError, match="square past the float range"):
+            make_batch([[1.0, 0.1], [1.0, -1.35e154]], [EASY, HARD], [0, 1])

@@ -523,6 +523,20 @@ class TestUsageErrorsExitTwo:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "value,needle",
+        [
+            ("inf", "separation must be finite and > 0, got inf"),
+            ("1e300", "square past the float range"),
+        ],
+    )
+    def test_separation_past_the_float_range(self, tmp_path, capsys, value, needle):
+        out = tmp_path / "out"
+        argv = ["trajectory", "--separation", value, "--n", "50", "--steps", "1",
+                "--out", str(out)]
+        self.assert_one_line_error(argv, capsys, needle)
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
     def test_trajectory_eta_not_positive(self, tmp_path, capsys, value):
         argv = ["trajectory", "--eta", value, "--steps", "3", "--n", "200",

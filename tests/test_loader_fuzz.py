@@ -164,11 +164,13 @@ def test_file_without_records_is_empty(tmp_path, name):
     [
         ("pass1", "0.05", "pass1 must be a number, not '0.05'"),
         ("mass", "1", "mass must be a number, not '1'"),
+        ("mass", None, "mass must be a number, not null"),
         ("grad", ["1.5", "2"], 'grad entries must be finite numbers, got "1.5"'),
         ("grad", [True, False], "grad entries must be finite numbers, got true"),
         ("grad", [None, 1.0], "grad entries must be finite numbers, got null"),
         ("label", 7, "label must be a string, got 7"),
         ("label", ["x"], "label must be a string, got ['x']"),
+        ("label", None, "label must be a string, got null"),
     ],
 )
 def test_gradlog_reads_no_text_as_numbers(tmp_path, key, value, message):

@@ -48,10 +48,13 @@ class TestSampleSetValidation:
         with pytest.raises(DomainError):
             make_samples([0.5], [[1.0, 2.0]])
 
-    def test_nonfinite_scores_rejected_at_first_estimate(self):
-        ss = make_samples([1.0, 0.0], [[np.inf, 0.0], [1.0, 2.0]])
-        with pytest.raises(DomainError, match="finite"):
-            mc_grad_passk(ss, empirical_profile(ss), 2)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_scores_rejected_when_built(self, bad):
+        # the file rule: such a set would neither export nor estimate
+        with pytest.raises(DomainError, match="score entries must be finite"):
+            make_samples([1.0, 0.0], [[bad, 0.0], [1.0, 2.0]])
+        with pytest.raises(DomainError, match="score entries must be finite"):
+            SampleSet(("a",), [0, 1], np.array([1]), [1.0], [[bad]])
 
     def test_unequal_draw_counts_from_arrays(self):
         ss = SampleSet(
@@ -406,6 +409,12 @@ class TestStreams:
         a = sample_actions(theta, batch, 4, seed=np.uint64(7))
         assert_same_bits(a.actions, sample_actions(theta, batch, 4, seed=7).actions)
 
+    @pytest.mark.parametrize("pid", [5, None, b"p"])
+    def test_prompt_rng_rejects_id_that_is_not_a_str(self, pid):
+        with pytest.raises(DomainError) as info:
+            prompt_rng(0, pid)
+        assert str(info.value) == f"prompt_id must be a string, got {pid!r}"
+
     def test_prompt_rng_deterministic(self):
         a = prompt_rng(5, "abc").random(4)
         b = prompt_rng(5, "abc").random(4)
@@ -675,12 +684,6 @@ class TestSampleIO:
             export_samples(ss, path)
             assert path.read_bytes() == expected.encode()
             assert import_samples(path).ids == ss.ids
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_export_rejects_nonfinite_scores(self, tmp_path, bad):
-        ss = SampleSet(["a"], [0, 2], [0, 1], [0.0, 1.0], [[0.5], [bad]])
-        with pytest.raises(DomainError, match="finite"):
-            export_samples(ss, tmp_path / "bad.jsonl")
 
 
 def reference_sample_actions(theta, batch, n, seed):

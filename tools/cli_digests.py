@@ -5,7 +5,9 @@
 Run from anywhere: the commands import passklab from this checkout's
 src/ and run in a temporary directory, with output paths relative to it.
 Each line is "<sha256>  <output>", where output names the invocation and
-the file it wrote, or its stdout.  Nothing is asserted: the digests depend
+the file it wrote, or its stdout; the --help text of passklab and of each
+command is hashed too, wrapped at a fixed COLUMNS so that it reads the
+same on every terminal.  Nothing is asserted: the digests depend
 on numpy's SIMD level, so compare the lines of two checkouts on one host,
 say before and after a change that is meant to keep every bit.
 """
@@ -40,11 +42,14 @@ RUNS = [
     ),
     ("heatmap", ["heatmap", "--out", "hm"], ["hm/heatmap.csv"]),
     ("kstar", ["kstar"], []),
+    ("--help", ["--help"], []),
 ]
+COMMANDS = ["toy-demo", "heatmap", "trajectory", "kstar", "diagnose", "synth-log"]
+RUNS += [(f"{name} --help", [name, "--help"], []) for name in COMMANDS]
 
 
 def main() -> int:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     cli = "import sys; from passklab.cli import main; sys.exit(main(sys.argv[1:]))"
     with tempfile.TemporaryDirectory() as tmp:
         for label, argv, files in RUNS:

@@ -42,7 +42,7 @@ class GradLogRecord:
         if not isinstance(self.prompt_id, str):
             raise DomainError(f"prompt_id must be a string, got {self.prompt_id!r}")
         if self.label is not None and not isinstance(self.label, str):
-            raise DomainError(f"label must be a string, got {self.label!r}")
+            raise DomainError(f"label must be a string, got {_shown(self.label)}")
         grad = _number_vector(self.grad)
         object.__setattr__(self, "pass1", _real("pass1", self.pass1))
         object.__setattr__(self, "grad", grad)
@@ -75,9 +75,18 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """value as JSON writes it, as the number-list rule names a bad entry
+    (null, "0.05"); repr for a value that JSON cannot write."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def _real(name: str, value) -> float:
     if not _is_real(value):
-        got = "true/false" if isinstance(value, bool) else repr(value)
+        got = "true/false" if isinstance(value, bool) else _shown(value)
         raise DomainError(f"{name} must be a number, not {got}")
     return float(value)
 

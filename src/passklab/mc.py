@@ -257,7 +257,9 @@ def _pcg64_doubles(seeds: np.ndarray, out: np.ndarray) -> None:
     """Fill the (p, n) ``out`` with the doubles of the p PCG64 streams that
     ``seeds`` (4, p) seeds, as Generator.random(n) makes them.
 
-    The streams step in lockstep, one LCG step per draw column.  Seeding
+    The streams step in lockstep, one LCG step per draw column ``out[:, j]``;
+    _uniform_draws passes the transpose of a draw-major (n, p) array, so
+    each column is written as one contiguous row.  Seeding
     (pcg_setseq_128_srandom_r) sets inc = (initseq << 1) | 1 and leaves the
     state one LCG step past inc + initstate, and each draw steps first.
     """
@@ -273,19 +275,24 @@ def _pcg64_doubles(seeds: np.ndarray, out: np.ndarray) -> None:
 def _uniform_draws(seed: int, ids, n: int) -> np.ndarray:
     """(P, n) array whose row i is prompt_rng(seed, ids[i]).random(n), bit for bit.
 
-    With fewer prompts than draws each row is read from prompt_rng itself;
-    otherwise the kernel runs the streams LANES prompts per array pass.
+    With fewer prompts than draws each C-ordered row is read from prompt_rng
+    itself.  Otherwise the kernel runs the streams LANES prompts per array
+    pass into a draw-major (n, P) array, writing each draw column of a pass
+    as one contiguous row, and the result is that array's transpose view.
     """
-    out = np.empty((len(ids), n))
     if len(ids) < n:
+        out = np.empty((len(ids), n))
         for pid, row in zip(ids, out):
             prompt_rng(seed, pid).random(out=row)
         return out
+    # before the seed mix's temporaries: allocated after them, glibc placed
+    # the buffer in fresh pages on every call of a repeated mc run
+    out = np.empty((n, len(ids)))
     seeds = _pcg64_seeds(seed, ids)
     for lo in range(0, len(ids), LANES):
-        rows = slice(lo, lo + LANES)
-        _pcg64_doubles(seeds[:, rows], out[rows])
-    return out
+        lanes = slice(lo, lo + LANES)
+        _pcg64_doubles(seeds[:, lanes], out[:, lanes].T)
+    return out.T
 
 
 def sample_actions(theta, batch: PromptBatch, n: int, seed: int) -> SampleSet:
@@ -300,14 +307,16 @@ def sample_actions(theta, batch: PromptBatch, n: int, seed: int) -> SampleSet:
     sig = _sigmoid(theta, batch.features)[:, None]
     n = _check_int("n", n, 1)
     seed = _check_seed(seed)
+    p = len(batch)
     uniform = _uniform_draws(seed, batch.ids, n)
-    actions = (uniform < sig).astype(int)
-    # written over the spent uniform draws: one (P, n) array fewer
-    rewards = np.equal(actions, batch.correct_actions[:, None], out=uniform)
+    actions = np.less(uniform, sig, out=np.empty((p, n), dtype=int))
+    # written over the spent uniform draws, in either of their layouts, as
+    # a C-ordered (P, n) view: one (P, n) array fewer
+    rewards = uniform.ravel(order="K").reshape(p, n)
+    np.equal(actions, batch.correct_actions[:, None], out=rewards)
     del uniform
     # each prompt has two score vectors, rows 2i and 2i + 1 of the table;
     # taking one per draw gives the products a per-draw coefficient would
-    p = len(batch)
     table = np.stack([-sig * batch.features, (1.0 - sig) * batch.features], axis=1)
     scores = np.take(
         table.reshape(2 * p, -1), actions + 2 * np.arange(p)[:, None], axis=0

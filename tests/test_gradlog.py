@@ -416,6 +416,27 @@ class TestRecordPromptId:
         assert GradLogRecord("p0", 0.5, [1.0]).prompt_id == "p0"
 
 
+class TestRecordValueNames:
+    # a bad pass1, mass or label is named as JSON writes it, and by repr
+    # when JSON cannot write it
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"pass1": None}, "pass1 must be a number, not null"),
+            ({"pass1": "0.5"}, 'pass1 must be a number, not "0.5"'),
+            ({"mass": [1]}, "mass must be a number, not [1]"),
+            ({"label": ("x",)}, 'label must be a string, got ["x"]'),
+            ({"pass1": 0.5j}, "pass1 must be a number, not 0.5j"),
+            ({"mass": {1.0}}, "mass must be a number, not {1.0}"),
+            ({"label": b"x"}, "label must be a string, got b'x'"),
+        ],
+    )
+    def test_bad_value_named(self, fields, message):
+        with pytest.raises(DomainError) as exc:
+            GradLogRecord(**{"prompt_id": "a", "pass1": 0.5, "grad": [1.0], **fields})
+        assert str(exc.value) == message
+
+
 class TestScatterExport:
     def test_row_count_and_cluster_property(self, tmp_path, conflict_filtered):
         path = tmp_path / "scatter.csv"

@@ -162,14 +162,15 @@ def test_file_without_records_is_empty(tmp_path, name):
 @pytest.mark.parametrize(
     "key,value,message",
     [
-        ("pass1", "0.05", "pass1 must be a number, not '0.05'"),
-        ("mass", "1", "mass must be a number, not '1'"),
+        ("pass1", "0.05", 'pass1 must be a number, not "0.05"'),
+        ("pass1", None, "pass1 must be a number, not null"),
+        ("mass", "1", 'mass must be a number, not "1"'),
         ("mass", None, "mass must be a number, not null"),
         ("grad", ["1.5", "2"], 'grad entries must be finite numbers, got "1.5"'),
         ("grad", [True, False], "grad entries must be finite numbers, got true"),
         ("grad", [None, 1.0], "grad entries must be finite numbers, got null"),
         ("label", 7, "label must be a string, got 7"),
-        ("label", ["x"], "label must be a string, got ['x']"),
+        ("label", ["x"], 'label must be a string, got ["x"]'),
         ("label", None, "label must be a string, got null"),
     ],
 )

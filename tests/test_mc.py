@@ -7,6 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
 from passklab import (
     AlignmentError,
     BanditConfig,
@@ -729,6 +734,58 @@ class TestVectorisedEstimators:
         ss = sample_actions(np.array([0.3, -0.7]), batch, 16, seed=2024)
         actions = np.concatenate([b.actions for b in ss.blocks]).astype("<i8")
         assert hashlib.sha256(actions.tobytes()).hexdigest() == self.STREAM_SHA256
+
+    # sha256 of sample_actions' actions, rewards, scores and offsets
+    # (little-endian int64, float64, float64, int64, in that order) for
+    # sample_prompts(BanditConfig(seed=11), prompts), theta [0.3, -0.7] and
+    # seed 2024, recorded with the row-major stream kernel.  LANES + 5
+    # prompts take two kernel passes, 3 prompts read prompt_rng row by row.
+    # The scores carry numpy's exp, whose bits on x86-64 depend on whether
+    # it dispatches X86_V4 (AVX-512), so each shape pins both levels.
+    SAMPLE_SHA256 = {
+        (mc.LANES + 5, 64): {
+            True: "742a63fd1806c86a811b8b805ab57343e9e097d9a42bc2de8aff83ddc3460b87",
+            False: "96692c8f79728e92cd7e53910c9635146d25897a7c1bd94a7af435e607401366",
+        },
+        (3, 100): {
+            True: "a57decb3d78edf2809620390f6c416313c37ceacae4835ef22e975758a757374",
+            False: "a57decb3d78edf2809620390f6c416313c37ceacae4835ef22e975758a757374",
+        },
+    }
+
+    @pytest.mark.parametrize("prompts,draws", sorted(SAMPLE_SHA256))
+    def test_sample_arrays_are_pinned(self, prompts, draws):
+        batch = sample_prompts(BanditConfig(seed=11), prompts)
+        ss = sample_actions(np.array([0.3, -0.7]), batch, draws, seed=2024)
+        digest = hashlib.sha256()
+        for array, dtype in zip(
+            (ss.actions, ss.rewards, ss.scores, ss.offsets), ("<i8", "<f8", "<f8", "<i8")
+        ):
+            digest.update(array.astype(dtype).tobytes())
+        level = bool(__cpu_features__.get("X86_V4"))
+        assert digest.hexdigest() == self.SAMPLE_SHA256[prompts, draws][level]
+
+    def test_sample_temporaries_grow_by_one_index_array(self):
+        # past the arrays the set holds, the traced peak may grow with the
+        # draws by one (P, n) 8-byte array: the score rows' gather index.  A
+        # copy of the draws alive through the gather, or rewards copied by a
+        # reshape of the draw-major buffer while the set is built, adds more.
+        batch = sample_prompts(BanditConfig(seed=11), 6000)
+        theta = np.array([0.3, -0.7])
+
+        def peak_past_set(draws):
+            sample_actions(theta, batch, draws, seed=0)  # fills the key cache
+            tracemalloc.start()
+            try:
+                ss = sample_actions(theta, batch, draws, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            arrays = (ss.actions, ss.rewards, ss.scores, ss.offsets)
+            return peak - sum(a.nbytes for a in arrays)
+
+        small, large = peak_past_set(64), peak_past_set(1024)
+        assert large - small <= len(batch) * (1024 - 64) * 8 + 64 * 1024, (small, large)
 
     @pytest.mark.parametrize(
         "n_prompts,draws", [(7, 1), (CHUNK_PROMPTS + 88, 1), (1100, 9)]

@@ -7,9 +7,12 @@ src/ and run in a temporary directory, with output paths relative to it.
 Each line is "<sha256>  <output>", where output names the invocation and
 the file it wrote, or its stdout; the --help text of passklab and of each
 command is hashed too, wrapped at a fixed COLUMNS so that it reads the
-same on every terminal.  Nothing is asserted: the digests depend
-on numpy's SIMD level, so compare the lines of two checkouts on one host,
-say before and after a change that is meant to keep every bit.
+same on every terminal.  No CLI command reads mc streams, so the last
+lines hash the arrays of sample_actions, at the 6000 prompts x 64 draws
+the benchmark's mc workload samples and at 6000 x 256, from one more
+child.  Nothing is asserted: the digests depend on numpy's SIMD level,
+so compare the lines of two checkouts on one host, say before and after
+a change that is meant to keep every bit.
 """
 
 import hashlib
@@ -47,6 +50,19 @@ RUNS = [
 COMMANDS = ["toy-demo", "heatmap", "trajectory", "kstar", "diagnose", "synth-log"]
 RUNS += [(f"{name} --help", [name, "--help"], []) for name in COMMANDS]
 
+# (prompts, draws) of each sample_actions call, and the child that hashes them
+SAMPLES = [(6000, 64), (6000, 256)]
+SAMPLE_CHILD = """
+import hashlib, sys
+from passklab import BanditConfig, reference_theta, sample_actions, sample_prompts
+for arg in sys.argv[1:]:
+    p, n = map(int, arg.split("x"))
+    ss = sample_actions(reference_theta(), sample_prompts(BanditConfig(seed=0), p), n, 0)
+    for name in ("actions", "rewards", "scores", "offsets"):
+        digest = hashlib.sha256(getattr(ss, name).tobytes()).hexdigest()
+        print(f"{digest}  sample_actions {p} x {n}: {name}")
+"""
+
 
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
@@ -61,6 +77,12 @@ def main() -> int:
             for name in files:
                 digest = hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
                 print(f"{digest}  {label}: {name}")
+        shapes = [f"{p}x{n}" for p, n in SAMPLES]
+        run = subprocess.run(
+            [sys.executable, "-c", SAMPLE_CHILD, *shapes],
+            cwd=tmp, env=env, capture_output=True, check=True, text=True,
+        )
+        print(run.stdout, end="")
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .objectives import _check_int, _index_ids, check_mass
+from .objectives import _check_int, _column, _index_ids, _real, check_mass
 
 EASY, HARD = "easy", "hard"
 
@@ -30,9 +30,9 @@ class BanditConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not 0 < self.separation < math.inf:
+        if not 0 < _real("separation", self.separation) < math.inf:
             raise DomainError(f"separation must be finite and > 0, got {self.separation}")
-        if not 0.0 <= self.hard_fraction <= 1.0:
+        if not 0.0 <= _real("hard_fraction", self.hard_fraction) <= 1.0:
             raise DomainError(
                 f"hard_fraction must lie in [0, 1], got {self.hard_fraction}"
             )
@@ -59,10 +59,10 @@ class PromptBatch:
     constants: tuple = field(init=False, repr=False, compare=False)  # (g2, f)
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels)
-        actions = np.asarray(self.correct_actions)
-        object.__setattr__(self, "ids", tuple(self.ids))
+        feats = _column("features", np.asarray, self.features, float)
+        labels = _column("labels", np.asarray, self.labels)
+        actions = _column("correct_actions", np.asarray, self.correct_actions)
+        object.__setattr__(self, "ids", _column("ids", tuple, self.ids))
         n = len(self.ids)
         if feats.shape != (n, 2) or labels.shape != (n,) or actions.shape != (n,):
             raise DomainError("batch columns must share length n")
@@ -126,7 +126,7 @@ def logit(p):
 
 
 def _check_theta(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
+    theta = _column("theta", np.asarray, theta, float)
     if theta.shape != (2,) or np.any(~np.isfinite(theta)):
         raise DomainError("theta must be a finite 1-d vector of length 2")
     return theta
@@ -203,7 +203,7 @@ def derive_reference_theta(p_easy_target: float, p_hard_target: float) -> np.nda
     2x2 linear system in logit space, solved exactly.
     """
     for name, p in (("p_easy_target", p_easy_target), ("p_hard_target", p_hard_target)):
-        if not 0.0 < p < 1.0:
+        if not 0.0 < _real(name, p) < 1.0:
             raise DomainError(f"{name} must lie strictly inside (0, 1), got {p}")
     b = np.array([logit(1.0 - p_easy_target), logit(p_hard_target)])
     return np.linalg.solve(np.array(OVERLAP_FEATURES), b)

@@ -2,15 +2,16 @@
 
 Every command resolves its parameters as explicit flags first, then a
 flat key=value config file, then the PASSK_SEED environment variable
-(seed only), then built-in defaults.  File-writing commands put all
-outputs under --out together with a manifest naming inputs, resolved
-parameters, and package versions.
+(seed only), then built-in defaults.  Commands that write a directory put
+all outputs under --out with a manifest naming inputs, resolved parameters,
+and package versions; synth-log's --out is the one file it writes.
 """
 
 import argparse
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from .gradlog import (
     report_to_json,
 )
 from .interference import GradientTable, kernel_matrix, kernel_matrix_to_csv
-from .objectives import MAX_K, weighted_row_sum, wk
+from .objectives import MAX_K, _check_k, weighted_row_sum, wk
 from .optimizer import run_trajectory, trajectory_to_csv
 from .serialization import fmt, line_error, read_lines, write_json
 
@@ -81,9 +82,15 @@ def _resolve(args, spec: dict, config: dict):
             ) from None
 
 
-def _write_manifest(out_dir: Path, args, inputs, outputs, **extra):
-    """manifest.json naming the command, its resolved parameters (plus
-    ``extra``), the inputs and outputs, and the package versions."""
+def _write_outputs(args, files: dict, inputs=(), **extra) -> list:
+    """Make --out, call each writer of ``files`` (file name: writer) with its
+    path, in order, then write manifest.json: the command, its resolved
+    parameters (plus ``extra``), the inputs, outputs and package versions."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [out_dir / name for name in files]
+    for path, write in zip(outputs, files.values()):
+        write(path)
     params = dict({name: getattr(args, name) for name in args.spec}, **extra)
     manifest = {
         "command": args.command,
@@ -97,6 +104,7 @@ def _write_manifest(out_dir: Path, args, inputs, outputs, **extra):
         },
     }
     write_json(out_dir / "manifest.json", manifest)
+    return outputs
 
 
 TOY_DEMO_SPEC = {
@@ -106,7 +114,7 @@ TOY_DEMO_SPEC = {
 }
 
 
-def cmd_toy_demo(args) -> int:
+def cmd_toy_demo(args) -> None:
     batch, theta = overlap_pair()
     k, eta = args.k, args.eta
 
@@ -143,12 +151,7 @@ def cmd_toy_demo(args) -> int:
     print(f"gradient direction: {direction}")
 
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report_path = out_dir / "toy_demo.json"
-        write_json(report_path, result)
-        _write_manifest(out_dir, args, [], [report_path])
-    return 0
+        _write_outputs(args, {"toy_demo.json": partial(write_json, obj=result)})
 
 
 def _cosine(a, b) -> float:
@@ -165,7 +168,7 @@ HEATMAP_SPEC = {
 }
 
 
-def cmd_heatmap(args) -> int:
+def cmd_heatmap(args) -> None:
     if args.subsample < 1:
         raise PassKLabError(f"subsample must be >= 1, got {args.subsample}")
     cfg = BanditConfig(
@@ -195,13 +198,10 @@ def cmd_heatmap(args) -> int:
     table = GradientTable(grads[sub], [batch.ids[i] for i in sub])
     cos = kernel_matrix(table)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "heatmap.csv"
-    kernel_matrix_to_csv(cos, table.ids, csv_path)
-    _write_manifest(out_dir, args, [], [csv_path])
+    [csv_path] = _write_outputs(
+        args, {"heatmap.csv": partial(kernel_matrix_to_csv, cos, table.ids)}
+    )
     print(f"wrote {cos.shape[0]}x{cos.shape[1]} cosine kernel to {csv_path}")
-    return 0
 
 
 TRAJECTORY_SPEC = {
@@ -216,25 +216,22 @@ TRAJECTORY_SPEC = {
 }
 
 
-def cmd_trajectory(args) -> int:
+def cmd_trajectory(args) -> None:
     cfg = BanditConfig(
         separation=args.separation, hard_fraction=args.hard_fraction, seed=args.seed
     )
     records = run_trajectory(
         cfg, k=args.k, eta=args.eta, steps=args.steps, n=args.n, margin=args.margin
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "trajectory.csv"
-    trajectory_to_csv(records, csv_path)
-    _write_manifest(out_dir, args, [], [csv_path])
+    [csv_path] = _write_outputs(
+        args, {"trajectory.csv": partial(trajectory_to_csv, records)}
+    )
     first, last = records[0], records[-1]
     print(
         f"j1_pop {fmt(first.j1_pop)} -> {fmt(last.j1_pop)}; "
         f"j{args.k}_pop {fmt(first.jk_pop)} -> {fmt(last.jk_pop)}"
     )
     print(f"wrote {len(records)} rows to {csv_path}")
-    return 0
 
 
 KSTAR_SPEC = {
@@ -247,14 +244,14 @@ KSTAR_SPEC = {
 }
 
 
-def cmd_kstar(args) -> int:
+def cmd_kstar(args) -> None:
     if args.k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {args.k_max}")
     threshold = k_star(args.eps, args.delta_sep, args.q, args.m, args.g2)
     print(f"k_star = {fmt(threshold)}")
     if math.isinf(threshold):
         print("threshold is infinite; no finite k is certified")
-        return 0
+        return
     k_max = args.k_max if args.k_max > 0 else max(2, 2 * math.ceil(threshold))
     if k_max > MAX_K:
         source = "" if args.k_max else " (2 * ceil(k_star)); pass a smaller --k-max"
@@ -263,7 +260,6 @@ def cmd_kstar(args) -> int:
     for k in range(1, k_max + 1):
         bound = conflict_bound(k, args.eps, args.delta_sep, args.q, args.m, args.g2)
         print(f"{k}\t{fmt(bound)}\t{'yes' if bound > 0 else 'no'}")
-    return 0
 
 
 DIAGNOSE_SPEC = {
@@ -273,30 +269,24 @@ DIAGNOSE_SPEC = {
 }
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> None:
+    _check_k(args.k)  # before the log is read
     records = load_gradlog(args.input)
     spec = FilterSpec(delta1=args.delta1, delta2=args.delta2)
     filtered = filter_by_difficulty(records, spec)
     print(filtered.counts_summary())
     report = diagnose(filtered, args.k)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "diagnose.json"
-    rows_path = out_dir / "prompts.csv"
-    scatter_path = out_dir / "scatter.csv"
-    report_to_json(report, report_path)
-    report_rows_to_csv(report, rows_path)
-    report_scatter_to_csv(report, scatter_path)
-    _write_manifest(
-        out_dir, args, [args.input], [report_path, rows_path, scatter_path],
-        input=args.input,
-    )
+    files = {
+        "diagnose.json": partial(report_to_json, report),
+        "prompts.csv": partial(report_rows_to_csv, report),
+        "scatter.csv": partial(report_scatter_to_csv, report),
+    }
+    _write_outputs(args, files, [args.input], input=args.input)
     print(f"unweighted mean agreement = {fmt(report.unweighted_mean_agreement)}")
     print(f"weighted mean agreement   = {fmt(report.weighted_mean_agreement)}")
     print(f"mean shift                = {fmt(report.mean_shift)}")
     print(f"inner product             = {fmt(report.inner_product)}")
-    return 0
 
 
 SYNTH_LOG_SPEC = {
@@ -307,7 +297,7 @@ SYNTH_LOG_SPEC = {
 }
 
 
-def cmd_synth_log(args) -> int:
+def cmd_synth_log(args) -> None:
     records = make_synthetic_conflict_log(
         n=args.n, d=args.d, seed=args.seed, hard_fraction=args.hard_fraction
     )
@@ -315,7 +305,6 @@ def cmd_synth_log(args) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     export_gradlog(records, out_path)
     print(f"wrote {len(records)} records (d={args.d}) to {out_path}")
-    return 0
 
 
 # name: (command, help line, flags, --out: None left out, False optional, True required)
@@ -356,13 +345,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _resolve(args, args.spec, _read_config(args.config) if args.config else {})
-        return args.func(args)
+        args.func(args)
     except IdentityCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
     except (PassKLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from .objectives import (
     SuccessProfile,
     _check_k,
     _pow_one_minus,
+    _real,
     ordered_dot,
     weighted_row_sum,
     wk_array,
@@ -144,6 +145,7 @@ def conflict_report(
     the max squared gradient row norm and f to None (eta_max then stays
     None).
     """
+    margin = _real("margin", margin)
     if not 0 < margin < math.inf:
         raise DomainError(f"margin must be finite and > 0, got {margin}")
     # d * max|entry|**2 bounds every squared row norm M, so no score (<= M),
@@ -153,7 +155,7 @@ def conflict_report(
         raise DomainError(f"gradient entries up to {top!r} are too large at d = {d}")
     weights = wk_array(profile.probs, k)
     grad_k = _weighted_gradient(table, profile, weights)
-    margin, mass = float(margin), profile.mass
+    mass = profile.mass
     mean_grad = weighted_row_sum(mass, table.grads)
     scores = agreement_scores(table, mean_grad)
     mean_score = ordered_dot(mass, scores)
@@ -202,8 +204,13 @@ def conflict_report(
 
     if constants is None:
         g2, f = default_score_bound_sq(table), None
-    else:
-        g2, f = float(constants[0]), float(constants[1])
+    else:  # delta_bound and smoothness_constants check each as a number
+        try:
+            g2, f = constants
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"constants must be a (g2, f) pair, got {constants!r}"
+            ) from None
     delta = delta_bound(margin, w_minus, w_plus, g2)
 
     eta_max = None
@@ -240,8 +247,9 @@ def delta_bound(margin: float, w_minus: float, w_plus: float, g2: float) -> floa
     When positive, the population inner product is at most its negative,
     so the k-attempt and 1-attempt gradients provably conflict.
     """
-    if not g2 > 0:
-        raise DomainError(f"g2 must be > 0, got {g2}")
+    g2 = _real("g2", g2)
+    if not 0.0 < g2 < math.inf:
+        raise DomainError(f"g2 must be finite and > 0, got {g2}")
     return margin * w_minus - g2 * w_plus
 
 
@@ -262,6 +270,9 @@ def conflict_bound(
 
 
 def _check_separation_args(eps, delta_sep, q, m, g2) -> None:
+    names = ("eps", "delta_sep", "q", "m", "g2")
+    for name, value in zip(names, (eps, delta_sep, q, m, g2)):
+        _real(name, value)
     if not (0.0 <= eps < delta_sep <= 1.0):
         raise DomainError(
             f"require 0 <= eps < delta_sep <= 1, got eps={eps} delta_sep={delta_sep}"
@@ -302,8 +313,9 @@ def k_star(eps: float, delta_sep: float, q: float, m: float, g2: float) -> float
 def smoothness_constants(g2: float, f: float, k: int) -> tuple[float, float, float]:
     """(l1, lk, c2): gradient-Lipschitz constants of the 1- and k-attempt
     objectives plus the quadratic coefficient of the one-step bound."""
-    if not (g2 > 0 and f > 0):
-        raise DomainError(f"g2 and f must be > 0, got g2={g2} f={f}")
+    g2, f = _real("g2", g2), _real("f", f)
+    if not (0.0 < g2 < math.inf and 0.0 < f < math.inf):
+        raise DomainError(f"g2 and f must be finite and > 0, got g2={g2} f={f}")
     k = _check_k(k)
     l1 = g2 + f
     lk = k * k * g2 + k * f
@@ -314,8 +326,11 @@ def smoothness_constants(g2: float, f: float, k: int) -> tuple[float, float, flo
 def max_safe_step(delta_theta: float, c2: float, lk: float) -> float:
     """Largest step size certified to decrease the 1-attempt objective
     while increasing the k-attempt objective: min(delta/c2, 1/lk)."""
-    if not delta_theta > 0:
+    if not _real("delta_theta", delta_theta) > 0:
         raise DomainError(
             f"no degradation certificate exists for delta <= 0, got {delta_theta}"
         )
+    c2, lk = _real("c2", c2), _real("lk", lk)
+    if not (0.0 < c2 < math.inf and 0.0 < lk < math.inf):
+        raise DomainError(f"c2 and lk must be finite and > 0, got c2={c2} lk={lk}")
     return min(delta_theta / c2, 1.0 / lk)

@@ -13,7 +13,6 @@ gradients themselves is out of scope; any model or process may write them.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .bandit import _check_seed
 from .conflict import conflict_report
 from .errors import DomainError
 from .interference import GradientTable
-from .objectives import SuccessProfile, _check_int, ordered_dot
+from .objectives import SuccessProfile, _check_int, _is_real, _real, _shown, ordered_dot
 from .serialization import line_error, number_list, read_records, write_csv, write_json
 
 ANTI_ALIGNMENT = 3.0  # synthetic log: hard-gradient scale against the easy one
@@ -71,33 +70,14 @@ def _number_vector(value) -> np.ndarray:
         raise DomainError(f"grad entries must be finite numbers ({exc})") from exc
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _shown(value) -> str:
-    """value as JSON writes it, as the number-list rule names a bad entry
-    (null, "0.05"); repr for a value that JSON cannot write."""
-    try:
-        return json.dumps(value)
-    except (TypeError, ValueError):
-        return repr(value)
-
-
-def _real(name: str, value) -> float:
-    if not _is_real(value):
-        got = "true/false" if isinstance(value, bool) else _shown(value)
-        raise DomainError(f"{name} must be a number, not {got}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class FilterSpec:
     delta1: float  # easy threshold: keep pass1 > delta1
     delta2: float  # hard threshold: keep pass1 < delta2
 
     def __post_init__(self):
-        if not 0.0 < self.delta2 < self.delta1 < 1.0:
+        delta1, delta2 = _real("delta1", self.delta1), _real("delta2", self.delta2)
+        if not 0.0 < delta2 < delta1 < 1.0:
             raise DomainError(
                 f"require 0 < delta2 < delta1 < 1, "
                 f"got delta1={self.delta1} delta2={self.delta2}"
@@ -314,7 +294,7 @@ def make_synthetic_conflict_log(
     concentrate on low pass1) drag the weighted mean below zero.
     """
     n, d = _check_int("n", n, 10), _check_int("d", d, 1)
-    if not 0 < hard_fraction < 1:
+    if not 0 < _real("hard_fraction", hard_fraction) < 1:
         raise DomainError(f"hard_fraction must lie in (0, 1), got {hard_fraction}")
     rng = np.random.default_rng(_check_seed(seed))
     direction = rng.normal(size=d)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .objectives import _column
 from .serialization import write_csv
 
 ZERO_NORM = 1e-15
@@ -26,9 +27,9 @@ class GradientTable:
     ids: tuple
 
     def __post_init__(self):
-        grads = np.asarray(self.grads, dtype=float)
+        grads = _column("grads", np.asarray, self.grads, float)
         object.__setattr__(self, "grads", grads)
-        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "ids", _column("ids", tuple, self.ids))
         if grads.ndim != 2 or grads.shape[0] == 0:
             raise DomainError("grads must be a nonempty (n, d) matrix")
         if len(self.ids) != grads.shape[0]:
@@ -39,7 +40,7 @@ class GradientTable:
     @classmethod
     def uniform(cls, grads, ids=None) -> "GradientTable":
         """The table with ids "0" to "n-1" unless ids are given."""
-        grads = np.asarray(grads, dtype=float)
+        grads = _column("grads", np.asarray, grads, float)
         n = grads.shape[0] if grads.ndim else 0  # a scalar fails the constructor
         return cls(grads, tuple(map(str, range(n))) if ids is None else ids)
 

@@ -20,7 +20,7 @@ from .bandit import PromptBatch, _check_seed, _id_index, _sigmoid
 from .conflict import assemble_passk_gradient
 from .errors import DomainError
 from .interference import GradientTable
-from .objectives import SuccessProfile, _check_int
+from .objectives import SuccessProfile, _check_int, _column
 from .serialization import line_error, number_list, read_records
 
 
@@ -50,12 +50,11 @@ class SampleSet:
     """
 
     def __init__(self, ids, offsets, actions, rewards, scores):
-        ids = tuple(ids)
-        try:
-            offsets = np.asarray(offsets, dtype=np.int64)
-            actions, rewards, scores = map(np.asarray, (actions, rewards, scores))
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"bad sample arrays ({exc})") from exc
+        ids = _column("ids", tuple, ids)
+        offsets = _column("offsets", np.asarray, offsets, np.int64)
+        actions = _column("actions", np.asarray, actions)
+        rewards = _column("rewards", np.asarray, rewards)
+        scores = _column("scores", np.asarray, scores)
         if rewards.dtype.kind not in "biuf" or scores.dtype.kind not in "biuf":
             raise DomainError("rewards and scores must be numbers, not text or objects")
         rewards, scores = (a.astype(float, copy=False) for a in (rewards, scores))

@@ -8,7 +8,9 @@ multi-attempt objectives put on each prompt.  Everything here is a pure
 function over immutable inputs.
 """
 
+import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +37,37 @@ def _check_int(name: str, value, least=None) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _shown(value) -> str:
+    """value as JSON writes it, as the number-list rule names a bad entry
+    (null, "0.05"); repr for a value that JSON cannot write."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def _real(name: str, value) -> float:
+    """value as a float: text, null, true/false and anything else that is not
+    a real number (numpy's are) are refused."""
+    if not _is_real(value):
+        got = "true/false" if isinstance(value, bool) else _shown(value)
+        raise DomainError(f"{name} must be a number, not {got}")
+    return float(value)
+
+
+def _column(name: str, convert, *args):
+    """convert(*args), such as np.asarray(value, float) or tuple(ids); a value
+    that it cannot convert is one DomainError naming the column."""
+    try:
+        return convert(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"bad {name} ({exc})") from exc
+
+
 def _check_k(k: int) -> int:
     k = _check_int("k", k)
     if k < 1 or k > MAX_K:
@@ -56,7 +89,7 @@ def _index_ids(ids: tuple) -> dict:
 
 
 def _check_prob(p: float, name: str = "p") -> float:
-    p = float(p)
+    p = _real(name, p)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {p}")
     return p
@@ -206,9 +239,9 @@ class SuccessProfile:
         return profile
 
     def _set_columns(self, probs, mass, ids) -> None:
-        probs = np.asarray(probs, dtype=float)
-        mass = np.asarray(mass, dtype=float)
-        ids = tuple(ids)
+        probs = _column("probs", np.asarray, probs, float)
+        mass = _column("mass", np.asarray, mass, float)
+        ids = _column("ids", tuple, ids)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "ids", ids)
@@ -225,11 +258,11 @@ class SuccessProfile:
     @classmethod
     def uniform(cls, probs, ids=None) -> "SuccessProfile":
         """Profile with equal mass on every prompt."""
-        probs = np.asarray(probs, dtype=float)
+        probs = _column("probs", np.asarray, probs, float)
         n = probs.size
         if ids is None:
             ids = tuple(str(i) for i in range(n))
-        return cls(probs=probs, mass=np.full(n, 1.0) / n, ids=tuple(ids))
+        return cls(probs=probs, mass=np.full(n, 1.0) / n, ids=ids)
 
 
 def pass_at_k(profile: SuccessProfile, k: int) -> float:

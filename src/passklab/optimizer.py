@@ -21,7 +21,7 @@ from .bandit import (
 from .conflict import conflict_report
 from .errors import DomainError
 from .interference import GradientTable
-from .objectives import SuccessProfile, _check_int, fk_array, ordered_dot
+from .objectives import SuccessProfile, _check_int, _real, fk_array, ordered_dot
 from .serialization import write_csv
 
 TRAJECTORY_COLUMNS = (
@@ -112,7 +112,7 @@ def run_trajectory(
     (default BanditConfig()); with one, config is not read.
     """
     steps = _check_int("steps", steps, 1)
-    if eta is not None and not 0 < eta < np.inf:
+    if eta is not None and not 0 < _real("eta", eta) < np.inf:
         raise DomainError(f"eta must be > 0 and finite, got {eta}")
     if batch is None:
         batch = sample_prompts(BanditConfig() if config is None else config, n)

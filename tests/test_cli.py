@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, determinism, manifests, precedence."""
 
+import importlib.util
 import json
 import math
 import os
@@ -9,6 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
 
 import passklab
 from passklab.cli import main
@@ -625,6 +631,19 @@ class TestUsageErrorsExitTwo:
         self.assert_one_line_error(argv, capsys, needle)
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["0", str(MAX_K + 1)])
+    def test_diagnose_k_refused_before_the_log_is_read(
+        self, tmp_path, synth_log, capsys, k
+    ):
+        # this loaded and filtered the log and printed its counts first
+        out = tmp_path / "out"
+        argv = ["diagnose", "--input", str(synth_log), "--k", k, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: k must be in [1, {MAX_K}], got {k}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_kstar_k_max_negative(self, capsys):
         argv = ["kstar", "--k-max", "-1"]
         self.assert_one_line_error(argv, capsys, "k_max must be >= 0, got -1")
@@ -662,6 +681,105 @@ class TestUsageErrorsExitTwo:
         argv = ["diagnose", "--input", str(log), "--out", str(out)]
         self.assert_one_line_error(argv, capsys, "too large")
         assert not (out / "diagnose.json").exists()
+
+
+class TestPinnedOutputs:
+    """Every output of tools/cli_digests.py's RUNS, byte for byte: 15 files
+    and stdouts and 7 --help texts, from one child per SIMD level."""
+
+    # "<label>: <output>": sha256, recorded with numpy 2.4 and Python 3.11.
+    # numpy's exp and log bits differ when X86_V4 (AVX-512) is not dispatched,
+    # so those of 8 outputs are pinned at both levels; a host without X86_V4
+    # checks the lower level only, and says so.
+    X86_V4 = {
+        "trajectory: stdout":
+            "5d04365aa62b352de6ae8c212e571289297d96bcec6f0436a13b803b33bedefd",
+        "trajectory: traj/trajectory.csv":
+            "fb51131545e60860064d958356a1dde820f404779321e7f0a4eceb842fa86d80",
+        "trajectory --k 10 --steps 25: stdout":
+            "9d88aaf0a35c9451f941bbdb28a2e033045d50fa1e5f4daf287ed605794331a8",
+        "trajectory --k 10 --steps 25: traj10/trajectory.csv":
+            "73337ad1642afce41bd440d5757e5b673fe7b202087008b4278e76197d8ceb9f",
+        "toy-demo: stdout":
+            "62cdc4ca73dd31bcbfb31a1270c5a70f5502bb87dfb041726daa7cd81421fd0c",
+        "toy-demo: demo/toy_demo.json":
+            "42c2e3f20a9b292d076da40f65d651dfd71e46a3b119c5f58c4d46cd8a3a9dd8",
+        "synth-log --n 2000 --d 64: stdout":
+            "ab0d5c1bbf2d5ba59bb9921ce5e9247a2ab6a24d514f200e401fd8c18317d78e",
+        "synth-log --n 2000 --d 64: log.jsonl":
+            "63976e4cdf00d9ab7c856f33f78ab61a90447b25a9512bf6e834d52958cfa797",
+        "diagnose --k 32: stdout":
+            "79193f42f27161b53be7e3dc0e5a7b001179287d8236fa2b436f9c800992c8b9",
+        "diagnose --k 32: diag/diagnose.json":
+            "eb22d131f1258f77fc8ea104f1b38e5a1eb45266d47cf025ee0994a9877aba0d",
+        "diagnose --k 32: diag/prompts.csv":
+            "ac4794a1f1a476fc633304b8e2ec482d0e485863e405cd678e2067cd634877d6",
+        "diagnose --k 32: diag/scatter.csv":
+            "727ce60ca8b0a495653c6c189556787374faf0be43684a660a4a606f428b03c1",
+        "heatmap: stdout":
+            "04cc05e3ee1dd4bcf5025714acf42d92556e05de6e34160083ed5dca58fb0221",
+        "heatmap: hm/heatmap.csv":
+            "f1c7eff2bfcdc4594b0af219f6961757014f1549e156eba2e5632cc2cfec0ea5",
+        "kstar: stdout":
+            "56816219544f7c8e93cb3ece7858a36b149837abea980ec19f54543dd015bcd9",
+        "--help: stdout":
+            "bb696e1162d6f7bfc9991e4b3511d721484a95e65839d6d0fd86a719202d4f92",
+        "toy-demo --help: stdout":
+            "b4f8ab8a88944196c2ba84de5491a910e1851666a1f604f8ca0d34c490c37779",
+        "heatmap --help: stdout":
+            "2032d66c34d559c5cdc0327ec8a77b3f922c9a49fa5bab93ccaa47a3b951f9dd",
+        "trajectory --help: stdout":
+            "6bf281f78c202b8c1305abbac841c21cf68f293fbfc797f0e885c9e1e4f94a3e",
+        "kstar --help: stdout":
+            "06e1f61e8543dd6efb62dd189188be3e107ca913f8393698b893ca22c7df1c04",
+        "diagnose --help: stdout":
+            "64f1f937a7ae23adc46c8fd8a6a6ca21645f5894b4520d45fe5b153d9cd2cf5c",
+        "synth-log --help: stdout":
+            "c87a77d80d71cd3cd09b535fed59cda36f5080677965dfa1ce66cea2b57e89a9",
+    }
+    LOWER = dict(
+        X86_V4,
+        **{
+            "trajectory: traj/trajectory.csv":
+                "dcf2ae45a1e43503dd807e9422efcf040e64b57e2049e1c15660567156683d6e",
+            "trajectory --k 10 --steps 25: traj10/trajectory.csv":
+                "cda31d1a9671d6f996ecbcea6060f212f317b7920ffce10d542bd8db7bdc890f",
+            "toy-demo: stdout":
+                "5952158055735aaa4638335ba1e259402a15a954527b9589cbe3e2116b6e93c0",
+            "toy-demo: demo/toy_demo.json":
+                "793a181783febd7e65a3c91efad6621e8268c78ff22c9ca97ef00dab6130b53e",
+            "diagnose --k 32: diag/prompts.csv":
+                "af0765aba97be7b6de0215f63a38c13e768996b5a8ac648a13608bd278072a89",
+            "diagnose --k 32: diag/scatter.csv":
+                "4d6f203f95f9f5ec00b68ec11cdacf170d7693789ecdca68022bbe47e5967b28",
+            "heatmap: hm/heatmap.csv":
+                "7811a4abd2c6ab4998340eb70eb1e720bc462948383f04c0f5722a5e0bdf55d4",
+            "kstar: stdout":
+                "d0c75fa60b3fdbab0418d6ad978b5bc49e963c7ba635bdd4afd1758f5b2c6f5f",
+        },
+    )
+    DISABLE_X86_V4 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+    def test_outputs_are_pinned(self, tmp_path):
+        path = Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"
+        spec = importlib.util.spec_from_file_location("cli_digests", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        if __cpu_features__.get("X86_V4"):
+            levels = {
+                "X86_V4": (self.X86_V4, {}),
+                "lower": (self.LOWER, self.DISABLE_X86_V4),
+            }
+        else:
+            print("no X86_V4 on this host: the lower level's digests only are checked")
+            levels = {"lower": (self.LOWER, {})}
+        for level, (pinned, env) in levels.items():
+            (tmp_path / level).mkdir()
+            lines = tool.child_lines(tmp_path / level, env)
+            digests = dict(line.split("  ", 1)[::-1] for line in lines)
+            assert len(lines) == len(tool.RUNS) + 8 == 22
+            differ = [name for name in pinned if digests.get(name) != pinned[name]]
+            assert digests.keys() == pinned.keys() and not differ, (level, differ)
 
 
 class TestConsoleScript:

@@ -520,6 +520,51 @@ def test_smoothness_constants_reject_k_outside_the_k_rule(k):
         smoothness_constants(1.0, 1.0, k)
 
 
+def _certified_report(constants, probs=(0.5, 0.5, 0.5)):
+    # one prompt interferes; with probs of 1 outside it, w_plus is 0
+    table = GradientTable.uniform([[1.0], [1.0], [-1.0]])
+    return conflict_report(table, SuccessProfile.uniform(probs), 2, constants=constants)
+
+
+# (case, call, message): each returned a value (inf, -inf or NaN included)
+# or raised ZeroDivisionError or IndexError
+BAD_CERTIFICATE_ARGS = [
+    ("c2 zero", lambda: max_safe_step(1.0, 0.0, 1.0),
+     "c2 and lk must be finite and > 0, got c2=0.0 lk=1.0"),
+    ("lk zero", lambda: max_safe_step(1.0, 1.0, 0.0),
+     "c2 and lk must be finite and > 0, got c2=1.0 lk=0.0"),
+    ("c2 inf", lambda: max_safe_step(1.0, math.inf, 1.0),
+     "c2 and lk must be finite and > 0, got c2=inf lk=1.0"),
+    ("g2 inf", lambda: smoothness_constants(math.inf, 1, 3),
+     "g2 and f must be finite and > 0, got g2=inf f=1.0"),
+    ("f inf", lambda: smoothness_constants(1, math.inf, 3),
+     "g2 and f must be finite and > 0, got g2=1.0 f=inf"),
+    ("delta_bound g2 inf", lambda: delta_bound(1e-6, 1, 1, math.inf),
+     "g2 must be finite and > 0, got inf"),
+    ("report g2 inf", lambda: _certified_report((math.inf, 1.0)),
+     "g2 must be finite and > 0, got inf"),
+    ("report g2 inf, no weight outside",
+     lambda: _certified_report((math.inf, 1.0), probs=(1.0, 1.0, 0.5)),
+     "g2 must be finite and > 0, got inf"),
+    ("report f inf", lambda: _certified_report((1.0, math.inf)),
+     "g2 and f must be finite and > 0, got g2=1.0 f=inf"),
+    ("report one constant", lambda: _certified_report((1.0,)),
+     r"constants must be a \(g2, f\) pair, got \(1.0,\)"),
+    ("report three constants", lambda: _certified_report((1.0, 1.0, 1.0)),
+     r"constants must be a \(g2, f\) pair, got \(1.0, 1.0, 1.0\)"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [case[1:] for case in BAD_CERTIFICATE_ARGS],
+    ids=[case[0] for case in BAD_CERTIFICATE_ARGS],
+)
+def test_certificate_arguments_refused(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 class TestMaxSafeStep:
     def test_delta_equal_c2(self):
         assert max_safe_step(4.0, 4.0, 8.0) == pytest.approx(min(1.0, 1 / 8.0))

@@ -1,0 +1,153 @@
+"""Arrays, ids and scalars built in code: each bad one is one DomainError line."""
+
+import math
+
+import numpy as np
+import pytest
+
+from passklab import (
+    BanditConfig,
+    DomainError,
+    FilterSpec,
+    GradientTable,
+    PromptBatch,
+    SampleSet,
+    SuccessProfile,
+    conflict_bound,
+    conflict_report,
+    delta_bound,
+    derive_reference_theta,
+    fk,
+    k_star,
+    make_synthetic_conflict_log,
+    max_safe_step,
+    pass_at_k_bounds,
+    run_trajectory,
+    sample_prompts,
+    smoothness_constants,
+    success_probs,
+    wk,
+)
+
+FEATURES = [[1.0, 0.5], [1.0, -0.5]]
+LABELS = ["easy", "hard"]
+
+# (case, call, the message's start): numpy or tuple() refused each of these
+# with its own TypeError, ValueError or OverflowError
+BAD_COLUMNS = [
+    ("batch text features",
+     lambda: PromptBatch(("a",), np.array([["1", "x"]]), ["easy"], [0]),
+     "bad features (could not convert string to float"),
+    ("batch ragged features",
+     lambda: PromptBatch(("a", "b"), [[1.0, 0.5], [1.0]], LABELS, [0, 1]),
+     "bad features ("),
+    ("batch ragged labels",
+     lambda: PromptBatch(("a", "b"), FEATURES, ["easy", ["hard"]], [0, 1]),
+     "bad labels ("),
+    ("batch ragged actions",
+     lambda: PromptBatch(("a", "b"), FEATURES, LABELS, [0, [1]]),
+     "bad correct_actions ("),
+    ("batch no ids",
+     lambda: PromptBatch(None, [[1.0, 0.5]], ["easy"], [0]),
+     "bad ids ('NoneType' object is not iterable)"),
+    ("table no ids",
+     lambda: GradientTable(np.ones((1, 2)), None),
+     "bad ids ('NoneType' object is not iterable)"),
+    ("table text grads",
+     lambda: GradientTable(np.array([["1", "a"]]), ("x",)),
+     "bad grads (could not convert string to float"),
+    ("uniform table text grads",
+     lambda: GradientTable.uniform([["a"]]),
+     "bad grads (could not convert string to float: 'a')"),
+    ("profile no ids",
+     lambda: SuccessProfile([0.5], [1.0], None),
+     "bad ids ('NoneType' object is not iterable)"),
+    ("profile text probs",
+     lambda: SuccessProfile(["a"], [1.0], ("x",)),
+     "bad probs (could not convert string to float: 'a')"),
+    ("profile text mass",
+     lambda: SuccessProfile([0.5], ["a"], ("x",)),
+     "bad mass (could not convert string to float: 'a')"),
+    ("uniform profile text probs",
+     lambda: SuccessProfile.uniform(["a"]),
+     "bad probs (could not convert string to float: 'a')"),
+    ("sample set no ids",
+     lambda: SampleSet(None, [0, 1], [0], [0.0], [[1.0]]),
+     "bad ids ('NoneType' object is not iterable)"),
+    ("sample set offset past int64",
+     lambda: SampleSet(("a",), [0, 2**70], [0], [0.0], [[1.0]]),
+     "bad offsets ("),
+    ("text theta",
+     lambda: success_probs(["a", "b"], sample_prompts(BanditConfig(), 3)),
+     "bad theta (could not convert string to float: 'a')"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,start", [case[1:] for case in BAD_COLUMNS], ids=[case[0] for case in BAD_COLUMNS]
+)
+def test_bad_column_is_one_domain_error(call, start):
+    with pytest.raises(DomainError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(start), message
+    assert "\n" not in message
+
+
+def _report(margin):
+    table = GradientTable.uniform([[1.0], [-1.0]])
+    return conflict_report(table, SuccessProfile.uniform([0.5, 0.5]), 2, margin=margin)
+
+
+# (parameter, call with the value under test): a text value reached a
+# comparison or float() and raised TypeError or ValueError, and True ran as 1
+# wherever 1 lies in the parameter's range
+SCALARS = [
+    ("separation", lambda v: BanditConfig(separation=v)),
+    ("hard_fraction", lambda v: BanditConfig(hard_fraction=v)),
+    ("delta1", lambda v: FilterSpec(v, 0.1)),
+    ("delta2", lambda v: FilterSpec(0.85, v)),
+    ("p_easy_target", lambda v: derive_reference_theta(v, 0.1)),
+    ("p_hard_target", lambda v: derive_reference_theta(0.86, v)),
+    ("eps", lambda v: k_star(v, 0.5, 0.1, 0.01, 1.0)),
+    ("q", lambda v: conflict_bound(3, 0.05, 0.5, v, 0.01, 1.0)),
+    ("m", lambda v: conflict_bound(3, 0.05, 0.5, 0.1, v, 1.0)),
+    ("eta", lambda v: run_trajectory(eta=v, steps=1, n=10)),
+    ("hard_fraction", lambda v: make_synthetic_conflict_log(hard_fraction=v)),
+    ("margin", _report),
+    ("g2", lambda v: smoothness_constants(v, 1, 3)),
+    ("f", lambda v: smoothness_constants(1, v, 3)),
+    ("g2", lambda v: delta_bound(1e-6, 1.0, 1.0, v)),
+    ("delta_theta", lambda v: max_safe_step(v, 1, 1)),
+    ("c2", lambda v: max_safe_step(1, v, 1)),
+    ("lk", lambda v: max_safe_step(1, 1, v)),
+    ("p", lambda v: fk(v, 2)),
+    ("p", lambda v: wk(v, 2)),
+    ("j1", lambda v: pass_at_k_bounds(v, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "value,shown", [("a", '"a"'), (True, "true/false")], ids=["text", "bool"]
+)
+@pytest.mark.parametrize(
+    "name,call", SCALARS, ids=[f"{i}-{name}" for i, (name, _) in enumerate(SCALARS)]
+)
+def test_scalar_that_is_not_a_number(name, call, value, shown):
+    with pytest.raises(DomainError, match=f"^{name} must be a number, not {shown}$"):
+        call(value)
+
+
+def test_margin_none_is_not_a_number():
+    with pytest.raises(DomainError, match="^margin must be a number, not null$"):
+        _report(None)
+
+
+@pytest.mark.parametrize(
+    "value", [np.float64(0.25), np.float32(0.25), np.int64(1)],
+    ids=["float64", "float32", "int64"],
+)
+def test_numpy_scalars_stay_numbers(value):
+    assert FilterSpec(0.85, value * 0.1).delta2 == value * 0.1
+    assert fk(value, 3) == fk(float(value), 3)
+    assert math.isfinite(delta_bound(1e-6, 1.0, 1.0, value))

@@ -270,10 +270,9 @@ DIAGNOSE_SPEC = {
 
 
 def cmd_diagnose(args) -> None:
-    _check_k(args.k)  # before the log is read
-    records = load_gradlog(args.input)
+    _check_k(args.k)  # k and the band before the log is read
     spec = FilterSpec(delta1=args.delta1, delta2=args.delta2)
-    filtered = filter_by_difficulty(records, spec)
+    filtered = filter_by_difficulty(load_gradlog(args.input), spec)
     print(filtered.counts_summary())
     report = diagnose(filtered, args.k)
 

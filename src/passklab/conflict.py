@@ -312,7 +312,9 @@ def k_star(eps: float, delta_sep: float, q: float, m: float, g2: float) -> float
 
 def smoothness_constants(g2: float, f: float, k: int) -> tuple[float, float, float]:
     """(l1, lk, c2): gradient-Lipschitz constants of the 1- and k-attempt
-    objectives plus the quadratic coefficient of the one-step bound."""
+    objectives plus the quadratic coefficient of the one-step bound.
+    Finite g2 and f whose lk or c2 passes the float range are refused
+    (DomainError), as a certificate could not use them."""
     g2, f = _real("g2", g2), _real("f", f)
     if not (0.0 < g2 < math.inf and 0.0 < f < math.inf):
         raise DomainError(f"g2 and f must be finite and > 0, got g2={g2} f={f}")
@@ -320,6 +322,8 @@ def smoothness_constants(g2: float, f: float, k: int) -> tuple[float, float, flo
     l1 = g2 + f
     lk = k * k * g2 + k * f
     c2 = k * k * g2 * l1 / 2.0
+    if not (lk < math.inf and c2 < math.inf):  # an inf l1 makes c2 inf
+        raise DomainError(f"smoothness constants overflow at g2={g2} f={f} k={k}")
     return l1, lk, c2
 
 

@@ -121,9 +121,11 @@ class SampleSet:
 # Prompts per array pass in the chunked loops: bounds their temporaries, so
 # memory does not grow with the number of prompts.
 CHUNK_PROMPTS = 512
-# Prompts per array pass of the stream kernel: bounds its temporaries, so
-# memory grows with neither the number of prompts nor the number of draws.
-LANES = 1 << 12
+# Prompts per array pass of the stream kernel: bounds its (7, LANES) word
+# array, so memory grows with neither the number of prompts nor the number
+# of draws.  Every pass pays about 30 ufunc calls per draw column, so LANES
+# is large enough for a 6000-prompt batch to take one pass.
+LANES = 1 << 14
 
 
 def _stream_key(prompt_id: str) -> int:
@@ -221,35 +223,69 @@ def _pcg64_seeds(seed: int, ids) -> np.ndarray:
 
 
 # PCG64 in uint64 words.  numpy has no 128-bit integers, so a 128-bit value
-# is a (hi, lo) pair of uint64 arrays or scalars, and the high half of a
-# 64 x 64-bit product is assembled from 32-bit limbs.
+# is a (hi, lo) pair of uint64 rows, and the high half of a 64 x 64-bit
+# product is assembled from 32-bit limbs.  The kernel keeps its p streams in
+# one (7, p) array of words, rows state hi, state lo, inc hi, inc lo and
+# three scratch rows, which every step updates in place.
 _U1, _U11, _U32, _U58, _U63, _U64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
 _LOW32 = np.uint64(MASK32)
-_MULT = (np.uint64(PCG64_MULT >> 64), np.uint64(PCG64_MULT & MASK64))
 
 
-def _mulhi(a, b):
-    """High 64 bits of the 128-bit product of uint64 a and b."""
-    a0, a1 = a & _LOW32, a >> _U32
-    b0, b1 = b & _LOW32, b >> _U32
-    t = a1 * b0 + (a0 * b0 >> _U32)
-    w = (t & _LOW32) + a0 * b1
-    return a1 * b1 + (t >> _U32) + (w >> _U32)
+def _multiplier(a: int) -> tuple:
+    """A 128-bit multiplier as uint64 scalars: its high word, its low word
+    and the low word's two 32-bit limbs, low first."""
+    return tuple(map(np.uint64, (a >> 64, a & MASK64, a & MASK32, a >> 32 & MASK32)))
 
 
-def _muladd(a, x, c):
-    """(a * x + c) mod 2**128 for (hi, lo) pairs; the words broadcast."""
-    (a_hi, a_lo), (x_hi, x_lo), (c_hi, c_lo) = a, x, c
-    lo = a_lo * x_lo + c_lo
-    hi = _mulhi(a_lo, x_lo) + a_lo * x_hi + a_hi * x_lo + c_hi + (lo < c_lo)
-    return hi, lo
+_ONE, _MULT = _multiplier(1), _multiplier(PCG64_MULT)
 
 
-def _xsl_rr(hi, lo):
-    """PCG64's output word of a state: hi ^ lo rotated right by hi's top 6 bits."""
-    v = hi ^ lo
-    rot = hi >> _U58
-    return (v >> rot) | (v << ((_U64 - rot) & _U63))
+def _muladd(mult: tuple, words: np.ndarray, carry: np.ndarray) -> None:
+    """state = (mult * state + inc) mod 2**128 in place on ``words`` (7, p);
+    ``carry`` is a (p,) bool buffer.
+
+    The high word sums a_lo * hi, a_hi * lo, inc's high word, the high half
+    of a_lo * lo and the carry out of the low word, each mod 2**64.
+    """
+    a_hi, a_lo, m0, m1 = mult
+    hi, lo, inc_hi, inc_lo, x0, x1, t = words
+    np.multiply(lo, a_hi, out=t)
+    np.bitwise_and(lo, _LOW32, out=x0)
+    np.right_shift(lo, _U32, out=x1)
+    state = words[:2]
+    state *= a_lo
+    state += words[2:4]  # hi: a_lo * hi + inc_hi; lo: the new low word
+    np.less(lo, inc_lo, out=carry)
+    hi += carry
+    hi += t
+    # the high half of a_lo * lo from lo's 32-bit limbs x0, x1 and a_lo's m0, m1
+    np.multiply(x1, m1, out=t)
+    hi += t
+    np.multiply(x0, m0, out=t)
+    t >>= _U32
+    x0 *= m1
+    x1 *= m0
+    x1 += t  # x1 * m0 + (x0 * m0 >> 32): below 2**64
+    np.right_shift(x1, _U32, out=t)
+    hi += t
+    x1 &= _LOW32
+    x1 += x0
+    x1 >>= _U32
+    hi += x1
+
+
+def _xsl_rr(words: np.ndarray) -> np.ndarray:
+    """PCG64's output word of the state in ``words`` (7, p): hi ^ lo rotated
+    right by hi's top 6 bits, written to scratch row 4, which is returned."""
+    hi, lo, _, _, v, rot, t = words
+    np.bitwise_xor(hi, lo, out=v)
+    np.right_shift(hi, _U58, out=rot)
+    np.right_shift(v, rot, out=t)
+    np.subtract(_U64, rot, out=rot)
+    rot &= _U63
+    v <<= rot
+    v |= t
+    return v
 
 
 def _pcg64_doubles(seeds: np.ndarray, out: np.ndarray) -> None:
@@ -258,17 +294,25 @@ def _pcg64_doubles(seeds: np.ndarray, out: np.ndarray) -> None:
 
     The streams step in lockstep, one LCG step per draw column ``out[:, j]``;
     _uniform_draws passes the transpose of a draw-major (n, p) array, so
-    each column is written as one contiguous row.  Seeding
-    (pcg_setseq_128_srandom_r) sets inc = (initseq << 1) | 1 and leaves the
-    state one LCG step past inc + initstate, and each draw steps first.
+    each column is written as one contiguous row.  Every step works in place
+    on one (7, p) word array and one carry mask, allocated once per call, so
+    no step allocates.  Seeding (pcg_setseq_128_srandom_r) sets
+    inc = (initseq << 1) | 1 and leaves the state one LCG step past
+    inc + initstate, which is 1 * initstate + inc; each draw steps first.
     """
-    s_hi, s_lo, q_hi, q_lo = seeds
-    inc = ((q_hi << _U1) | (q_lo >> _U63), (q_lo << _U1) | _U1)
-    y_lo = inc[1] + s_lo
-    state = _muladd(_MULT, (inc[0] + s_hi + (y_lo < s_lo), y_lo), inc)
+    words = np.empty((7, seeds.shape[1]), dtype=np.uint64)
+    carry = np.empty(seeds.shape[1], dtype=bool)
+    words[:2] = seeds[:2]
+    np.left_shift(seeds[2:], _U1, out=words[2:4])
+    words[2] |= seeds[3] >> _U63
+    words[3] |= _U1
+    _muladd(_ONE, words, carry)
+    _muladd(_MULT, words, carry)
     for j in range(out.shape[1]):
-        state = _muladd(_MULT, state, inc)
-        np.multiply(_xsl_rr(*state) >> _U11, 2.0**-53, out=out[:, j], casting="unsafe")
+        _muladd(_MULT, words, carry)
+        v = _xsl_rr(words)
+        v >>= _U11
+        np.multiply(v, 2.0**-53, out=out[:, j], casting="unsafe")
 
 
 def _uniform_draws(seed: int, ids, n: int) -> np.ndarray:
@@ -337,9 +381,12 @@ def _reward_score_means(samples: SampleSet) -> np.ndarray:
     block's own mean gives.  A chunk of consecutive prompts is a slice of
     the stored arrays; any other chunk is gathered.
 
-    For d > 1 numpy's mean adds the draws one at a time, starting from
-    +0.0, so adding the n rows of a chunk in a loop and dividing gives its
-    bits.  d == 1 keeps the mean: there the draw axis is the contiguous
+    Each reward is repeated d times, so reward * score is one contiguous
+    product.  For d > 1 numpy's mean adds the draws one at a time, starting
+    from +0.0, so adding the n draw rows of a chunk in a loop and dividing
+    gives its bits.  The rows are added transposed into a (d, chunk) total,
+    so each add runs one inner loop over the chunk, not one of length d per
+    prompt.  d == 1 keeps the mean: there the draw axis is the contiguous
     one and numpy sums it pairwise.
     """
     offsets, d = samples.offsets, samples.dim
@@ -353,16 +400,15 @@ def _reward_score_means(samples: SampleSet) -> np.ndarray:
                 rows = slice(offsets[chunk[0]], offsets[chunk[-1] + 1])
             else:
                 rows = (offsets[chunk, None] + np.arange(n)).reshape(-1)
-            r = samples.rewards[rows].reshape(chunk.size, n)
-            s = samples.scores[rows].reshape(chunk.size, n, d)
-            products = r[:, :, None] * s
+            products = np.repeat(samples.rewards[rows], d).reshape(chunk.size, n, d)
+            products *= samples.scores[rows].reshape(chunk.size, n, d)
             if d == 1:
                 out[chunk] = products.mean(axis=1)
                 continue
-            total = np.zeros((chunk.size, d))
+            total = np.zeros((d, chunk.size))
             for j in range(n):
-                total += products[:, j]
-            out[chunk] = total / n
+                total += products[:, j].T
+            out[chunk] = total.T / n
     return out
 
 

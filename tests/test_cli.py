@@ -644,6 +644,24 @@ class TestUsageErrorsExitTwo:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_diagnose_band_refused_before_the_log_is_read(self, tmp_path, capsys):
+        # the log's line error won: line 2 lacks pass1
+        log = tmp_path / "bad.jsonl"
+        log.write_text(
+            '{"prompt_id": "a", "pass1": 0.5, "grad": [1.0]}\n'
+            '{"prompt_id": "b", "grad": [1.0]}\n'
+        )
+        out = tmp_path / "out"
+        argv = ["diagnose", "--input", str(log), "--delta1", "0.1", "--delta2", "0.8",
+                "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: require 0 < delta2 < delta1 < 1, got delta1=0.1 delta2=0.8\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_kstar_k_max_negative(self, capsys):
         argv = ["kstar", "--k-max", "-1"]
         self.assert_one_line_error(argv, capsys, "k_max must be >= 0, got -1")

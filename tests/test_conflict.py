@@ -526,8 +526,8 @@ def _certified_report(constants, probs=(0.5, 0.5, 0.5)):
     return conflict_report(table, SuccessProfile.uniform(probs), 2, constants=constants)
 
 
-# (case, call, message): each returned a value (inf, -inf or NaN included)
-# or raised ZeroDivisionError or IndexError
+# (case, call, message): each returned a value (inf, -inf or NaN included),
+# raised ZeroDivisionError or IndexError, or named an overflowed c2 or lk
 BAD_CERTIFICATE_ARGS = [
     ("c2 zero", lambda: max_safe_step(1.0, 0.0, 1.0),
      "c2 and lk must be finite and > 0, got c2=0.0 lk=1.0"),
@@ -548,6 +548,13 @@ BAD_CERTIFICATE_ARGS = [
      "g2 must be finite and > 0, got inf"),
     ("report f inf", lambda: _certified_report((1.0, math.inf)),
      "g2 and f must be finite and > 0, got g2=1.0 f=inf"),
+    ("c2 overflows", lambda: smoothness_constants(1e300, 1.0, 2),
+     r"smoothness constants overflow at g2=1e\+300 f=1.0 k=2"),
+    ("lk overflows", lambda: smoothness_constants(1e-300, 1e308, 2),
+     r"smoothness constants overflow at g2=1e-300 f=1e\+308 k=2"),
+    ("report constants overflow",
+     lambda: _certified_report((1e300, 1.0), probs=(1.0, 1.0, 0.5)),
+     r"smoothness constants overflow at g2=1e\+300 f=1.0 k=2"),
     ("report one constant", lambda: _certified_report((1.0,)),
      r"constants must be a \(g2, f\) pair, got \(1.0,\)"),
     ("report three constants", lambda: _certified_report((1.0, 1.0, 1.0)),

@@ -452,6 +452,14 @@ def as_words(values) -> tuple:
     )
 
 
+def kernel_words(states, inc=0) -> np.ndarray:
+    """The kernel's (7, p) word array: states, inc and garbage scratch rows."""
+    words = np.full((7, len(states)), 0xDEADBEEF, dtype=np.uint64)
+    words[0], words[1] = as_words(states)
+    words[2], words[3] = as_words([inc] * len(states))
+    return words
+
+
 def word_ints(hi, lo):
     return [(int(h) << 64) | int(l) for h, l in zip(np.ravel(hi), np.ravel(lo))]
 
@@ -476,17 +484,21 @@ class TestStreamKernel:
         rng = np.random.default_rng(3)
         extra = [int(v) << 64 | int(w) for v, w in rng.integers(0, 2**63, (6, 2))]
         values = [v for pair in self.EDGES for v in pair] + extra
-        xs = as_words(values)
-        for a in (mc.PCG64_MULT, 2**128 - 1, 2**64 + 3, 1):
+        carry = np.empty(len(values), dtype=bool)
+        for a in (mc.PCG64_MULT, 2**128 - 1, 2**64 + 3, 2**64 - 1, 1):
             for c in (0, 2**64 - 1, 2**128 - 1, 2**127 | 1):
-                got = mc._muladd(as_words([a]), xs, as_words([c]))
+                words = kernel_words(values, c)
+                mc._muladd(mc._multiplier(a), words, carry)
                 want = [(a * x + c) & MASK128 for x in values]
-                assert word_ints(*got) == want
+                assert word_ints(words[0], words[1]) == want
+                assert word_ints(words[2], words[3]) == [c] * len(values)
 
     def test_output_matches_python_ints(self):
         states = [s for pair in self.EDGES for s in pair]
-        got = mc._xsl_rr(*as_words(states))
+        words = kernel_words(states)
+        got = mc._xsl_rr(words)
         assert got.tolist() == [xsl_rr_int(s) for s in states]
+        assert word_ints(words[0], words[1]) == states
 
     def test_kernel_matches_numpy_bit_generator(self):
         # seed words (initstate, initseq) at the edges
@@ -738,14 +750,20 @@ class TestVectorisedEstimators:
     # sha256 of sample_actions' actions, rewards, scores and offsets
     # (little-endian int64, float64, float64, int64, in that order) for
     # sample_prompts(BanditConfig(seed=11), prompts), theta [0.3, -0.7] and
-    # seed 2024, recorded with the row-major stream kernel.  LANES + 5
-    # prompts take two kernel passes, 3 prompts read prompt_rng row by row.
-    # The scores carry numpy's exp, whose bits on x86-64 depend on whether
-    # it dispatches X86_V4 (AVX-512), so each shape pins both levels.
+    # seed 2024, recorded with the row-major stream kernel (4101 prompts)
+    # and with the draw-major kernel at LANES = 4096 (16389 prompts).
+    # 16389 = LANES + 5 prompts take two kernel passes, 4101 one, and 3
+    # prompts read prompt_rng row by row.  The scores carry numpy's exp,
+    # whose bits on x86-64 depend on whether it dispatches X86_V4
+    # (AVX-512), so each shape pins both levels.
     SAMPLE_SHA256 = {
-        (mc.LANES + 5, 64): {
+        (4101, 64): {
             True: "742a63fd1806c86a811b8b805ab57343e9e097d9a42bc2de8aff83ddc3460b87",
             False: "96692c8f79728e92cd7e53910c9635146d25897a7c1bd94a7af435e607401366",
+        },
+        (16389, 64): {
+            True: "d19c37e5220c5ce3ba973067d58c28b342a4813b6503c3bba7b73a563b1f3e6f",
+            False: "0c2c1fafaa04f961408a9cc3a3b2793bdd4dd01c19352a12f04c61696f51041d",
         },
         (3, 100): {
             True: "a57decb3d78edf2809620390f6c416313c37ceacae4835ef22e975758a757374",

@@ -9,7 +9,8 @@ output names the invocation and the file it wrote, or its stdout; the --help
 text of passklab and of each command is hashed too, wrapped at a fixed
 COLUMNS so that it reads the same on every terminal.  No CLI command reads
 mc streams, so the last lines hash the arrays of sample_actions, at the 6000
-prompts x 64 draws the benchmark's mc workload samples and at 6000 x 256.
+prompts x 64 draws the benchmark's mc workload samples, at 6000 x 256, and
+at 16389 x 64, which is mc.LANES + 5 prompts: two passes of the kernel.
 Nothing is asserted here: the digests depend on numpy's SIMD level, so
 compare the lines of two checkouts on one host, say before and after a
 change that is meant to keep every bit.  tests/test_cli.py pins the RUNS
@@ -53,8 +54,9 @@ RUNS = [
 COMMANDS = ["toy-demo", "heatmap", "trajectory", "kstar", "diagnose", "synth-log"]
 RUNS += [(f"{name} --help", [name, "--help"], []) for name in COMMANDS]
 
-# (prompts, draws) of each sample_actions call
-SAMPLES = [(6000, 64), (6000, 256)]
+# (prompts, draws) of each sample_actions call; 16389 = mc.LANES + 5, kept
+# as a number so that checkouts with another LANES hash the same shape
+SAMPLES = [(6000, 64), (6000, 256), (16389, 64)]
 
 
 def _sha256(data: bytes) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .objectives import _check_int, _column, _index_ids, _real, check_mass
+from .objectives import _check_int, _column, _index_ids, _real, _reals, check_mass
 
 EASY, HARD = "easy", "hard"
 
@@ -59,7 +59,7 @@ class PromptBatch:
     constants: tuple = field(init=False, repr=False, compare=False)  # (g2, f)
 
     def __post_init__(self):
-        feats = _column("features", np.asarray, self.features, float)
+        feats = _reals("features", self.features)
         labels = _column("labels", np.asarray, self.labels)
         actions = _column("correct_actions", np.asarray, self.correct_actions)
         object.__setattr__(self, "ids", _column("ids", tuple, self.ids))
@@ -70,8 +70,6 @@ class PromptBatch:
             raise DomainError("batch must be nonempty")
         if np.any(feats[:, 0] != 1.0):
             raise DomainError("features[:, 0] must be exactly 1")
-        if not np.all(np.isfinite(feats)):
-            raise DomainError("features must be finite")
         hard = labels == HARD
         unknown = np.flatnonzero(~hard & (labels != EASY))
         if unknown.size:
@@ -126,9 +124,9 @@ def logit(p):
 
 
 def _check_theta(theta) -> np.ndarray:
-    theta = _column("theta", np.asarray, theta, float)
-    if theta.shape != (2,) or np.any(~np.isfinite(theta)):
-        raise DomainError("theta must be a finite 1-d vector of length 2")
+    theta = _reals("theta", theta)
+    if theta.shape != (2,):
+        raise DomainError("theta must be a 1-d vector of length 2")
     return theta
 
 

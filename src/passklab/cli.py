@@ -159,22 +159,29 @@ def _cosine(a, b) -> float:
     return float(a @ b / denom) if denom > 0 else 0.0
 
 
-HEATMAP_SPEC = {
-    "separation": (float, DEFAULT_SEPARATION),
-    "hard_fraction": (float, DEFAULT_HARD_FRACTION),
-    "n": (int, 6000),
-    "subsample": (int, 200),
-    "seed": (int, DEFAULT_SEED),
-}
+def _bandit_spec(**flags) -> dict:
+    """A bandit batch's flags around a command's own, in --help order."""
+    return {
+        "separation": (float, DEFAULT_SEPARATION),
+        "hard_fraction": (float, DEFAULT_HARD_FRACTION),
+        "n": (int, 6000),
+        **flags,
+        "seed": (int, DEFAULT_SEED),
+    }
+
+
+def _bandit_config(args) -> BanditConfig:
+    """The BanditConfig of the flags that _bandit_spec declares."""
+    return BanditConfig(args.separation, args.hard_fraction, args.seed)
+
+
+HEATMAP_SPEC = _bandit_spec(subsample=(int, 200))
 
 
 def cmd_heatmap(args) -> None:
     if args.subsample < 1:
         raise PassKLabError(f"subsample must be >= 1, got {args.subsample}")
-    cfg = BanditConfig(
-        separation=args.separation, hard_fraction=args.hard_fraction, seed=args.seed
-    )
-    batch = sample_prompts(cfg, args.n)
+    batch = sample_prompts(_bandit_config(args), args.n)
     grads = grad_success_probs(reference_theta(), batch)
 
     # 3:2 easy:hard split, as in the 120/80 default.
@@ -204,24 +211,15 @@ def cmd_heatmap(args) -> None:
     print(f"wrote {cos.shape[0]}x{cos.shape[1]} cosine kernel to {csv_path}")
 
 
-TRAJECTORY_SPEC = {
-    "separation": (float, DEFAULT_SEPARATION),
-    "hard_fraction": (float, DEFAULT_HARD_FRACTION),
-    "n": (int, 6000),
-    "k": (int, 5),
-    "eta": (float, 1.0),
-    "steps": (int, 100),
-    "margin": (float, 1e-6),
-    "seed": (int, DEFAULT_SEED),
-}
+TRAJECTORY_SPEC = _bandit_spec(
+    k=(int, 5), eta=(float, 1.0), steps=(int, 100), margin=(float, 1e-6)
+)
 
 
 def cmd_trajectory(args) -> None:
-    cfg = BanditConfig(
-        separation=args.separation, hard_fraction=args.hard_fraction, seed=args.seed
-    )
     records = run_trajectory(
-        cfg, k=args.k, eta=args.eta, steps=args.steps, n=args.n, margin=args.margin
+        _bandit_config(args),
+        k=args.k, eta=args.eta, steps=args.steps, n=args.n, margin=args.margin,
     )
     [csv_path] = _write_outputs(
         args, {"trajectory.csv": partial(trajectory_to_csv, records)}

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlignmentError, DomainError, IdentityCheckError
-from .interference import GradientTable, agreement_scores
+from .interference import GradientTable, _check_row_products, agreement_scores
 from .objectives import (
     SuccessProfile,
     _check_k,
@@ -148,11 +148,7 @@ def conflict_report(
     margin = _real("margin", margin)
     if not 0 < margin < math.inf:
         raise DomainError(f"margin must be finite and > 0, got {margin}")
-    # d * max|entry|**2 bounds every squared row norm M, so no score (<= M),
-    # squared score deviation (<= 4 M**2 <= 2**1022) or sum of them overflows
-    d, top = table.grads.shape[1], float(max(table.grads.max(), -table.grads.min()))
-    if not d * top * top <= 2.0**510:
-        raise DomainError(f"gradient entries up to {top!r} are too large at d = {d}")
+    _check_row_products(table)  # squared score deviations <= 4 M**2 <= 2**1022
     weights = wk_array(profile.probs, k)
     grad_k = _weighted_gradient(table, profile, weights)
     mass = profile.mass
@@ -295,6 +291,7 @@ def k_star(eps: float, delta_sep: float, q: float, m: float, g2: float) -> float
 
     Callers compare integer k strictly greater than the returned value.
     A log argument that overflows or is below 1 is refused (DomainError).
+    A denominator that rounds to 0 gives inf, as a quotient that overflows does.
     """
     _check_separation_args(eps, delta_sep, q, m, g2)
     ratio = (1.0 - q) * g2 / (q * m) if q * m else math.inf
@@ -307,6 +304,8 @@ def k_star(eps: float, delta_sep: float, q: float, m: float, g2: float) -> float
     if delta_sep == 1.0:
         return 1.0  # denominator is +inf, any k >= 2 conflicts
     denominator = math.log1p(-eps) - math.log1p(-delta_sep)
+    if denominator == 0.0:  # below every positive double: inf, or 1 at numerator 0
+        return math.inf if numerator else 1.0
     return 1.0 + numerator / denominator
 
 

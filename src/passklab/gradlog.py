@@ -22,7 +22,7 @@ from .bandit import _check_seed
 from .conflict import conflict_report
 from .errors import DomainError
 from .interference import GradientTable
-from .objectives import SuccessProfile, _check_int, _is_real, _real, _shown, ordered_dot
+from .objectives import SuccessProfile, _check_int, _real, _reals, _shown, ordered_dot
 from .serialization import line_error, number_list, read_records, write_csv, write_json
 
 ANTI_ALIGNMENT = 3.0  # synthetic log: hard-gradient scale against the easy one
@@ -42,32 +42,17 @@ class GradLogRecord:
             raise DomainError(f"prompt_id must be a string, got {self.prompt_id!r}")
         if self.label is not None and not isinstance(self.label, str):
             raise DomainError(f"label must be a string, got {_shown(self.label)}")
-        grad = _number_vector(self.grad)
+        object.__setattr__(self, "grad", _reals("grad", self.grad))
         object.__setattr__(self, "pass1", _real("pass1", self.pass1))
-        object.__setattr__(self, "grad", grad)
         if not 0.0 <= self.pass1 <= 1.0:
             raise DomainError(f"pass1 must lie in [0, 1], got {self.pass1}")
-        if grad.ndim != 1 or grad.size == 0 or np.any(~np.isfinite(grad)):
-            raise DomainError("grad must be a nonempty finite vector")
+        if self.grad.ndim != 1 or self.grad.size == 0:
+            raise DomainError("grad must be a nonempty 1-d vector")
         if self.mass is not None:
             mass = _real("mass", self.mass)
             object.__setattr__(self, "mass", mass)
             if not (np.isfinite(mass) and mass >= 0):
                 raise DomainError(f"mass must be finite and >= 0, got {mass}")
-
-
-def _number_vector(value) -> np.ndarray:
-    """value as floats under a log's number rule (numpy numbers allowed).  A
-    list is read as given, so True stays a bool and 2**64 becomes a float."""
-    raw = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
-    bad = [v for v in raw.flat if not _is_real(v)] if raw.dtype.kind == "O" else []
-    if bad or raw.dtype.kind not in "fiuO":
-        got = f", got {bad[0]!r}" if bad else ", not text, null or true/false"
-        raise DomainError(f"grad entries must be finite numbers{got}")
-    try:
-        return np.asarray(raw, dtype=float)
-    except OverflowError as exc:  # an integer past the float range
-        raise DomainError(f"grad entries must be finite numbers ({exc})") from exc
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .objectives import _column
+from .objectives import _column, _reals
 from .serialization import write_csv
 
 ZERO_NORM = 1e-15
@@ -27,30 +27,37 @@ class GradientTable:
     ids: tuple
 
     def __post_init__(self):
-        grads = _column("grads", np.asarray, self.grads, float)
+        grads = _reals("grads", self.grads)
         object.__setattr__(self, "grads", grads)
         object.__setattr__(self, "ids", _column("ids", tuple, self.ids))
         if grads.ndim != 2 or grads.shape[0] == 0:
             raise DomainError("grads must be a nonempty (n, d) matrix")
         if len(self.ids) != grads.shape[0]:
             raise DomainError("grads and ids must share length n")
-        if np.any(~np.isfinite(grads)):
-            raise DomainError("gradient entries must be finite")
 
     @classmethod
     def uniform(cls, grads, ids=None) -> "GradientTable":
         """The table with ids "0" to "n-1" unless ids are given."""
-        grads = _column("grads", np.asarray, grads, float)
+        grads = _reals("grads", grads)
         n = grads.shape[0] if grads.ndim else 0  # a scalar fails the constructor
         return cls(grads, tuple(map(str, range(n))) if ids is None else ids)
+
+
+def _check_row_products(table: GradientTable) -> None:
+    """Refuse d * max|entry|**2 above 2**510 (DomainError): it bounds each
+    squared row norm M, so no product of two rows (<= M) overflows."""
+    d, top = table.grads.shape[1], float(max(table.grads.max(), -table.grads.min()))
+    if not d * top * top <= 2.0**510:
+        raise DomainError(f"gradient entries up to {top!r} are too large at d = {d}")
 
 
 def kernel_matrix(table: GradientTable) -> np.ndarray:
     """Full pairwise cosine kernel of the gradient rows.
 
     Rows with norm below 1e-15 carry no update direction, so their
-    entries are defined as 0.
+    entries are defined as 0.  Rows too large for conflict_report are refused.
     """
+    _check_row_products(table)
     norms = np.sqrt(np.einsum("ij,ij->i", table.grads, table.grads))
     dead = norms < ZERO_NORM
     safe = np.where(dead, 1.0, norms)

@@ -20,7 +20,7 @@ from .bandit import PromptBatch, _check_seed, _id_index, _sigmoid
 from .conflict import assemble_passk_gradient
 from .errors import DomainError
 from .interference import GradientTable
-from .objectives import SuccessProfile, _check_int, _column
+from .objectives import SuccessProfile, _check_int, _column, _reals, _shown
 from .serialization import line_error, number_list, read_records
 
 
@@ -53,11 +53,7 @@ class SampleSet:
         ids = _column("ids", tuple, ids)
         offsets = _column("offsets", np.asarray, offsets, np.int64)
         actions = _column("actions", np.asarray, actions)
-        rewards = _column("rewards", np.asarray, rewards)
-        scores = _column("scores", np.asarray, scores)
-        if rewards.dtype.kind not in "biuf" or scores.dtype.kind not in "biuf":
-            raise DomainError("rewards and scores must be numbers, not text or objects")
-        rewards, scores = (a.astype(float, copy=False) for a in (rewards, scores))
+        rewards, scores = _reals("reward", rewards), _reals("score", scores)
         if not ids:
             raise DomainError("sample set must contain at least one prompt")
         if actions.ndim != 1 or rewards.shape != actions.shape:
@@ -76,8 +72,6 @@ class SampleSet:
                 "offsets must rise from 0 to the number of draws, "
                 "with at least one sample per prompt"
             )
-        if not np.isfinite(scores).all():
-            raise DomainError("score entries must be finite")
         if not ((rewards == 0.0) | (rewards == 1.0)).all():
             raise DomainError("rewards must be exactly 0 or 1")
         # one pass: the bitwise OR of integers is 0 or 1 exactly when each is
@@ -476,9 +470,9 @@ def import_samples(path) -> SampleSet:
             raise line_error(path, lineno, exc) from exc
         dim = dim or len(score)
         if type(action) is not int or action not in (0, 1):
-            bad = f"action must be 0 or 1, got {action!r}"
+            bad = f"action must be 0 or 1, got {_shown(action)}"
         elif type(reward) not in (int, float) or reward not in (0, 1):
-            bad = f"reward must be 0 or 1, got {reward!r}"
+            bad = f"reward must be 0 or 1, got {_shown(reward)}"
         elif len(score) != dim:
             bad = f"score dimension {len(score)} differs from {dim}"
         else:  # a valid draw

@@ -43,7 +43,10 @@ def _is_real(value) -> bool:
 
 def _shown(value) -> str:
     """value as JSON writes it, as the number-list rule names a bad entry
-    (null, "0.05"); repr for a value that JSON cannot write."""
+    (null, "0.05"), a numpy scalar as its Python value; repr for a value
+    that JSON cannot write."""
+    if isinstance(value, np.generic):
+        value = value.item()
     try:
         return json.dumps(value)
     except (TypeError, ValueError):
@@ -60,12 +63,28 @@ def _real(name: str, value) -> float:
 
 
 def _column(name: str, convert, *args):
-    """convert(*args), such as np.asarray(value, float) or tuple(ids); a value
+    """convert(*args), such as np.asarray(actions) or tuple(ids); a value
     that it cannot convert is one DomainError naming the column."""
     try:
         return convert(*args)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"bad {name} ({exc})") from exc
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """value as a float array of finite numbers under _real's rule, the first
+    bad entry named as JSON writes it, as in a file's number list.  A float or
+    integer array takes one isfinite pass, anything else an object scan; an
+    integer past the float range, or a value numpy cannot build, is _column's."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        value = np.asarray(value, dtype=float)
+        if np.isfinite(value).all():
+            return value
+    raw = _column(name, np.array, value, object)
+    bad = [v for v in raw.flat if not (_is_real(v) and abs(v) < math.inf)]
+    if bad:
+        raise DomainError(f"{name} entries must be finite numbers, got {_shown(bad[0])}")
+    return _column(name, np.asarray, raw, float)
 
 
 def _check_k(k: int) -> int:
@@ -239,8 +258,7 @@ class SuccessProfile:
         return profile
 
     def _set_columns(self, probs, mass, ids) -> None:
-        probs = _column("probs", np.asarray, probs, float)
-        mass = _column("mass", np.asarray, mass, float)
+        probs, mass = _reals("probs", probs), _reals("mass", mass)
         ids = _column("ids", tuple, ids)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "mass", mass)
@@ -249,7 +267,7 @@ class SuccessProfile:
             raise DomainError("probs must be a nonempty 1-d vector")
         if probs.shape != mass.shape or len(ids) != probs.size:
             raise DomainError("probs, mass, and ids must have equal length")
-        if np.any(~np.isfinite(probs)) or np.any(probs < 0) or np.any(probs > 1):
+        if np.any(probs < 0) or np.any(probs > 1):
             raise DomainError("every success probability must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -258,7 +276,7 @@ class SuccessProfile:
     @classmethod
     def uniform(cls, probs, ids=None) -> "SuccessProfile":
         """Profile with equal mass on every prompt."""
-        probs = _column("probs", np.asarray, probs, float)
+        probs = _reals("probs", probs)
         n = probs.size
         if ids is None:
             ids = tuple(str(i) for i in range(n))

@@ -1,6 +1,7 @@
 """Toy environment tests: sampling, closed-form probabilities and gradients."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -113,12 +114,18 @@ class TestPolicy:
             assert total == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize(
-        "theta", [[math.nan, 0.0], [0.0, math.inf], [[0.0, 0.0]], 0.0]
+        "theta,message",
+        [
+            ([math.nan, 0.0], "theta entries must be finite numbers, got NaN"),
+            ([0.0, math.inf], "theta entries must be finite numbers, got Infinity"),
+            ([[0.0, 0.0]], "theta must be a 1-d vector of length 2"),
+            (0.0, "theta must be a 1-d vector of length 2"),
+        ],
     )
-    def test_theta_must_be_a_finite_vector(self, theta):
+    def test_theta_must_be_a_finite_vector(self, theta, message):
         batch, _ = overlap_pair()
         for fn in (success_probs, grad_success_probs):
-            with pytest.raises(DomainError, match="theta must be a finite 1-d vector"):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 fn(theta, batch)
 
     @pytest.mark.parametrize("theta", [[], [0.5], [0.5, -1.0, 2.0]])

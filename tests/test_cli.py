@@ -204,6 +204,15 @@ class TestKstar:
             "threshold is infinite; no finite k is certified",
         ]
 
+    def test_threshold_whose_denominator_rounds_to_zero(self, capsys):
+        # it printed a ZeroDivisionError traceback and exited 1
+        eps, delta_sep = "0.23861592861522019", "0.2386159286152202"
+        assert main(["kstar", "--eps", eps, "--delta-sep", delta_sep]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "k_star = inf",
+            "threshold is infinite; no finite k is certified",
+        ]
+
     def test_huge_derived_k_max_exits_two_at_once(self):
         # k_star is ~1e18 here; the sweep to 2 * ceil(k_star) must not start
         proc = subprocess.run(
@@ -702,12 +711,13 @@ class TestUsageErrorsExitTwo:
 
 
 class TestPinnedOutputs:
-    """Every output of tools/cli_digests.py's RUNS, byte for byte: 15 files
-    and stdouts and 7 --help texts, from one child per SIMD level."""
+    """Every line of tools/cli_digests.py, byte for byte: the 15 files and
+    stdouts and 7 --help texts of its RUNS, and the 12 arrays of its SAMPLES
+    (sample_actions at three shapes), from one child per SIMD level."""
 
     # "<label>: <output>": sha256, recorded with numpy 2.4 and Python 3.11.
     # numpy's exp and log bits differ when X86_V4 (AVX-512) is not dispatched,
-    # so those of 8 outputs are pinned at both levels; a host without X86_V4
+    # so those of 11 outputs are pinned at both levels; a host without X86_V4
     # checks the lower level only, and says so.
     X86_V4 = {
         "trajectory: stdout":
@@ -754,6 +764,30 @@ class TestPinnedOutputs:
             "64f1f937a7ae23adc46c8fd8a6a6ca21645f5894b4520d45fe5b153d9cd2cf5c",
         "synth-log --help: stdout":
             "c87a77d80d71cd3cd09b535fed59cda36f5080677965dfa1ce66cea2b57e89a9",
+        "sample_actions 6000 x 64: actions":
+            "57651f0f5fad326678a2329164707dab0dc423f85f36fca241b14c4b19692ff0",
+        "sample_actions 6000 x 64: rewards":
+            "913dd53826a9d92db976b01a18ae62d9fadfd98ec9a7b967f560a218cdde2f33",
+        "sample_actions 6000 x 64: scores":
+            "12d616e2ae30305bad796f22e6acb40e636db69c1a0ea7a3248507fdedad730f",
+        "sample_actions 6000 x 64: offsets":
+            "4e035f8b7d3fdbc55b9f364971716f05e122ed4f9d7e3b9a520e1f54eba133e4",
+        "sample_actions 6000 x 256: actions":
+            "8fcd2097e4e53e06ad0995fd58709cb24ca2a7f8f2c21d4cce0d13ae7cdfb4f9",
+        "sample_actions 6000 x 256: rewards":
+            "ba1402bb6f8e2144a6501429242c29b54b91defeb3a4c94e8d1743383d6175bc",
+        "sample_actions 6000 x 256: scores":
+            "888c5ab3cb5305d89f50e380ccf2dba5fa19b2e9250e0a85f22bef1daff95894",
+        "sample_actions 6000 x 256: offsets":
+            "e4246ea2a2722b31b56690ec41e58c21ac6520d14cffbb35d764216251d12ed2",
+        "sample_actions 16389 x 64: actions":
+            "6e1eddeb3d8550af81972bef33d46cd7a504e43a81dfd231a53e2a8b024a5529",
+        "sample_actions 16389 x 64: rewards":
+            "e316a545e184f3c9b306d74a2171bfca502587a9b8b9fe5fea2284827ee2a3da",
+        "sample_actions 16389 x 64: scores":
+            "ba75a116d7372cd0bee174f277532507d7145e76da9acd7478d000fb0c5dd1f1",
+        "sample_actions 16389 x 64: offsets":
+            "32847375621369fde4d3f81679a72414916d076902ce248a8216ee040e03439c",
     }
     LOWER = dict(
         X86_V4,
@@ -774,6 +808,12 @@ class TestPinnedOutputs:
                 "7811a4abd2c6ab4998340eb70eb1e720bc462948383f04c0f5722a5e0bdf55d4",
             "kstar: stdout":
                 "d0c75fa60b3fdbab0418d6ad978b5bc49e963c7ba635bdd4afd1758f5b2c6f5f",
+            "sample_actions 6000 x 64: scores":
+                "d1d25f6047a6b089911df9cf2d3c2b3dc4de5d65cc27e882553169f51509a31d",
+            "sample_actions 6000 x 256: scores":
+                "94da53d52346d59909407793c022071e181e7f98dc6593904a279d6a5e696ee0",
+            "sample_actions 16389 x 64: scores":
+                "4dd0377988a2010e5ed1657d98423d708fce3fedafb3ce7dfe5de28867de46f4",
         },
     )
     DISABLE_X86_V4 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
@@ -793,9 +833,9 @@ class TestPinnedOutputs:
             levels = {"lower": (self.LOWER, {})}
         for level, (pinned, env) in levels.items():
             (tmp_path / level).mkdir()
-            lines = tool.child_lines(tmp_path / level, env)
+            lines = tool.child_lines(tmp_path / level, env, samples=True)
             digests = dict(line.split("  ", 1)[::-1] for line in lines)
-            assert len(lines) == len(tool.RUNS) + 8 == 22
+            assert len(lines) == len(tool.RUNS) + 8 + 4 * len(tool.SAMPLES) == 34
             differ = [name for name in pinned if digests.get(name) != pinned[name]]
             assert digests.keys() == pinned.keys() and not differ, (level, differ)
 

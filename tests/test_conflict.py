@@ -387,6 +387,17 @@ class TestKStar:
     def test_vanishing_denominator(self):
         assert k_star(0.49999999, 0.5, 0.1, 0.01, 1.0) > 1e6
 
+    # eps < delta_sep, and their log1p values round to the same double
+    ROUNDED_GAP = (0.23861592861522019, 0.2386159286152202)
+
+    def test_denominator_rounded_to_zero(self):
+        # it raised ZeroDivisionError; a gap one double wide overflows to inf
+        eps, delta_sep = self.ROUNDED_GAP
+        assert math.log1p(-eps) == math.log1p(-delta_sep)
+        assert k_star(eps, delta_sep, 0.1, 0.01, 1.0) == math.inf
+        assert k_star(1e-300, math.nextafter(1e-300, 1.0), 0.1, 0.01, 1.0) == math.inf
+        assert k_star(eps, delta_sep, 0.5, 1.0, 1.0) == 1.0  # numerator 0
+
     def test_saturated_easy_side(self):
         assert k_star(0.2, 1.0, 0.3, 0.5, 1.0) == 1.0
 

@@ -176,10 +176,16 @@ class TestCodeBuiltGrad:
             GradLogRecord("a", 0.5, grad)
 
     @pytest.mark.parametrize(
-        "grad", [[], [np.nan], np.array([np.inf])], ids=["empty", "nan", "inf"]
+        "grad,message",
+        [
+            ([], "grad must be a nonempty 1-d vector"),
+            ([np.nan], "grad entries must be finite numbers, got NaN"),
+            (np.array([np.inf]), "grad entries must be finite numbers, got Infinity"),
+        ],
+        ids=["empty", "nan", "inf"],
     )
-    def test_empty_or_nonfinite_grad_refused(self, grad):
-        with pytest.raises(DomainError, match="grad must be a nonempty finite vector"):
+    def test_empty_or_nonfinite_grad_refused(self, grad, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             GradLogRecord("a", 0.5, grad)
 
     @pytest.mark.parametrize(

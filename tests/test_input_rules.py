@@ -1,6 +1,8 @@
 """Arrays, ids and scalars built in code: each bad one is one DomainError line."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from passklab import (
     DomainError,
     FilterSpec,
     GradientTable,
+    GradLogRecord,
     PromptBatch,
     SampleSet,
     SuccessProfile,
@@ -35,12 +38,6 @@ LABELS = ["easy", "hard"]
 # (case, call, the message's start): numpy or tuple() refused each of these
 # with its own TypeError, ValueError or OverflowError
 BAD_COLUMNS = [
-    ("batch text features",
-     lambda: PromptBatch(("a",), np.array([["1", "x"]]), ["easy"], [0]),
-     "bad features (could not convert string to float"),
-    ("batch ragged features",
-     lambda: PromptBatch(("a", "b"), [[1.0, 0.5], [1.0]], LABELS, [0, 1]),
-     "bad features ("),
     ("batch ragged labels",
      lambda: PromptBatch(("a", "b"), FEATURES, ["easy", ["hard"]], [0, 1]),
      "bad labels ("),
@@ -53,33 +50,18 @@ BAD_COLUMNS = [
     ("table no ids",
      lambda: GradientTable(np.ones((1, 2)), None),
      "bad ids ('NoneType' object is not iterable)"),
-    ("table text grads",
-     lambda: GradientTable(np.array([["1", "a"]]), ("x",)),
-     "bad grads (could not convert string to float"),
-    ("uniform table text grads",
-     lambda: GradientTable.uniform([["a"]]),
-     "bad grads (could not convert string to float: 'a')"),
     ("profile no ids",
      lambda: SuccessProfile([0.5], [1.0], None),
      "bad ids ('NoneType' object is not iterable)"),
-    ("profile text probs",
-     lambda: SuccessProfile(["a"], [1.0], ("x",)),
-     "bad probs (could not convert string to float: 'a')"),
-    ("profile text mass",
-     lambda: SuccessProfile([0.5], ["a"], ("x",)),
-     "bad mass (could not convert string to float: 'a')"),
-    ("uniform profile text probs",
-     lambda: SuccessProfile.uniform(["a"]),
-     "bad probs (could not convert string to float: 'a')"),
     ("sample set no ids",
      lambda: SampleSet(None, [0, 1], [0], [0.0], [[1.0]]),
      "bad ids ('NoneType' object is not iterable)"),
     ("sample set offset past int64",
      lambda: SampleSet(("a",), [0, 2**70], [0], [0.0], [[1.0]]),
      "bad offsets ("),
-    ("text theta",
-     lambda: success_probs(["a", "b"], sample_prompts(BanditConfig(), 3)),
-     "bad theta (could not convert string to float: 'a')"),
+    ("grads past the float range",
+     lambda: GradientTable.uniform([[1.0, 10**400]]),
+     "bad grads (int too large to convert to float)"),
 ]
 
 
@@ -92,6 +74,108 @@ def test_bad_column_is_one_domain_error(call, start):
     message = str(info.value)
     assert message.startswith(start), message
     assert "\n" not in message
+
+
+# (case, call, message): a number array built in code follows a file's number
+# rule (objectives._reals), and its first bad entry is named as JSON writes it;
+# numpy parsed these entries as numbers, or refused them in its own words
+BAD_NUMBER_ARRAYS = [
+    ("batch text features",
+     lambda: PromptBatch(("a",), np.array([["1", "x"]]), ["easy"], [0]),
+     'features entries must be finite numbers, got "1"'),
+    ("batch ragged features",
+     lambda: PromptBatch(("a", "b"), [[1.0, 0.5], [1.0]], LABELS, [0, 1]),
+     "features entries must be finite numbers, got [1.0, 0.5]"),
+    ("table text grads",
+     lambda: GradientTable(np.array([["1", "a"]]), ("x",)),
+     'grads entries must be finite numbers, got "1"'),
+    ("uniform table text grads",
+     lambda: GradientTable.uniform([["a"]]),
+     'grads entries must be finite numbers, got "a"'),
+    ("profile text probs",
+     lambda: SuccessProfile(["a"], [1.0], ("x",)),
+     'probs entries must be finite numbers, got "a"'),
+    ("profile text mass",
+     lambda: SuccessProfile([0.5], ["a"], ("x",)),
+     'mass entries must be finite numbers, got "a"'),
+    ("uniform profile text probs",
+     lambda: SuccessProfile.uniform(["a"]),
+     'probs entries must be finite numbers, got "a"'),
+    ("text theta",
+     lambda: success_probs(["a", "b"], sample_prompts(BanditConfig(), 3)),
+     'theta entries must be finite numbers, got "a"'),
+    ("numpy bool in a list",
+     lambda: GradientTable.uniform([[np.float32(0.5), np.True_]]),
+     "grads entries must be finite numbers, got true"),
+    ("float32 NaN in a list",
+     lambda: SuccessProfile.uniform([0.5, np.float32("nan")]),
+     "probs entries must be finite numbers, got NaN"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,message", [case[1:] for case in BAD_NUMBER_ARRAYS],
+    ids=[case[0] for case in BAD_NUMBER_ARRAYS],
+)
+def test_bad_number_array_is_one_domain_error(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# (array, call with a value in its place, the array's valid entries)
+NUMBER_ARRAYS = [
+    ("features", lambda a: PromptBatch(("a",), a, ["easy"], [0]), [[1.0, 0.2]]),
+    ("grads", lambda a: GradientTable(a, ("a",)), [[0.5, 1.0]]),
+    ("grads", GradientTable.uniform, [[0.5, 1.0]]),
+    ("probs", lambda a: SuccessProfile(a, [0.5, 0.5], ("a", "b")), [0.5, 0.25]),
+    ("probs", SuccessProfile.uniform, [0.5, 0.25]),
+    ("mass", lambda a: SuccessProfile([0.5, 0.25], a, ("a", "b")), [0.5, 0.5]),
+    ("theta", lambda a: run_trajectory(theta0=a, steps=1, n=10), [0.1, 0.2]),
+    ("grad", lambda a: GradLogRecord("a", 0.5, a), [0.5, 1.0]),
+    ("reward", lambda a: SampleSet(("a",), [0, 1], [1], a, [[0.5]]), [1.0]),
+    ("score", lambda a: SampleSet(("a",), [0, 1], [1], [1.0], a), [[0.5]]),
+]
+NUMBER_ARRAY_IDS = [f"{i}-{name}" for i, (name, _, _) in enumerate(NUMBER_ARRAYS)]
+
+
+def _each(rows, convert) -> list:
+    return [_each(r, convert) if isinstance(r, list) else convert(r) for r in rows]
+
+
+@pytest.mark.parametrize("build", [list, np.array], ids=["list", "ndarray"])
+@pytest.mark.parametrize(
+    "convert",
+    [str, bool, lambda v: math.nan, lambda v: -math.inf],
+    ids=["text", "bool", "nan", "-inf"],
+)
+@pytest.mark.parametrize("name,call,rows", NUMBER_ARRAYS, ids=NUMBER_ARRAY_IDS)
+def test_array_entry_that_is_not_a_finite_number(name, call, rows, convert, build):
+    # numeric text and true/false are refused as in a file, not read as numbers
+    value = _each(rows, convert)
+    shown = json.dumps(value[0][0] if isinstance(value[0], list) else value[0])
+    message = f"{name} entries must be finite numbers, got {shown}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(build(value))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda rows: np.array(rows, np.float32), lambda rows: _each(rows, np.float32)],
+    ids=["float32 array", "float32 list"],
+)
+@pytest.mark.parametrize("name,call,rows", NUMBER_ARRAYS, ids=NUMBER_ARRAY_IDS)
+def test_numpy_numbers_stay_numbers(name, call, rows, build):
+    call(build(rows))
+
+
+def test_integer_arrays_stay_numbers():
+    table = GradientTable.uniform(np.array([[3, -4]], dtype=np.int32))
+    assert table.grads.dtype == float and table.grads.tolist() == [[3.0, -4.0]]
+    batch = PromptBatch(("a",), np.array([[1, 0]], dtype=np.uint8), ["easy"], [0])
+    assert batch.features.tolist() == [[1.0, 0.0]]
+    samples = SampleSet(("a",), [0, 1], [1], np.array([1]), np.array([[2]]))
+    assert samples.rewards.tolist() == [1.0] and samples.scores.tolist() == [[2.0]]
 
 
 def _report(margin):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,21 @@ class TestKernelMatrix:
                 assert mat[i, j] == pytest.approx(
                     table.grads[i] @ table.grads[j], rel=1e-12
                 )
+
+    def test_rows_too_large_refused_as_by_conflict_report(self):
+        # the cosines were NaN, with a RuntimeWarning
+        table = GradientTable.uniform([[1e200, 0.0], [1e200, 1.0]])
+        message = "gradient entries up to 1e+200 are too large at d = 2"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            kernel_matrix(table)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            conflict_report(table, SuccessProfile.uniform([0.5, 0.5]), 2)
+
+    def test_bound_is_d_times_max_entry_squared(self):
+        # d * a**2 = 2**510: the largest table accepted, with finite cosines
+        signs = np.array([[1, 1, 1, 1], [1, -1, 1, -1]])
+        cos = kernel_matrix(GradientTable.uniform(2.0**254 * signs))
+        assert cos.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_toy_block_sign_pattern(self):
         # easy-hard cross blocks predominantly negative, within-label

@@ -111,21 +111,29 @@ class TestSampleSetValidation:
     @pytest.mark.parametrize(
         "actions,rewards,scores,message",
         [
-            ([2, 0.7], [1, 0], [[1.0], ["1.5"]], "rewards and scores must be numbers"),
+            ([2, 0.7], [1, 0], [[1.0], ["1.5"]],
+             'score entries must be finite numbers, got "1.5"'),
             ([2, 0.7], [1, 0], [[1.0], [1.5]], "actions must be the integers"),
             ([2, 0], [1, 0], [[1.0], [1.5]], "actions must be the integers"),
             ([-1, 0], [1, 0], [[1.0], [1.5]], "actions must be the integers"),
             ([1.0, 0.0], [1, 0], [[1.0], [1.5]], "actions must be the integers"),
             ([True, False], [1, 0], [[1.0], [1.5]], "actions must be the integers"),
-            ([1, 0], ["1", "0"], [[1.0], [1.5]], "rewards and scores must be numbers"),
-            ([1, 0], [1, 0], [[1.0], [None]], "rewards and scores must be numbers"),
+            ([1, 0], ["1", "0"], [[1.0], [1.5]],
+             'reward entries must be finite numbers, got "1"'),
+            ([1, 0], [1, 0], [[1.0], [None]],
+             "score entries must be finite numbers, got null"),
+            ([1, 0], [True, False], [[1.0], [1.5]],
+             "reward entries must be finite numbers, got true"),
+            ([1, 0], [1, 0], [[True], [1.5]],
+             "score entries must be finite numbers, got true"),
         ],
         ids=["text-score", "fraction", "two", "minus-one", "float", "bool",
-             "text-reward", "null-score"],
+             "text-reward", "null-score", "bool-reward", "bool-score"],
     )
     def test_from_arrays_keeps_the_file_rule(self, actions, rewards, scores, message):
-        # each was stored (0.7 truncated, text parsed), and the file that
-        # export_samples wrote from it failed import_samples
+        # before the number rule, each was stored (0.7 truncated, text parsed,
+        # true as 1.0) or refused in words of its own; a bad reward or score
+        # entry is now named with the file's field, as JSON writes it
         with pytest.raises(DomainError, match=message):
             SampleSet(("a",), [0, 2], actions, rewards, scores)
 
@@ -634,13 +642,16 @@ class TestSampleIO:
         with pytest.raises(DomainError, match="line 2: score entries must be finite"):
             import_samples(path)
 
-    def test_boolean_action_names_line(self, tmp_path):
+    @pytest.mark.parametrize("key", ["action", "reward"])
+    @pytest.mark.parametrize("value", ["true", '"1"', "null"])
+    def test_boolean_action_names_line(self, tmp_path, key, value):
+        # the value is named as the file writes it
         path = tmp_path / "bool.jsonl"
-        path.write_text(
-            '{"prompt_id": "a", "action": true, "reward": 1, "score": [0.5, 0.1]}\n'
-        )
-        with pytest.raises(DomainError, match="line 1: action must be 0 or 1, got True"):
+        record = {"prompt_id": "a", "action": 1, "reward": 1, "score": [0.5, 0.1]}
+        path.write_text(json.dumps(record).replace(f'"{key}": 1', f'"{key}": {value}'))
+        with pytest.raises(DomainError) as exc:
             import_samples(path)
+        assert str(exc.value) == f"{path}: line 1: {key} must be 0 or 1, got {value}"
 
     def test_boolean_score_entry_names_line(self, tmp_path):
         path = tmp_path / "bool_score.jsonl"

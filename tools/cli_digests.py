@@ -13,8 +13,8 @@ prompts x 64 draws the benchmark's mc workload samples, at 6000 x 256, and
 at 16389 x 64, which is mc.LANES + 5 prompts: two passes of the kernel.
 Nothing is asserted here: the digests depend on numpy's SIMD level, so
 compare the lines of two checkouts on one host, say before and after a
-change that is meant to keep every bit.  tests/test_cli.py pins the RUNS
-lines at two SIMD levels through child_lines.
+change that is meant to keep every bit.  tests/test_cli.py pins every
+line, those of RUNS and of SAMPLES, at two SIMD levels through child_lines.
 """
 
 import contextlib

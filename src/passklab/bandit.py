@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .objectives import _check_int, _column, _index_ids, _real, _reals, check_mass
+from .objectives import _check_int, _check_prompt_ids, _column, _real, _reals, check_mass
 
 EASY, HARD = "easy", "hard"
 
@@ -81,7 +81,7 @@ class PromptBatch:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "correct_actions", hard.astype(int))
-        _id_index(self.ids)
+        _check_prompt_ids(self.ids)
         mass = np.full(n, 1.0 / n)
         check_mass(mass)
         idx = np.flatnonzero(~hard), np.flatnonzero(hard)
@@ -98,15 +98,6 @@ class PromptBatch:
     @property
     def hard_mask(self) -> np.ndarray:
         return self.correct_actions == 1  # equals labels == HARD, checked when built
-
-
-def _id_index(ids: tuple) -> dict:
-    """Map each id to its position, rejecting an id that is not a str or
-    that appears twice."""
-    bad = [pid for pid in ids if not isinstance(pid, str)]
-    if bad:
-        raise DomainError(f"prompt_id must be a string, got {bad[0]!r}")
-    return _index_ids(ids)
 
 
 def expit(u):

@@ -16,11 +16,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bandit import PromptBatch, _check_seed, _id_index, _sigmoid
+from .bandit import PromptBatch, _check_seed, _sigmoid
 from .conflict import assemble_passk_gradient
 from .errors import DomainError
 from .interference import GradientTable
-from .objectives import SuccessProfile, _check_int, _column, _reals, _shown
+from .objectives import (
+    SuccessProfile,
+    _check_int,
+    _check_prompt_ids,
+    _column,
+    _index_ids,
+    _reals,
+    _shown,
+    _str_ids,
+)
 from .serialization import line_error, number_list, read_records
 
 
@@ -43,10 +52,11 @@ class SampleSet:
     Row j of ``actions`` (N,), ``rewards`` (N,) and finite ``scores`` (N, d)
     is one draw; prompt ``ids[i]``, a str, owns rows ``offsets[i]:offsets[i + 1]``,
     so prompts may have different draw counts, and no id may repeat.  The
-    arrays are checked once, when the set is built; ``blocks`` and
-    ``set[prompt_id]`` are views of them.  They are not to be changed afterwards: the
-    per-prompt means that ``mc_grad_passk`` reads are reduced once per set
-    and kept.
+    arrays are checked once, when the set is built, and the ids once per
+    tuple; ``blocks`` and ``set[prompt_id]`` are views of them, and
+    ``set[prompt_id]`` builds its id-to-row index on first use.  They are
+    not to be changed afterwards: the per-prompt means that
+    ``mc_grad_passk`` reads are reduced once per set and kept.
     """
 
     def __init__(self, ids, offsets, actions, rewards, scores):
@@ -77,7 +87,8 @@ class SampleSet:
         # one pass: the bitwise OR of integers is 0 or 1 exactly when each is
         if actions.dtype.kind not in "iu" or np.bitwise_or.reduce(actions) | 1 != 1:
             raise DomainError("actions must be the integers 0 or 1")
-        self.ids, self.offsets, self._index = ids, offsets, _id_index(ids)
+        _check_prompt_ids(ids)
+        self.ids, self.offsets = ids, offsets
         self.actions, self.rewards, self.scores = actions, rewards, scores
 
     @property
@@ -96,6 +107,10 @@ class SampleSet:
     @property
     def blocks(self) -> tuple:
         return tuple(map(self._block, range(len(self.ids))))
+
+    @cached_property
+    def _index(self) -> dict:
+        return _index_ids(self.ids)
 
     @cached_property
     def table(self) -> GradientTable:
@@ -123,17 +138,27 @@ LANES = 1 << 14
 
 
 def _stream_key(prompt_id: str) -> int:
-    """Stable 64-bit key for a prompt id, independent of batch position."""
+    """Stable 64-bit key for a prompt id, independent of batch position:
+    the first 8 bytes of its sha256, read little-endian."""
     digest = hashlib.sha256(prompt_id.encode()).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+_SHA256_KEY = _stream_key
 
 
 @lru_cache(maxsize=8)
 def _stream_keys(ids: tuple, key) -> np.ndarray:
     """Read-only uint64 array of key(pid) for pid in ids, hashed once per
     ids tuple and shared by every seed.  Callers pass the current
-    _stream_key, so replacing it takes effect."""
-    keys = np.array([key(pid) for pid in ids], dtype=np.uint64)
+    _stream_key, so replacing it takes effect.  The sha256 key takes one
+    pass: the 32-byte digests are joined, and every fourth little-endian
+    word, each digest's first, is read at once."""
+    if key is _SHA256_KEY:
+        digests = b"".join([hashlib.sha256(pid.encode()).digest() for pid in ids])
+        keys = np.frombuffer(digests, dtype="<u8")[::4].copy()
+    else:
+        keys = np.array([key(pid) for pid in ids], dtype=np.uint64)
     keys.flags.writeable = False
     return keys
 
@@ -141,7 +166,7 @@ def _stream_keys(ids: tuple, key) -> np.ndarray:
 def prompt_rng(seed: int, prompt_id: str) -> np.random.Generator:
     """The stream of one prompt: the definition sample_actions reproduces."""
     seed = _check_seed(seed)
-    _id_index((prompt_id,))  # a str, as every prompt id
+    _str_ids((prompt_id,))  # a str, as every prompt id
     return np.random.default_rng(np.random.SeedSequence([seed, _stream_key(prompt_id)]))
 
 
@@ -353,11 +378,14 @@ def sample_actions(theta, batch: PromptBatch, n: int, seed: int) -> SampleSet:
     np.equal(actions, batch.correct_actions[:, None], out=rewards)
     del uniform
     # each prompt has two score vectors, rows 2i and 2i + 1 of the table;
-    # taking one per draw gives the products a per-draw coefficient would
+    # taking one per draw gives the products a per-draw coefficient would.
+    # The row offsets 2i are added to the actions in place for the gather
+    # and taken off again, so no (P, n) index array is made.
     table = np.stack([-sig * batch.features, (1.0 - sig) * batch.features], axis=1)
-    scores = np.take(
-        table.reshape(2 * p, -1), actions + 2 * np.arange(p)[:, None], axis=0
-    )
+    rows = 2 * np.arange(p)[:, None]
+    actions += rows
+    scores = np.take(table.reshape(2 * p, -1), actions, axis=0)
+    actions -= rows
     return SampleSet(
         batch.ids,
         np.arange(p + 1) * n,
@@ -386,7 +414,8 @@ def _reward_score_means(samples: SampleSet) -> np.ndarray:
     offsets, d = samples.offsets, samples.dim
     counts = np.diff(offsets)
     out = np.empty((len(samples), d))
-    for n in np.unique(counts).tolist():
+    # not np.unique, whose first call imports numpy.ma
+    for n in sorted(set(counts.tolist())):
         idx = np.flatnonzero(counts == n)
         for lo in range(0, idx.size, CHUNK_PROMPTS):
             chunk = idx[lo : lo + CHUNK_PROMPTS]

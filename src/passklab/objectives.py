@@ -94,6 +94,24 @@ def _check_k(k: int) -> int:
     return k
 
 
+def _once_per_tuple(rule):
+    """rule(ids), run once per ids tuple: a tuple among the 8 that passed it
+    last is not checked again.  Kept by object, not by value, so a tuple
+    equal to a kept one but made of other ids is checked; each kept tuple
+    is held, so its id() is not reused while kept.  A refused tuple raises
+    before it is kept."""
+    passed = {}  # id(ids) -> ids, least recently checked first
+
+    def check(ids: tuple) -> None:
+        if passed.pop(id(ids), None) is not ids:
+            rule(ids)
+        passed[id(ids)] = ids
+        if len(passed) > 8:
+            del passed[next(iter(passed))]
+
+    return check
+
+
 def _index_ids(ids: tuple) -> dict:
     """Map each id to its position, rejecting an id that appears twice."""
     try:
@@ -105,6 +123,23 @@ def _index_ids(ids: tuple) -> dict:
         dup = next(pid for i, pid in enumerate(ids) if index[pid] != i)
         raise DomainError(f"prompt id {dup!r} appears more than once")
     return index
+
+
+_unique_ids = _once_per_tuple(_index_ids)
+
+
+def _str_ids(ids: tuple) -> None:
+    """Reject a prompt id that is not a str."""
+    bad = [pid for pid in ids if not isinstance(pid, str)]
+    if bad:
+        raise DomainError(f"prompt_id must be a string, got {bad[0]!r}")
+
+
+@_once_per_tuple
+def _check_prompt_ids(ids: tuple) -> None:
+    """Reject a prompt id that is not a str or that appears twice."""
+    _str_ids(ids)
+    _unique_ids(ids)
 
 
 def _check_prob(p: float, name: str = "p") -> float:
@@ -245,7 +280,7 @@ class SuccessProfile:
 
     def __post_init__(self):
         self._set_columns(self.probs, self.mass, self.ids)
-        _index_ids(self.ids)
+        _unique_ids(self.ids)
         check_mass(self.mass)
 
     @classmethod

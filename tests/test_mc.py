@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,22 @@ from passklab.mc import (
 from passklab.objectives import weighted_row_sum, wk_array
 
 from oracles import block_mean_grad
+
+
+class Alias:
+    """Equal to, and hashed as, the str it stands for, but not a str."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __eq__(self, other):
+        return self.text == other
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __repr__(self):
+        return f"Alias({self.text!r})"
 
 
 def make_samples(rewards, scores, pid="p"):
@@ -150,28 +170,51 @@ class TestSampleSetValidation:
 
     @pytest.mark.parametrize("ids", [(0, 1, 2), ("a", None, "c"), ("a", "b", ("c",))])
     def test_batch_with_non_string_id_rejected(self, ids):
-        # the batch refuses the id, so sample_actions never draws for it
+        # the batch refuses the id, so sample_actions never draws for it.  A
+        # profile's ids need not be str: its pass of the same tuple is not
+        # the batch's, and the refusal holds on every call
+        SuccessProfile.uniform([0.5] * 3, ids=ids)
         batch = sample_prompts(BanditConfig(seed=4), 3)
         bad = next(pid for pid in ids if not isinstance(pid, str))
-        with pytest.raises(DomainError) as exc:
-            PromptBatch(
-                ids=ids,
-                features=batch.features,
-                labels=batch.labels,
-                correct_actions=batch.correct_actions,
-            )
-        assert str(exc.value) == f"prompt_id must be a string, got {bad!r}"
+        for _ in range(2):
+            with pytest.raises(DomainError) as exc:
+                PromptBatch(
+                    ids=ids,
+                    features=batch.features,
+                    labels=batch.labels,
+                    correct_actions=batch.correct_actions,
+                )
+            assert str(exc.value) == f"prompt_id must be a string, got {bad!r}"
 
     def test_unknown_prompt(self):
         ss = make_samples([1.0], [[1.0, 2.0]])
         with pytest.raises(DomainError, match="unknown prompt"):
             ss["nope"]
 
-    @pytest.mark.parametrize("pid", [None, 1, ("a",)])
+    @pytest.mark.parametrize("pid", [None, 1, ("a",), Alias("b")])
     def test_non_string_id_rejected(self, pid):
-        with pytest.raises(DomainError) as exc:
-            SampleSet(("a", pid), [0, 1, 2], [0, 1], [0.0, 1.0], [[1.0], [2.0]])
-        assert str(exc.value) == f"prompt_id must be a string, got {pid!r}"
+        # ids are checked once per tuple object and a refused tuple is never
+        # kept: each call refuses, also right after ("a", "b"), which
+        # ("a", Alias("b")) equals, passed
+        ids = ("a", pid)
+        for _ in range(2):
+            SampleSet(("a", "b"), [0, 1, 2], [0, 1], [0.0, 1.0], [[1.0], [2.0]])
+            with pytest.raises(DomainError) as exc:
+                SampleSet(ids, [0, 1, 2], [0, 1], [0.0, 1.0], [[1.0], [2.0]])
+            assert str(exc.value) == f"prompt_id must be a string, got {pid!r}"
+
+    def test_sets_over_one_ids_tuple_find_their_own_rows(self):
+        # the tuple is checked once, but each set builds its own id-to-row
+        # index, on its first lookup
+        ids = ("p", "q")
+        one = SampleSet(ids, [0, 1, 3], [1, 0, 1], [1.0, 0.0, 1.0], [[1.0], [2.0], [3.0]])
+        two = SampleSet(ids, [0, 2, 3], [1, 0, 1], [1.0, 0.0, 1.0], [[1.0], [2.0], [3.0]])
+        assert one["q"].scores.tolist() == [[2.0], [3.0]]
+        assert two["q"].scores.tolist() == [[3.0]]
+        assert two["p"].n == 2 and one["p"].n == 1
+        for pid in ("r", ["p"]):
+            with pytest.raises(DomainError, match="unknown prompt id"):
+                two[pid]
 
     @pytest.mark.parametrize("pid", [1, ["1"]])
     def test_lookup_takes_the_id_as_given(self, pid):
@@ -746,6 +789,28 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+# one mc estimate in a fresh process, after its batch and exact profile are
+# built: prints the modules that the estimate imports
+WARM_ESTIMATE_CHILD = """
+import sys
+import numpy as np
+from passklab import (BanditConfig, SuccessProfile, empirical_profile, mc_grad_passk,
+                      reference_theta, sample_actions, sample_prompts, success_probs)
+from passklab.objectives import unbiased_pass_at_k
+batch = sample_prompts(BanditConfig(seed=0), 6000)
+theta = reference_theta()
+exact = SuccessProfile.uniform(success_probs(theta, batch), ids=batch.ids)
+before = set(sys.modules)
+samples = sample_actions(theta, batch, 64, 0)
+empirical = empirical_profile(samples)
+mc_grad_passk(samples, empirical, 5)
+mc_grad_passk(samples, exact, 5)
+counts = np.rint(empirical.probs * 64).astype(np.int64)
+[unbiased_pass_at_k(64, int(c), 5) for c in counts]
+print(*sorted(set(sys.modules) - before))
+"""
+
+
 class TestVectorisedEstimators:
     # sha256 of the concatenated actions (little-endian int64) of
     # sample_actions([0.3, -0.7], sample_prompts(BanditConfig(seed=11), 40),
@@ -794,11 +859,13 @@ class TestVectorisedEstimators:
         level = bool(__cpu_features__.get("X86_V4"))
         assert digest.hexdigest() == self.SAMPLE_SHA256[prompts, draws][level]
 
-    def test_sample_temporaries_grow_by_one_index_array(self):
+    def test_sample_temporaries_grow_by_two_bytes_per_draw(self):
         # past the arrays the set holds, the traced peak may grow with the
-        # draws by one (P, n) 8-byte array: the score rows' gather index.  A
-        # copy of the draws alive through the gather, or rewards copied by a
-        # reshape of the draw-major buffer while the set is built, adds more.
+        # draws by 2 bytes a draw: the bool temporaries of the set's checks,
+        # such as isfinite over the two score columns.  A (P, n) gather
+        # index (8 bytes a draw), a copy of the draws alive through the
+        # gather, or rewards copied by a reshape of the draw-major buffer
+        # while the set is built, adds more.
         batch = sample_prompts(BanditConfig(seed=11), 6000)
         theta = np.array([0.3, -0.7])
 
@@ -814,7 +881,19 @@ class TestVectorisedEstimators:
             return peak - sum(a.nbytes for a in arrays)
 
         small, large = peak_past_set(64), peak_past_set(1024)
-        assert large - small <= len(batch) * (1024 - 64) * 8 + 64 * 1024, (small, large)
+        assert large - small <= len(batch) * (1024 - 64) * 2 + 64 * 1024, (small, large)
+
+    def test_warm_estimate_imports_nothing(self):
+        # a module imported on first use is paid by the first step of every
+        # run: np.unique's first call imported numpy.ma (~13 ms)
+        proc = subprocess.run(
+            [sys.executable, "-c", WARM_ESTIMATE_CHILD],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(mc.__file__).parent.parent)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     @pytest.mark.parametrize(
         "n_prompts,draws", [(7, 1), (CHUNK_PROMPTS + 88, 1), (1100, 9)]

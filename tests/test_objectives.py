@@ -167,14 +167,23 @@ class TestSuccessProfile:
             SuccessProfile(probs=[0.5, 0.5], mass=[1e308, 1e308], ids=("a", "b"))
 
     def test_repeated_id_refused(self):
-        # this built, and a report over it had rows that no id named
-        with pytest.raises(DomainError, match="prompt id 'a' appears more than once"):
-            SuccessProfile.uniform([0.5, 0.1], ids=("a", "a"))
-        with pytest.raises(DomainError, match="prompt id 3 appears more than once"):
-            SuccessProfile(probs=[0.5] * 3, mass=[0.25, 0.5, 0.25], ids=(3, 1, 3))
+        # this built, and a report over it had rows that no id named.  Ids
+        # are checked once per tuple object and a refused tuple is never
+        # kept, so each refusal holds on every call, also right after a
+        # valid tuple equal to it passed
+        wild = (Wild(), Wild())
+        assert wild == ("a", "b")
+        for _ in range(2):
+            SuccessProfile.uniform([0.5, 0.1], ids=("a", "b"))
+            with pytest.raises(DomainError, match="prompt id 'a' appears more than once"):
+                SuccessProfile.uniform([0.5, 0.1], ids=("a", "a"))
+            with pytest.raises(DomainError, match="prompt id 3 appears more than once"):
+                SuccessProfile(probs=[0.5] * 3, mass=[0.25, 0.5, 0.25], ids=(3, 1, 3))
+            with pytest.raises(DomainError, match=r"prompt id Wild\(\) appears more than once"):
+                SuccessProfile.uniform([0.5, 0.1], ids=wild)
+            with pytest.raises(DomainError, match="prompt ids must be hashable"):
+                SuccessProfile.uniform([0.5], ids=(["a"],))
         assert SuccessProfile.uniform([0.5, 0.1], ids=range(2)).ids == (0, 1)
-        with pytest.raises(DomainError, match="prompt ids must be hashable"):
-            SuccessProfile.uniform([0.5], ids=[["a"]])
 
     def test_uniform_constructor(self):
         prof = SuccessProfile.uniform([0.2, 0.4, 0.9])
@@ -456,6 +465,20 @@ class TestExactFormsAtEverySimdLevel:
                      "NPY_DISABLE_CPU_FEATURES": level},
             )
             assert proc.returncode == 0, f"{level!r}: {proc.stderr}"
+
+
+class Wild:
+    """An id equal to every value: two of them are one id repeated, and a
+    pair of them equals any pair of ids."""
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
+
+    def __repr__(self):
+        return "Wild()"
 
 
 class TestPassAtK:

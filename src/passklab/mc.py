@@ -9,8 +9,8 @@ perturbs existing streams.
 
 import hashlib
 import json
+import struct
 from functools import cached_property, lru_cache
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,7 +30,7 @@ from .objectives import (
     _shown,
     _str_ids,
 )
-from .serialization import line_error, number_list, read_records
+from .serialization import line_error, no_records, number_list, parse_record, read_lines
 
 
 class PromptSamples(NamedTuple):
@@ -68,9 +68,9 @@ class SampleSet:
             raise DomainError("sample set must contain at least one prompt")
         if actions.ndim != 1 or rewards.shape != actions.shape:
             raise DomainError("need actions (N,) and rewards (N,) over all draws")
-        if scores.ndim != 2 or scores.shape[0] != actions.shape[0]:
+        if scores.ndim != 2 or scores.shape[:1] != actions.shape or not scores.shape[1]:
             raise DomainError(
-                "scores must be (N, d): one score dimension for all draws"
+                "scores must be (N, d), d >= 1: one score dimension for all draws"
             )
         if (
             offsets.shape != (len(ids) + 1,)
@@ -462,21 +462,45 @@ def export_samples(samples: SampleSet, path) -> None:
 
     Each line holds the bytes json.dumps gives for the record: a per-prompt
     prefix with the JSON-escaped id, then repr of each score, which is how
-    json writes a finite float (a SampleSet's scores are finite).
+    json writes a finite float (a SampleSet's scores are finite).  A prompt's
+    distinct (action, reward, score bits) are formatted once each: bits, as
+    0.0 == -0.0 but their reprs differ.
     """
     path = Path(path)
-    rows = zip(
-        samples.actions.tolist(),
-        samples.rewards.astype(int).tolist(),
-        samples.scores.tolist(),
-    )
     score = ", ".join(["%r"] * samples.dim)
     fields = ', "action": %d, "reward": %d, "score": [' + score + "]}\n"
-    with path.open("w") as fh:
-        for pid, count in zip(samples.ids, np.diff(samples.offsets).tolist()):
+    row_bits = np.dtype((np.void, 8 * samples.dim))
+    unpack = struct.Struct("%dd" % samples.dim).unpack
+    offsets = samples.offsets.tolist()
+    with path.open("w", encoding="utf-8") as fh:
+        for pid, lo, hi in zip(samples.ids, offsets, offsets[1:]):
             # a % in the id is doubled, so the format reads it as text
             line = '{"prompt_id": ' + json.dumps(pid).replace("%", "%%") + fields
-            fh.write("".join([line % (a, r, *s) for a, r, s in islice(rows, count)]))
+            bits = np.ascontiguousarray(samples.scores[lo:hi]).view(row_bits)[:, 0]
+            acts, rews = samples.actions[lo:hi].tolist(), samples.rewards[lo:hi].tolist()
+            keys = list(zip(acts, rews, bits.tolist()))  # %d writes 1.0 as 1
+            texts = dict.fromkeys(keys)
+            for key in texts:
+                texts[key] = line % (key[0], key[1], *unpack(key[2]))
+            fh.write("".join(map(texts.__getitem__, keys)))
+
+
+def _parse_draw(path, lineno: int, line: str, dim: int) -> tuple:
+    """(prompt_id, action, reward, score) of a sample file's nonblank line;
+    dim is the score length of the file's first record, 0 before it."""
+    rec = parse_record(path, lineno, line)
+    try:
+        action, reward = rec["action"], rec["reward"]
+        score = number_list(rec["score"], "score")
+    except (KeyError, DomainError, OverflowError) as exc:
+        raise line_error(path, lineno, exc) from exc
+    if type(action) is not int or action not in (0, 1):
+        raise line_error(path, lineno, f"action must be 0 or 1, got {_shown(action)}")
+    if type(reward) not in (int, float) or reward not in (0, 1):
+        raise line_error(path, lineno, f"reward must be 0 or 1, got {_shown(reward)}")
+    if dim and len(score) != dim:
+        raise line_error(path, lineno, f"score dimension {len(score)} differs from {dim}")
+    return rec["prompt_id"], action, reward, score
 
 
 def import_samples(path) -> SampleSet:
@@ -486,37 +510,40 @@ def import_samples(path) -> SampleSet:
     score a nonempty list of finite JSON numbers (serialization.number_list)
     of one length throughout; a bad record raises DomainError naming its
     line.  Prompts come in order of first appearance, each with its draws
-    in file order.
+    in file order.  A line is parsed once per run of its prompt's lines; the
+    memo keeps valid lines only, so an error names its first line, and it is
+    cleared when a parsed line starts another prompt.
     """
     index: dict[str, int] = {}  # prompt_id -> position, in first-seen order
-    owner, actions, rewards, scores = [], [], [], []
-    dim = 0  # score length, set by the first record
-    for lineno, rec in read_records(path):
-        try:
-            action, reward = rec["action"], rec["reward"]
-            score = number_list(rec["score"], "score")
-        except (KeyError, DomainError, OverflowError) as exc:
-            raise line_error(path, lineno, exc) from exc
-        dim = dim or len(score)
-        if type(action) is not int or action not in (0, 1):
-            bad = f"action must be 0 or 1, got {_shown(action)}"
-        elif type(reward) not in (int, float) or reward not in (0, 1):
-            bad = f"reward must be 0 or 1, got {_shown(reward)}"
-        elif len(score) != dim:
-            bad = f"score dimension {len(score)} differs from {dim}"
-        else:  # a valid draw
-            owner.append(index.setdefault(rec["prompt_id"], len(index)))
+    owner, actions, rewards, scores = [], [], [], []  # per distinct valid line
+    memo: dict[str, int] = {}  # line text -> its distinct row, for the current prompt
+    rows = []  # the distinct row of each line
+    current, dim = None, 0  # the last parsed line's prompt; the first score length
+    for lineno, line in read_lines(path):
+        row = memo.get(line)
+        if row is None:
+            if not line:
+                continue
+            pid, action, reward, score = _parse_draw(path, lineno, line, dim)
+            dim = len(score)
+            if pid != current:
+                current = pid
+                memo.clear()
+            row = memo[line] = len(owner)
+            owner.append(index.setdefault(pid, len(index)))
             actions.append(action)
             rewards.append(reward)
             scores.append(score)
-            continue
-        raise line_error(path, lineno, bad)
-    owner = np.array(owner)
-    order = np.argsort(owner, kind="stable")  # group each prompt's draws
+        rows.append(row)
+    if not rows:
+        raise no_records(path)
+    rows = np.array(rows)
+    owner = np.array(owner)[rows]
+    rows = rows[np.argsort(owner, kind="stable")]  # group each prompt's draws
     return SampleSet(
         index,
         np.concatenate([[0], np.cumsum(np.bincount(owner))]),
-        np.array(actions)[order],
-        np.array(rewards, dtype=float)[order],
-        np.array(scores, dtype=float)[order],
+        np.array(actions)[rows],
+        np.array(rewards, dtype=float)[rows],
+        np.array(scores, dtype=float)[rows],
     )

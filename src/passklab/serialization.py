@@ -19,7 +19,7 @@ def fmt(x) -> str:
 def write_csv(path, header, rows) -> None:
     """Write rows of mixed scalars; floats formatted via fmt()."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -30,7 +30,7 @@ def write_json(path, obj) -> None:
     """Strict JSON: a NaN or infinite value raises ValueError before the
     file is opened."""
     text = json.dumps(obj, indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def line_error(path, lineno: int, problem) -> DomainError:
@@ -56,33 +56,42 @@ def read_lines(path):
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+def parse_record(path, lineno: int, line: str) -> dict:
+    """The record on a nonblank line of a JSON-lines file: an object whose
+    prompt_id is a JSON string.  A line that raw_decode refuses or does not
+    end is parsed again by json.loads, so each error (a leading BOM's too)
+    reads as json.loads'."""
+    try:
+        rec, end = _raw_decode(line)
+    except ValueError:
+        end = -1
+    if end != len(line):
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, or an int too long to parse
+            raise line_error(path, lineno, f"invalid JSON ({exc})") from exc
+    if type(rec) is not dict:
+        raise line_error(path, lineno, "record must be an object")
+    if type(rec.get("prompt_id")) is not str:
+        got = json.dumps(rec["prompt_id"]) if "prompt_id" in rec else "nothing"
+        raise line_error(path, lineno, f"prompt_id must be a JSON string, got {got}")
+    return rec
+
+
+def no_records(path) -> DomainError:
+    return DomainError(f"{path}: empty file, no records")
+
+
 def read_records(path):
-    """Yield (lineno, record) per nonblank line of a JSON-lines file with at
-    least one record, each an object whose prompt_id is a JSON string.  A
-    line that raw_decode refuses or does not end is parsed again by
-    json.loads, so each error (a leading BOM's too) reads as json.loads'."""
+    """Yield (lineno, record) per nonblank line (parse_record) of a JSON-lines
+    file with at least one record."""
     empty = True
     for lineno, line in read_lines(path):
-        if not line:
-            continue
-        try:
-            rec, end = _raw_decode(line)
-        except ValueError:
-            end = -1
-        if end != len(line):
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an int too long to parse
-                raise line_error(path, lineno, f"invalid JSON ({exc})") from exc
-        if type(rec) is not dict:
-            raise line_error(path, lineno, "record must be an object")
-        if type(rec.get("prompt_id")) is not str:
-            got = json.dumps(rec["prompt_id"]) if "prompt_id" in rec else "nothing"
-            raise line_error(path, lineno, f"prompt_id must be a JSON string, got {got}")
-        empty = False
-        yield lineno, rec
+        if line:
+            empty = False
+            yield lineno, parse_record(path, lineno, line)
     if empty:
-        raise DomainError(f"{path}: empty file, no records")
+        raise no_records(path)
 
 
 _JSON_NUMBER = frozenset((int, float))  # the types json.loads gives a JSON number

@@ -18,8 +18,13 @@ of draws, the per-prompt form of `SampleSet.table`.
 
 `reference_state`: one trajectory step from these forms alone, the plain
 definition that `optimizer.evaluate_state` must match bit for bit.
+
+`import_samples_per_line`: a valid sample file read as the README states
+its rules, one `json.loads` and one set of checks per line, the plain
+definition that `mc.import_samples` must match.
 """
 
+import json
 import math
 
 import numpy as np
@@ -72,6 +77,39 @@ def block_mean_grad(samples, prompt_id: str) -> np.ndarray:
     row that `SampleSet.table` must hold for it."""
     block = samples[prompt_id]
     return (block.rewards[:, None] * block.scores).mean(axis=0)
+
+
+def import_samples_per_line(path) -> tuple:
+    """(ids, offsets, actions, rewards, scores) of a valid sample file: every
+    nonblank line is parsed and checked on its own; prompts in order of first
+    appearance, each with its draws in file order.  An invalid line fails an
+    assert."""
+    draws = {}  # prompt_id -> [(action, reward, score)], in first-seen order
+    dim = None
+    with open(path, "rb") as fh:
+        for raw in fh:
+            line = raw.strip().decode("utf-8")
+            if not line:
+                continue
+            rec = json.loads(line)
+            assert type(rec) is dict and type(rec["prompt_id"]) is str
+            action, reward, score = rec["action"], rec["reward"], rec["score"]
+            assert type(action) is int and action in (0, 1)
+            assert type(reward) in (int, float) and reward in (0, 1)
+            assert type(score) is list and score
+            assert all(type(v) in (int, float) and math.isfinite(v) for v in score)
+            dim = dim or len(score)
+            assert len(score) == dim
+            draws.setdefault(rec["prompt_id"], []).append((action, reward, score))
+    assert draws, "empty file"
+    rows = [draw for block in draws.values() for draw in block]
+    return (
+        tuple(draws),
+        np.cumsum([0] + [len(block) for block in draws.values()]),
+        np.array([a for a, _, _ in rows]),
+        np.array([r for _, r, _ in rows], dtype=float),
+        np.array([s for _, _, s in rows], dtype=float),
+    )
 
 
 def masked_pow_one_minus(p, n: int) -> np.ndarray:

@@ -321,6 +321,30 @@ class TestDiagnose:
         report = json.loads((out / "diagnose.json").read_text())
         assert report["inner_product"] == 0.0
 
+    def test_non_ascii_id_under_ascii_locale(self, tmp_path):
+        # under the C locale, without UTF-8 mode, Python's default text
+        # encoding is ASCII; every file passklab writes is UTF-8 regardless
+        log = tmp_path / "log.jsonl"
+        log.write_text(
+            '{"prompt_id": "\\u00e9a", "pass1": 0.01, "grad": [1.0, 2.0]}\n'
+            '{"prompt_id": "b", "pass1": 0.99, "grad": [-1.0, 0.5]}\n'
+        )
+        out = tmp_path / "d"
+        base = {k: v for k, v in os.environ.items()
+                if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))}
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "passklab.cli", "diagnose",
+             "--input", str(log), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**base, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                 "PYTHONPATH": PACKAGE_ROOT},
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("prompts.csv", "scatter.csv"):
+            assert "éa," in (out / name).read_bytes().decode("utf-8"), name
+        assert strict_json(out / "manifest.json")["command"] == "diagnose"
+
     def test_missing_input_exit_nonzero(self, tmp_path, capsys):
         rc = main(
             ["diagnose", "--input", str(tmp_path / "nope.jsonl"), "--out",

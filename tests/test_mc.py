@@ -44,7 +44,7 @@ from passklab.mc import (
 )
 from passklab.objectives import weighted_row_sum, wk_array
 
-from oracles import block_mean_grad
+from oracles import block_mean_grad, import_samples_per_line
 
 
 class Alias:
@@ -80,6 +80,11 @@ class TestSampleSetValidation:
             make_samples([1.0, 0.0], [[bad, 0.0], [1.0, 2.0]])
         with pytest.raises(DomainError, match="score entries must be finite"):
             SampleSet(("a",), [0, 1], np.array([1]), [1.0], [[bad]])
+
+    def test_scores_without_a_dimension_rejected(self):
+        # such a set would export "score": [], which no file may hold
+        with pytest.raises(DomainError, match=r"scores must be \(N, d\), d >= 1"):
+            SampleSet(("a",), [0, 1], np.array([1]), [1.0], np.zeros((1, 0)))
 
     def test_unequal_draw_counts_from_arrays(self):
         ss = SampleSet(
@@ -755,6 +760,162 @@ class TestSampleIO:
             export_samples(ss, path)
             assert path.read_bytes() == expected.encode()
             assert import_samples(path).ids == ss.ids
+
+
+def per_record_reference(samples) -> bytes:
+    """A sample file as one json.dumps per draw over numpy scalars."""
+    return "".join(
+        json.dumps(
+            {
+                "prompt_id": b.prompt_id,
+                "action": int(b.actions[j]),
+                "reward": int(b.rewards[j]),
+                "score": [float(v) for v in b.scores[j]],
+            }
+        )
+        + "\n"
+        for b in samples.blocks
+        for j in range(b.n)
+    ).encode()
+
+
+def assert_same_set(loaded, expected):
+    """loaded (a SampleSet) holds expected's (ids, offsets, actions, rewards,
+    scores), each array with its dtype and bits."""
+    ids, *arrays = expected
+    assert loaded.ids == ids
+    for got, want in zip(
+        (loaded.offsets, loaded.actions, loaded.rewards, loaded.scores), arrays
+    ):
+        assert_same_bits(got, want)
+
+
+# draws of prompt "a" (two with one record in two texts) and of "b"
+A1 = '{"prompt_id": "a", "action": 1, "reward": 1, "score": [0.5, -0.0]}'
+A1_SPACED = '  {"prompt_id":"a","action":1,"reward":1,"score":[0.5,-0.0]}'
+A2 = '{"prompt_id": "a", "action": 0, "reward": 0.0, "score": [0.0, 2]}'
+A3 = '{"prompt_id": "a", "action": 1, "reward": 1.0, "score": [0.5, 0.0]}'
+B1 = '{"prompt_id": "b", "action": 0, "reward": 1, "score": [1e-5, 3]}'
+B2 = '{"prompt_id": "b", "action": 1, "reward": 0, "score": [5e-324, -1e16]}'
+
+# each refused draw of TestSampleIO, as its own line, with its message
+BAD_DRAWS = [
+    ('{"prompt_id": "a", "action": 1}', "missing key 'reward'"),
+    ('{"prompt_id": "a", "reward": 0, "score": [0.5, 0.1]}', "missing key 'action'"),
+    ('{"prompt_id": "a", "action": 0, "reward": 0}', "missing key 'score'"),
+    ('{"prompt_id": "a", "action": 7, "reward": 0, "score": [0.5, 0.1]}',
+     "action must be 0 or 1, got 7"),
+    ('{"prompt_id": "a", "action": 0, "reward": 0, "score": [0.5]}',
+     "score dimension 1 differs from 2"),
+    ('{"prompt_id": "a", "action": 0, "reward": 2, "score": [0.5, 0.1]}',
+     "reward must be 0 or 1, got 2"),
+    ('{"prompt_id": "a", "action": 0, "reward": 0, "score": [NaN, 0.1]}',
+     "score entries must be finite numbers, got NaN"),
+    ('{"prompt_id": "a", "action": true, "reward": 1, "score": [0.5, 0.1]}',
+     "action must be 0 or 1, got true"),
+    ('{"prompt_id": "a", "action": 1, "reward": "1", "score": [0.5, 0.1]}',
+     'reward must be 0 or 1, got "1"'),
+    ('{"prompt_id": "a", "action": null, "reward": 1, "score": [0.5, 0.1]}',
+     "action must be 0 or 1, got null"),
+    ('{"prompt_id": "a", "action": 0, "reward": 0, "score": [true, 0.5]}',
+     "score entries must be finite numbers, got true"),
+    ('{"prompt_id": "a", "action": 1, "reward": 1, "score": []}',
+     "score must be a nonempty list of numbers, got []"),
+    ('{"prompt_id": "a", "action": 1, "reward": 1, "score": [0.5, 0.1]',
+     "invalid JSON (Expecting ',' delimiter: line 1 column 65 (char 64))"),
+    ('{"prompt_id": 1, "action": 1, "reward": 1, "score": [0.5, 0.1]}',
+     "prompt_id must be a JSON string, got 1"),
+]
+
+
+class TestSampleFileWork:
+    """export_samples formats each distinct draw of a prompt once, and
+    import_samples parses each distinct line of a prompt's run once; the
+    bytes, arrays and errors are those of one line at a time."""
+
+    def test_export_keys_on_bits(self, tmp_path):
+        wide = np.array([[0.5, 9.0, -0.0], [0.75, 9.0, 1e-5], [-0.0, 9.0, 5e-324]])
+        sets = {
+            # one action and reward: a key of float values merges the rows
+            "signed zero": SampleSet(
+                ["z"], [0, 3], [1, 1, 1], [1.0, 1.0, 1.0],
+                [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]],
+            ),
+            "all distinct": SampleSet(
+                ["d"], [0, 4], [0, 1, 0, 1], [0.0, 1.0, 1.0, 0.0],
+                [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]],
+            ),
+            "column slice": SampleSet(["c1", "c2"], [0, 2, 3], [0, 0, 1],
+                                      [1.0, 1.0, 0.0], wide[:, ::2]),
+            "fortran": SampleSet(["f1", "f2"], [0, 1, 3], [1, 1, 1],
+                                 [0.0, 0.0, 0.0], np.asfortranarray(wide)),
+        }
+        for name, ss in sets.items():
+            if name in ("column slice", "fortran"):
+                assert not ss.scores.flags.c_contiguous
+            path = tmp_path / f"{name}.jsonl"
+            export_samples(ss, path)
+            assert path.read_bytes() == per_record_reference(ss), name
+
+    def test_import_matches_per_line_oracle(self, tmp_path):
+        sampled = tmp_path / "sampled.jsonl"
+        batch = sample_prompts(BanditConfig(seed=3), 40)
+        export_samples(sample_actions(np.array([0.3, -0.7]), batch, 12, seed=5), sampled)
+        # runs of one prompt, prompts whose lines are not adjacent, a line
+        # that repeats one of an earlier run of its prompt, one record in
+        # two texts, and blank lines
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("\n".join(
+            [A1, A1, A2, A1, B1, B1, "", A1, A3, A1_SPACED, B2, A2, B1, A1, "  "]
+        ) + "\n")
+        rng = np.random.default_rng(9)
+        pool = [A1, A1_SPACED, A2, A3, B1, B2, ""]
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("\n".join(rng.choice(pool, 400).tolist() + [B2]) + "\n")
+        for path in (sampled, mixed, shuffled):
+            assert_same_set(import_samples(path), import_samples_per_line(path))
+
+    @pytest.mark.parametrize("bad,message", BAD_DRAWS, ids=[m for _, m in BAD_DRAWS])
+    def test_error_after_valid_lines_names_its_line(self, tmp_path, bad, message):
+        # the bad line follows a run of its prompt, with its valid lines parsed
+        # and repeated, and is itself repeated: the first copy is named
+        path = tmp_path / "late.jsonl"
+        path.write_text("\n".join([A1, A2, A1, A1, A2, bad, bad, A1]) + "\n")
+        with pytest.raises(DomainError) as exc:
+            import_samples(path)
+        assert str(exc.value) == f"{path}: line 6: {message}"
+
+    def test_empty_file_message(self, tmp_path):
+        for text in ("", "\n  \n\n"):
+            path = tmp_path / "empty.jsonl"
+            path.write_text(text)
+            with pytest.raises(DomainError) as exc:
+                import_samples(path)
+            assert str(exc.value) == f"{path}: empty file, no records"
+
+    def test_import_memory_is_one_prompts_lines(self, tmp_path):
+        # no line repeats, and each is long (its id), so a memo that kept the
+        # lines of the whole file would hold about the file's size; the memo
+        # holds one prompt's lines, and each parsed draw keeps its numbers only
+        prompts, draws = 25, 80
+        path = tmp_path / "distinct.jsonl"
+        with path.open("w") as fh:
+            for i in range(prompts):
+                pid = f"p{i}-" + "x" * 4000
+                for j in range(draws):
+                    fh.write(json.dumps({"prompt_id": pid, "action": j % 2,
+                                         "reward": 1, "score": [i + j / draws]}) + "\n")
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = import_samples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.scores.shape == (prompts * draws, 1)
+        assert len(set(path.read_text().splitlines())) == prompts * draws
+        one_prompt = size // prompts
+        assert peak < 2 * one_prompt + 500 * prompts * draws, (peak, size)
 
 
 def reference_sample_actions(theta, batch, n, seed):

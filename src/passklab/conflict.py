@@ -24,11 +24,10 @@ from .interference import GradientTable, _check_row_products, agreement_scores
 from .objectives import (
     SuccessProfile,
     _check_k,
-    _pow_one_minus,
     _real,
+    _split,
     ordered_dot,
     weighted_row_sum,
-    wk_array,
 )
 
 ROUTE_RTOL = 1e-10
@@ -48,7 +47,7 @@ class ConflictReport:
     <= -margin, q their mass, and w_minus / w_plus the weights inside and
     outside it.  The certified step eta_max is None when no Hessian-norm
     bound f was supplied (e.g. external gradient logs) or delta_bound <= 0.
-    No step reads sigma_w, sigma_a, correlation or neg_set, so each is
+    No step reads sigma_w, sigma_a, correlation, neg_set or q, so each is
     computed from the fields and the profile's mass on first read.
     """
 
@@ -60,7 +59,6 @@ class ConflictReport:
     covariance: float
     norm_sq_mean_grad: float
     reweighted_mean_agreement: float
-    q: float
     w_minus: float
     w_plus: float
     delta_bound: float
@@ -93,6 +91,10 @@ class ConflictReport:
     def neg_set(self) -> tuple:
         return tuple(np.flatnonzero(self.scores <= -self.margin).tolist())
 
+    @cached_property
+    def q(self) -> float:
+        return ordered_dot(self.mass.take(self.neg_set), np.ones(len(self.neg_set)))
+
 
 def default_score_bound_sq(table: GradientTable) -> float:
     """Fallback g2 when no policy is available: max squared row norm.
@@ -111,7 +113,7 @@ def assemble_passk_gradient(
 ) -> np.ndarray:
     """Population k-attempt gradient: sum of the profile's mass * w_k * row.
     The profile must list the table's ids (AlignmentError otherwise)."""
-    return _weighted_gradient(table, profile, wk_array(profile.probs, k))
+    return _weighted_gradient(table, profile, profile.split.wk(_check_k(k)))
 
 
 def _weighted_gradient(
@@ -149,14 +151,15 @@ def conflict_report(
     if not 0 < margin < math.inf:
         raise DomainError(f"margin must be finite and > 0, got {margin}")
     _check_row_products(table)  # squared score deviations <= 4 M**2 <= 2**1022
-    weights = wk_array(profile.probs, k)
+    weights = profile.split.wk(_check_k(k))
     grad_k = _weighted_gradient(table, profile, weights)
     mass = profile.mass
     mean_grad = weighted_row_sum(mass, table.grads)
     scores = agreement_scores(table, mean_grad)
     mean_score = ordered_dot(mass, scores)
     norm_sq = ordered_dot(mean_grad, mean_grad)
-    identity_scale = max(abs(norm_sq), ordered_dot(mass, np.abs(scores)), 1e-300)
+    abs_scores = np.abs(scores)
+    identity_scale = max(abs(norm_sq), ordered_dot(mass, abs_scores), 1e-300)
     if not abs(mean_score - norm_sq) <= 1e-10 * identity_scale:
         raise IdentityCheckError(
             f"mean agreement {mean_score} != ||mean grad||^2 {norm_sq}"
@@ -164,7 +167,6 @@ def conflict_report(
     # over the interfering set and its complement: the products dropped are 0
     neg = scores <= -margin
     inside, outside = np.flatnonzero(neg), np.flatnonzero(~neg)
-    q = ordered_dot(mass.take(inside), np.ones(inside.size))
     w_minus = ordered_dot(mass.take(inside), weights.take(inside))
     w_plus = ordered_dot(mass.take(outside), weights.take(outside))
 
@@ -186,7 +188,7 @@ def conflict_report(
         abs(inner_product),
         abs(weighted_form),
         abs(cov_form),
-        ordered_dot(mass, weights * np.abs(scores)),
+        ordered_dot(mass, weights * abs_scores),
         1e-300,
     )
     # max - min is the widest pair; ptp propagates a NaN where max/min skip it
@@ -224,7 +226,6 @@ def conflict_report(
         covariance=covariance,
         norm_sq_mean_grad=norm_sq,
         reweighted_mean_agreement=reweighted_mean,
-        q=q,
         w_minus=w_minus,
         w_plus=w_plus,
         delta_bound=delta,
@@ -260,8 +261,7 @@ def conflict_bound(
     k = _check_k(k)
     _check_separation_args(eps, delta_sep, q, m, g2)
     _check_some_population(q, m, g2)
-    lo = float(_pow_one_minus(np.asarray(eps, float), k - 1))
-    hi = float(_pow_one_minus(np.asarray(delta_sep, float), k - 1))
+    lo, hi = _split([eps, delta_sep]).one_minus_pow(k - 1).tolist()
     return k * (lo * m * q - hi * g2 * (1.0 - q))
 
 

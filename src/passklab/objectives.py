@@ -12,7 +12,8 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,54 +150,67 @@ def _check_prob(p: float, name: str = "p") -> float:
     return p
 
 
-def _pow_one_minus(p: np.ndarray, n: int) -> np.ndarray:
-    """Elementwise (1 - p)**n without spurious underflow for small p.
+class _Split(NamedTuple):
+    """probs split once at 0.5: the flat indices lo of p < 0.5 with log1p(-p)
+    there, which keeps (1 - p)**n down to ~1e-300 where 1 - p would cancel,
+    and hi of all other entries (NaN too) with 1 - p there, exact for p >= 0.5.
+    No route sees the other's entries (no log1p(-1)); arrays are read-only."""
 
-    For p < 0.5 the log1p route keeps tiny results (down to ~1e-300)
-    representable instead of flushing them through a cancelled 1 - p.
-    For p >= 0.5, 1 - p is exact in floating point and a plain power is
-    the more accurate route.  Both routes run over the whole array and
-    np.where picks one per entry; each route's input is clamped to its own
-    side of 0.5, so the route not picked cannot warn (no log1p(-1)) and
-    the picked one sees p itself.
-    """
-    p = np.asarray(p, dtype=float)
-    lo = np.exp(n * np.log1p(-np.minimum(p, 0.5)))
-    hi = (1.0 - np.maximum(p, 0.5)) ** n
-    return np.where(p < 0.5, lo, hi)
+    shape: tuple
+    lo: np.ndarray
+    hi: np.ndarray
+    log1m: np.ndarray
+    one_minus: np.ndarray
+
+    def _joined(self, low, high) -> np.ndarray:
+        out = np.empty(self.lo.size + self.hi.size)
+        out[self.lo], out[self.hi] = low, high
+        return out.reshape(self.shape)
+
+    def fk(self, k: int) -> np.ndarray:
+        """expm1 keeps small values accurate where 1 - (1 - p)**k would cancel."""
+        return self._joined(-np.expm1(k * self.log1m), 1.0 - self.one_minus**k)
+
+    def one_minus_pow(self, n: int) -> np.ndarray:
+        return self._joined(np.exp(n * self.log1m), self.one_minus**n)
+
+    def wk(self, k: int) -> np.ndarray:
+        return k * self.one_minus_pow(k - 1)
+
+
+def _split(probs) -> _Split:
+    p = np.asarray(probs, dtype=float)
+    below = p < 0.5
+    lo, hi = np.flatnonzero(below), np.flatnonzero(~below)
+    parts = (lo, hi, np.log1p(-p.take(lo)), 1.0 - p.take(hi))
+    for array in parts:
+        array.flags.writeable = False
+    return _Split(p.shape, *parts)
 
 
 def fk(p: float, k: int) -> float:
     """Success probability of the best of k attempts: 1 - (1 - p)**k."""
     k = _check_k(k)
-    p = _check_prob(p)
-    return float(fk_array(np.array([p]), k)[0])
+    return float(_split(_check_prob(p)).fk(k))
 
 
 def wk(p: float, k: int) -> float:
     """Prompt weight k * (1 - p)**(k - 1); the derivative of fk in p."""
     k = _check_k(k)
-    p = _check_prob(p)
-    return float(wk_array(np.array([p]), k)[0])
+    return float(_split(_check_prob(p)).wk(k))
 
 
 def fk_array(probs: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized fk over an array of probabilities.
-
-    expm1 keeps small values accurate where 1 - (1 - p)**k would cancel.
-    The two routes are picked per entry as in _pow_one_minus.
-    """
+    """Vectorized fk over an array of probabilities, any shape; no range
+    check, so NaN and values outside [0, 1] pass through the formulas."""
     k = _check_k(k)
-    p = np.asarray(probs, dtype=float)
-    lo = -np.expm1(k * np.log1p(-np.minimum(p, 0.5)))
-    hi = 1.0 - (1.0 - np.maximum(p, 0.5)) ** k
-    return np.where(p < 0.5, lo, hi)
+    return _split(probs).fk(k)
 
 
 def wk_array(probs: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized wk over an array of probabilities."""
+    """Vectorized wk over an array of probabilities, as fk_array."""
     k = _check_k(k)
-    return k * _pow_one_minus(np.asarray(probs, dtype=float), k - 1)
+    return _split(probs).wk(k)
 
 
 def ordered_dot(a, b) -> float:
@@ -271,7 +285,9 @@ class SuccessProfile:
     """Per-prompt success probabilities plus the prompt distribution.
 
     probs and mass are aligned with ids, and no id may repeat; mass must be
-    a probability vector (nonnegative, summing to 1 within 1e-12).
+    a probability vector (nonnegative, summing to 1 within 1e-12).  probs
+    is a read-only copy, and its split is built on first read and kept, so
+    every f_k and w_k over the profile finishes from one log1p.
     """
 
     probs: np.ndarray
@@ -293,7 +309,8 @@ class SuccessProfile:
         return profile
 
     def _set_columns(self, probs, mass, ids) -> None:
-        probs, mass = _reals("probs", probs), _reals("mass", mass)
+        probs, mass = _reals("probs", probs).copy(), _reals("mass", mass)
+        probs.flags.writeable = False  # the cached split must stay its split
         ids = _column("ids", tuple, ids)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "mass", mass)
@@ -308,6 +325,10 @@ class SuccessProfile:
     def __len__(self) -> int:
         return self.probs.size
 
+    @cached_property
+    def split(self) -> _Split:
+        return _split(self.probs)
+
     @classmethod
     def uniform(cls, probs, ids=None) -> "SuccessProfile":
         """Profile with equal mass on every prompt."""
@@ -320,8 +341,7 @@ class SuccessProfile:
 
 def pass_at_k(profile: SuccessProfile, k: int) -> float:
     """Population objective: mass-weighted mean of fk over the profile."""
-    values = fk_array(profile.probs, k)
-    return ordered_dot(profile.mass, values)
+    return ordered_dot(profile.mass, profile.split.fk(_check_k(k)))
 
 
 def pass_at_k_bounds(j1: float, k: int) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from .bandit import (
 from .conflict import conflict_report
 from .errors import DomainError
 from .interference import GradientTable
-from .objectives import SuccessProfile, _check_int, _real, fk_array, ordered_dot
+from .objectives import SuccessProfile, _check_int, _check_k, _real, ordered_dot
 from .serialization import write_csv
 
 TRAJECTORY_COLUMNS = (
@@ -56,10 +56,10 @@ class TrajectoryRecord:
         return tuple(getattr(self, name) for name in TRAJECTORY_COLUMNS)
 
 
-def _objective_values(p: np.ndarray, k: int, batch: PromptBatch) -> dict:
-    """j1 and jk over the population and over each label's prompts (NaN for
-    a label with none), from the batch's mass and label index sets."""
-    f1, fkv = fk_array(p, 1), fk_array(p, k)
+def _objective_values(profile: SuccessProfile, k: int, batch: PromptBatch) -> dict:
+    """j1 and jk, from the profile's split, over the population and over each
+    label's prompts (NaN for a label with none): the batch's mass and rows."""
+    f1, fkv = profile.split.fk(1), profile.split.fk(k)
     values = {"j1_pop": ordered_dot(batch.mass, f1), "jk_pop": ordered_dot(batch.mass, fkv)}
     for label, idx, coef in batch.label_rows:
         if not idx.size:
@@ -74,12 +74,12 @@ def evaluate_state(
     theta, batch: PromptBatch, k: int, margin: float = 1e-6, step: int = 0
 ) -> TrajectoryRecord:
     """All trajectory metrics at one parameter vector."""
-    theta = _check_theta(theta)
+    theta, k = _check_theta(theta), _check_k(k)
     p, grads = _success_and_grad(theta, batch)
-    # before the report, so that none of their temporaries adds to its peak
-    values = _objective_values(p, k, batch)
-    table = GradientTable(grads, batch.ids)
     profile = SuccessProfile._on_checked_mass(p, batch.mass, batch.ids)
+    # before the report, so that none of their temporaries adds to its peak
+    values = _objective_values(profile, k, batch)
+    table = GradientTable(grads, batch.ids)
     report = conflict_report(table, profile, k, margin=margin, constants=batch.constants)
     return TrajectoryRecord(
         step=step,

@@ -7,11 +7,13 @@ a hard one.  Each function is the one-prompt form of
 `bandit.success_probs` or `bandit.grad_success_probs`, computed with the
 same `bandit.expit`.
 
-Masked forms of the objective transforms and the allocating form of
-`objectives.ordered_dot`: each transform computes only the entries of
-its own branch (a boolean gather and scatter), and each extraction pass
-allocates its arrays.  The package's branch-free, in-place forms give
-the same bits.
+Two forms of each objective transform, and the allocating form of
+`objectives.ordered_dot`.  A masked transform computes only the entries of
+its own branch (a boolean gather and scatter); a whole-array transform
+runs both routes over every entry, each route's input clamped to its own
+side of 0.5, and `np.where` picks one per entry.  Each extraction pass of
+the allocating form allocates its arrays.  The package's split
+transforms and in-place ordered_dot give the same bits.
 
 `block_mean_grad`: one prompt's Monte Carlo gradient from its own block
 of draws, the per-prompt form of `SampleSet.table`.
@@ -34,7 +36,7 @@ from passklab.bandit import EASY, HARD, expit
 from passklab.objectives import (
     EXTRACT_LIMIT,
     EXTRACT_PASSES,
-    _pow_one_minus,
+    _split,
     fk_array,
     ordered_dot,
     wk_array,
@@ -138,6 +140,26 @@ def masked_wk_array(p, k: int) -> np.ndarray:
     return k * masked_pow_one_minus(p, k - 1)
 
 
+def where_pow_one_minus(p, n: int) -> np.ndarray:
+    """(1 - p)**n: both routes over every entry, np.where picks per entry."""
+    p = np.asarray(p, dtype=float)
+    lo = np.exp(n * np.log1p(-np.minimum(p, 0.5)))
+    hi = (1.0 - np.maximum(p, 0.5)) ** n
+    return np.where(p < 0.5, lo, hi)
+
+
+def where_fk_array(p, k: int) -> np.ndarray:
+    """1 - (1 - p)**k: both routes over every entry, np.where picks per entry."""
+    p = np.asarray(p, dtype=float)
+    lo = -np.expm1(k * np.log1p(-np.minimum(p, 0.5)))
+    hi = 1.0 - (1.0 - np.maximum(p, 0.5)) ** k
+    return np.where(p < 0.5, lo, hi)
+
+
+def where_wk_array(p, k: int):
+    return k * where_pow_one_minus(p, k - 1)
+
+
 def allocating_ordered_dot(a, b) -> float:
     """The extraction of `objectives.ordered_dot`, top from np.max(np.abs)
     and new arrays for every (sigma + x) - sigma and every pass's test."""
@@ -208,19 +230,30 @@ def ordered_dot_cases(rng, lengths) -> list:
 
 def exact_form_mismatches(seed: int, size: int, ks, lengths) -> list:
     """Where the package's transforms and ordered_dot differ in any bit
-    from the masked and allocating forms above; empty when they agree.
+    from the masked, whole-array and allocating forms above; empty when
+    they agree.
 
     Transforms are compared as int64 views at every k in ks on
-    random_probs(size); ordered_dot against math.fsum and
-    allocating_ordered_dot on ordered_dot_cases(lengths).
+    random_probs(size): fk_array and wk_array, each call on its own split,
+    and f_k, w_k and (1 - p)**k at every k finished from one shared,
+    read-only split, as a SuccessProfile keeps it; ordered_dot against
+    math.fsum and allocating_ordered_dot on ordered_dot_cases(lengths).
     """
     rng = np.random.default_rng(seed)
     p = random_probs(rng, size)
+    shared = _split(p)
     bad = []
     for k in ks:
-        pairs = (("fk_array", fk_array(p, k), masked_fk_array(p, k)),
-                 ("wk_array", wk_array(p, k), masked_wk_array(p, k)),
-                 ("_pow_one_minus", _pow_one_minus(p, k), masked_pow_one_minus(p, k)))
+        fk_want, wk_want = masked_fk_array(p, k), masked_wk_array(p, k)
+        pow_want = masked_pow_one_minus(p, k)
+        pairs = (("fk_array", fk_array(p, k), fk_want),
+                 ("wk_array", wk_array(p, k), wk_want),
+                 ("shared fk", shared.fk(k), fk_want),
+                 ("shared wk", shared.wk(k), wk_want),
+                 ("shared one_minus_pow", shared.one_minus_pow(k), pow_want),
+                 ("where_fk_array", where_fk_array(p, k), fk_want),
+                 ("where_wk_array", where_wk_array(p, k), wk_want),
+                 ("where_pow_one_minus", where_pow_one_minus(p, k), pow_want))
         for name, got, want in pairs:
             differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
             if differ.size:

@@ -225,7 +225,7 @@ class TestConflictReportRoutes:
             assemble_passk_gradient(table, profile, 5)
 
 
-ON_READ = ("sigma_w", "sigma_a", "correlation", "neg_set")
+ON_READ = ("sigma_w", "sigma_a", "correlation", "neg_set", "q")
 
 
 def plain_on_read_fields(report, mass) -> dict:
@@ -252,8 +252,9 @@ def plain_on_read_fields(report, mass) -> dict:
 
 
 class TestOnReadFields:
-    """sigma_w, sigma_a, correlation and neg_set are computed on first read;
-    q, w_minus and w_plus sum over the interfering set and its complement."""
+    """sigma_w, sigma_a, correlation, neg_set and q are computed on first
+    read; q, w_minus and w_plus sum over the interfering set and its
+    complement."""
 
     @staticmethod
     def assert_plain(report, mass) -> None:

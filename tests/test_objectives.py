@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from passklab import (
     wk,
 )
 from passklab import objectives
+from passklab.conflict import assemble_passk_gradient, conflict_report
+from passklab.interference import GradientTable
 from passklab.objectives import (
     EXTRACT_PASSES,
     MAX_K,
@@ -36,7 +39,7 @@ from passklab.objectives import (
     wk_array,
 )
 
-from oracles import exact_form_mismatches
+from oracles import exact_form_mismatches, where_fk_array, where_wk_array
 
 
 def pow_oracle(base: float, n: int) -> float:
@@ -414,9 +417,10 @@ SPOT_KS = (1, 2, 3, 5, 7, 10, 33, 64, MAX_K)
 
 
 class TestExactForms:
-    """The branch-free transforms and in-place ordered_dot give the bits of
-    the masked and allocating forms in tests/oracles.py.  With warnings as
-    errors, this also shows that the branch np.where drops raises none."""
+    """The split transforms, uncached and from a profile's cached split, and
+    the in-place ordered_dot give the bits of the masked, whole-array and
+    allocating forms in tests/oracles.py.  With warnings as errors, this
+    also shows that no route warns on the entries of the other."""
 
     def test_every_k_on_edge_and_random_probabilities(self):
         assert exact_form_mismatches(13, 2**14, ALL_KS, range(1, 5001, 3)) == []
@@ -465,6 +469,85 @@ class TestExactFormsAtEverySimdLevel:
                      "NPY_DISABLE_CPU_FEATURES": level},
             )
             assert proc.returncode == 0, f"{level!r}: {proc.stderr}"
+
+
+EDGE_INPUTS = (np.nan, -0.0, 0.0, -0.5, 0.5, 1.0, 1.5, np.inf, -np.inf)
+
+
+def outcome(transform, p, k) -> tuple:
+    """transform(p, k)'s type, shape, bytes and warning classes (numpy words
+    the message of a 0-d operand's warning as a scalar's)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = transform(p, k)
+    return type(out), np.shape(out), np.asarray(out).tobytes(), [w.category for w in caught]
+
+
+class TestEdgeInputs:
+    """fk_array and wk_array take p without a range check, and give the bits,
+    type, shape and warnings of the whole-array np.where forms on any input:
+    NaN, signed zeros and values outside [0, 1] included."""
+
+    INPUTS = {
+        "edges": np.array(EDGE_INPUTS),
+        "2-d": np.array(EDGE_INPUTS).reshape(3, 3),
+        "strided": np.array(EDGE_INPUTS)[::2],
+        "empty": np.zeros(0),
+        "empty 2-d": np.zeros((0, 3)),
+        "integers": np.array([0, 1, 2, -1]),
+        "list": [0.25, 0.75],
+        **{f"0-d {v!r}": np.array(v) for v in EDGE_INPUTS},
+    }
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, MAX_K])
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_match_the_whole_array_forms(self, name, k):
+        p = self.INPUTS[name]
+        assert outcome(fk_array, p, k) == outcome(where_fk_array, p, k)
+        assert outcome(wk_array, p, k) == outcome(where_wk_array, p, k)
+
+
+class TestOneSplit:
+    """A profile splits its probabilities once, and every f_k and w_k over it
+    finishes from that split."""
+
+    def test_transforms_at_several_k_read_one_split(self, monkeypatch):
+        calls = []
+        split = objectives._split
+
+        def counted(probs):
+            calls.append(probs)
+            return split(probs)
+
+        monkeypatch.setattr(objectives, "_split", counted)
+        rng = np.random.default_rng(8)
+        profile = SuccessProfile.uniform(rng.random(50))
+        table = GradientTable(rng.normal(size=(50, 3)), profile.ids)
+        for k in (1, 2, 5, 33):
+            pass_at_k(profile, k)
+            assemble_passk_gradient(table, profile, k)
+            conflict_report(table, profile, k)
+        assert len(calls) == 1 and calls[0] is profile.probs
+        assert profile.split is profile.split
+
+    def test_a_write_to_the_callers_array_changes_no_profile(self):
+        p = np.array([0.1, 0.6])
+        profiles = (SuccessProfile.uniform(p),
+                    SuccessProfile._on_checked_mass(p, np.full(2, 0.5), ("0", "1")))
+        before = [pass_at_k(profile, 2) for profile in profiles]
+        p[0] = 0.9
+        assert [pass_at_k(profile, 2) for profile in profiles] == before == [0.515, 0.515]
+        for profile in profiles:
+            assert profile.probs.tolist() == [0.1, 0.6]
+            with pytest.raises(ValueError, match="read-only"):
+                profile.probs[0] = 0.9
+
+    def test_split_arrays_are_read_only(self):
+        split = SuccessProfile.uniform([0.1, 0.5, 0.9]).split
+        assert split.lo.tolist() == [0] and split.hi.tolist() == [1, 2]
+        for array in split[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 class Wild:

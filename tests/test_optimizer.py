@@ -102,6 +102,24 @@ class TestAscentStep:
             evaluate_state(np.array(theta), batch, 5)
         assert calls == {"check_mass": 1, "expit": 2, "policy_regularity_constants": 1}
 
+    def test_one_evaluation_takes_one_log1p_over_the_entries_below_half(self, monkeypatch):
+        # f_1, f_k and w_k all finish from the step profile's one split
+        sizes = []
+        log1p = np.log1p
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return log1p(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log1p", counted)
+        batch = sample_prompts(BanditConfig(seed=3), 300)
+        for theta in ([-1.5, -2.5], [0.5, 1.0]):
+            sizes.clear()
+            evaluate_state(np.array(theta), batch, 5)
+            below = int(np.count_nonzero(success_probs(np.array(theta), batch) < 0.5))
+            assert 0 < below < 300
+            assert sizes == [below]
+
 
 class TestReferenceState:
     """evaluate_state against its plain definition, field by field and bit

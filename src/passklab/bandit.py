@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .objectives import _check_int, _check_prompt_ids, _column, _real, _reals, check_mass
+from .objectives import (_check_int, _check_prompt_ids, _check_seed, _column, _real, _reals,
+                         check_mass)
 
 EASY, HARD = "easy", "hard"
 
@@ -45,7 +46,9 @@ class PromptBatch:
 
     Row i is one prompt: features [1.0, s] with s and s**2 finite, a label
     EASY or HARD, and correct action 0 for easy and 1 for hard.  Ids are
-    unique strings.  Derived once, when built, as read-only fields: the uniform
+    unique strings.  features, labels and correct_actions are read-only
+    copies, so a write to the caller's arrays cannot leave what is derived
+    from them stale.  Derived once, when built, as read-only fields: the uniform
     mass (check_mass passed), each label's row indices with 1/size
     coefficients, and policy_regularity_constants.
     """
@@ -59,8 +62,8 @@ class PromptBatch:
     constants: tuple = field(init=False, repr=False, compare=False)  # (g2, f)
 
     def __post_init__(self):
-        feats = _reals("features", self.features)
-        labels = _column("labels", np.asarray, self.labels)
+        feats = _reals("features", self.features).copy()
+        labels = _column("labels", np.array, self.labels)
         actions = _column("correct_actions", np.asarray, self.correct_actions)
         object.__setattr__(self, "ids", _column("ids", tuple, self.ids))
         n = len(self.ids)
@@ -78,15 +81,16 @@ class PromptBatch:
             )
         if not np.array_equal(actions, hard):
             raise DomainError("correct_action must be 1 iff label is hard")
+        correct = hard.astype(int)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "correct_actions", hard.astype(int))
+        object.__setattr__(self, "correct_actions", correct)
         _check_prompt_ids(self.ids)
         mass = np.full(n, 1.0 / n)
         check_mass(mass)
         idx = np.flatnonzero(~hard), np.flatnonzero(hard)
         coef = [np.full(i.size, 1.0 / max(i.size, 1)) for i in idx]  # empty if no row
-        for array in (mass, *idx, *coef):
+        for array in (feats, labels, correct, mass, *idx, *coef):
             array.flags.writeable = False
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "label_rows", tuple(zip((EASY, HARD), idx, coef)))
@@ -119,12 +123,6 @@ def _check_theta(theta) -> np.ndarray:
     if theta.shape != (2,):
         raise DomainError("theta must be a 1-d vector of length 2")
     return theta
-
-
-def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
 
 
 def sample_prompts(config: BanditConfig, n: int) -> PromptBatch:

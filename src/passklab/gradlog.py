@@ -18,12 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import _check_seed
 from .conflict import conflict_report
 from .errors import DomainError
 from .interference import GradientTable
-from .objectives import SuccessProfile, _check_int, _real, _reals, _shown, ordered_dot
-from .serialization import line_error, number_list, read_records, write_csv, write_json
+from .objectives import (SuccessProfile, _check_int, _check_prob, _check_seed, _real, _reals,
+                         _shown, _str_ids, ordered_dot)
+from .serialization import (line_error, no_records, number_list, parse_record, read_lines,
+                            write_csv, write_json)
 
 ANTI_ALIGNMENT = 3.0  # synthetic log: hard-gradient scale against the easy one
 NOISE = 0.05  # synthetic log: per-entry gradient noise
@@ -38,14 +39,11 @@ class GradLogRecord:
     mass: float | None = None  # optional prompt weight; uniform when absent
 
     def __post_init__(self):
-        if not isinstance(self.prompt_id, str):
-            raise DomainError(f"prompt_id must be a string, got {self.prompt_id!r}")
+        _str_ids((self.prompt_id,))
         if self.label is not None and not isinstance(self.label, str):
             raise DomainError(f"label must be a string, got {_shown(self.label)}")
         object.__setattr__(self, "grad", _reals("grad", self.grad))
-        object.__setattr__(self, "pass1", _real("pass1", self.pass1))
-        if not 0.0 <= self.pass1 <= 1.0:
-            raise DomainError(f"pass1 must lie in [0, 1], got {self.pass1}")
+        object.__setattr__(self, "pass1", _check_prob(self.pass1, "pass1"))
         if self.grad.ndim != 1 or self.grad.size == 0:
             raise DomainError("grad must be a nonempty 1-d vector")
         if self.mass is not None:
@@ -117,7 +115,10 @@ def load_gradlog(path) -> list[GradLogRecord]:
     records: list[GradLogRecord] = []
     first_line: dict[str, int] = {}  # prompt_id -> line it first appeared on
     dim = 0  # gradient length, set by the first record
-    for lineno, obj in read_records(path):
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        obj = parse_record(path, lineno, line)
         try:
             for key, kind in (("label", "a string, got"), ("mass", "a number, not")):
                 if key in obj and obj[key] is None:  # a record's None means absent
@@ -141,6 +142,8 @@ def load_gradlog(path) -> list[GradLogRecord]:
             raise line_error(path, lineno, exc) from exc
         first_line[rec.prompt_id] = lineno
         records.append(rec)
+    if not records:
+        raise no_records(path)
     return records
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bandit import PromptBatch, _check_seed, _sigmoid
+from .bandit import PromptBatch, _sigmoid
 from .conflict import assemble_passk_gradient
 from .errors import DomainError
 from .interference import GradientTable
@@ -24,6 +24,7 @@ from .objectives import (
     SuccessProfile,
     _check_int,
     _check_prompt_ids,
+    _check_seed,
     _column,
     _index_ids,
     _reals,
@@ -50,18 +51,18 @@ class SampleSet:
     """The draws of a set of prompts, stored as whole arrays.
 
     Row j of ``actions`` (N,), ``rewards`` (N,) and finite ``scores`` (N, d)
-    is one draw; prompt ``ids[i]``, a str, owns rows ``offsets[i]:offsets[i + 1]``,
-    so prompts may have different draw counts, and no id may repeat.  The
-    arrays are checked once, when the set is built, and the ids once per
-    tuple; ``blocks`` and ``set[prompt_id]`` are views of them, and
-    ``set[prompt_id]`` builds its id-to-row index on first use.  They are
-    not to be changed afterwards: the per-prompt means that
+    is one draw; prompt ``ids[i]``, a str, owns rows ``offsets[i]:offsets[i + 1]``
+    of the integer ``offsets``, so prompts may have different draw counts, and
+    no id may repeat.  The arrays are checked once, when the set is built, and
+    the ids once per tuple; ``blocks`` and ``set[prompt_id]`` are views of
+    them, and ``set[prompt_id]`` builds its id-to-row index on first use.
+    They are not to be changed afterwards: the per-prompt means that
     ``mc_grad_passk`` reads are reduced once per set and kept.
     """
 
     def __init__(self, ids, offsets, actions, rewards, scores):
         ids = _column("ids", tuple, ids)
-        offsets = _column("offsets", np.asarray, offsets, np.int64)
+        offsets, given = _column("offsets", np.asarray, offsets, np.int64), offsets
         actions = _column("actions", np.asarray, actions)
         rewards, scores = _reals("reward", rewards), _reals("score", scores)
         if not ids:
@@ -88,6 +89,10 @@ class SampleSet:
         if actions.dtype.kind not in "iu" or np.bitwise_or.reduce(actions) | 1 != 1:
             raise DomainError("actions must be the integers 0 or 1")
         _check_prompt_ids(ids)
+        # last, so an input that a rule above refuses keeps its message
+        dtype = np.asarray(given).dtype
+        if dtype.kind not in "iu":
+            raise DomainError(f"offsets must be integers, not {dtype}")
         self.ids, self.offsets = ids, offsets
         self.actions, self.rewards, self.scores = actions, rewards, scores
 

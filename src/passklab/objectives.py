@@ -38,6 +38,13 @@ def _check_int(name: str, value, least=None) -> int:
     return int(value)
 
 
+def _check_seed(seed) -> int:
+    """seed as an int: bools, non-integers and negative values are refused."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -131,9 +138,9 @@ _unique_ids = _once_per_tuple(_index_ids)
 
 def _str_ids(ids: tuple) -> None:
     """Reject a prompt id that is not a str."""
-    bad = [pid for pid in ids if not isinstance(pid, str)]
-    if bad:
-        raise DomainError(f"prompt_id must be a string, got {bad[0]!r}")
+    for pid in ids:
+        if not isinstance(pid, str):
+            raise DomainError(f"prompt_id must be a string, got {pid!r}")
 
 
 @_once_per_tuple
@@ -286,8 +293,9 @@ class SuccessProfile:
 
     probs and mass are aligned with ids, and no id may repeat; mass must be
     a probability vector (nonnegative, summing to 1 within 1e-12).  probs
-    is a read-only copy, and its split is built on first read and kept, so
-    every f_k and w_k over the profile finishes from one log1p.
+    and mass are read-only copies, and the split of probs is built on first
+    read and kept, so every f_k and w_k over the profile finishes from one
+    log1p.
     """
 
     probs: np.ndarray
@@ -309,8 +317,9 @@ class SuccessProfile:
         return profile
 
     def _set_columns(self, probs, mass, ids) -> None:
-        probs, mass = _reals("probs", probs).copy(), _reals("mass", mass)
-        probs.flags.writeable = False  # the cached split must stay its split
+        probs, mass = _reals("probs", probs).copy(), _reals("mass", mass).copy()
+        # the cached split must stay its split, and mass the one checked
+        probs.flags.writeable = mass.flags.writeable = False
         ids = _column("ids", tuple, ids)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "mass", mass)

@@ -53,23 +53,13 @@ def read_lines(path):
             yield lineno, text
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
 def parse_record(path, lineno: int, line: str) -> dict:
     """The record on a nonblank line of a JSON-lines file: an object whose
-    prompt_id is a JSON string.  A line that raw_decode refuses or does not
-    end is parsed again by json.loads, so each error (a leading BOM's too)
-    reads as json.loads'."""
+    prompt_id is a JSON string."""
     try:
-        rec, end = _raw_decode(line)
-    except ValueError:
-        end = -1
-    if end != len(line):
-        try:
-            rec = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an int too long to parse
-            raise line_error(path, lineno, f"invalid JSON ({exc})") from exc
+        rec = json.loads(line)
+    except ValueError as exc:  # JSONDecodeError, or an int too long to parse
+        raise line_error(path, lineno, f"invalid JSON ({exc})") from exc
     if type(rec) is not dict:
         raise line_error(path, lineno, "record must be an object")
     if type(rec.get("prompt_id")) is not str:
@@ -80,18 +70,6 @@ def parse_record(path, lineno: int, line: str) -> dict:
 
 def no_records(path) -> DomainError:
     return DomainError(f"{path}: empty file, no records")
-
-
-def read_records(path):
-    """Yield (lineno, record) per nonblank line (parse_record) of a JSON-lines
-    file with at least one record."""
-    empty = True
-    for lineno, line in read_lines(path):
-        if line:
-            empty = False
-            yield lineno, parse_record(path, lineno, line)
-    if empty:
-        raise no_records(path)
 
 
 _JSON_NUMBER = frozenset((int, float))  # the types json.loads gives a JSON number

@@ -360,6 +360,19 @@ class TestPromptInstanceValidation:
         with pytest.raises(DomainError, match="finite"):
             make_batch([[1.0, 0.1], [1.0, bad]], [EASY, HARD], [0, 1])
 
+    def test_a_write_to_the_callers_arrays_changes_no_batch_field(self):
+        feats = np.array([[1.0, -0.1], [1.0, 0.1]])
+        labels, actions = np.array([EASY, HARD]), np.array([0, 1])
+        batch = PromptBatch(("a", "b"), feats, labels, actions)
+        fields = ("features", "labels", "correct_actions", "constants", "label_rows")
+        before = repr([getattr(batch, name) for name in fields])
+        feats[1, 1], labels[1], actions[1] = 50.0, EASY, 0
+        assert repr([getattr(batch, name) for name in fields]) == before
+        assert policy_regularity_constants(batch) == batch.constants == (0.2525, 0.2525)
+        for column in (batch.features, batch.labels, batch.correct_actions):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+
     def test_largest_square_must_be_finite(self):
         # sqrt of the largest double is 1.3407807929942596e154
         batch = make_batch([[1.0, 0.1], [1.0, -1.34e154]], [EASY, HARD], [0, 1])

@@ -134,6 +134,15 @@ class TestSampleSetValidation:
             SampleSet(ids, offsets, actions, rewards, scores)
 
     @pytest.mark.parametrize(
+        "offsets", [[0, 2.7, 3], np.array([0.0, 2.0, 3.0]), [0, "1"], [False, True]],
+        ids=["fraction", "float", "text", "bool"],
+    )
+    def test_offsets_must_be_integers(self, offsets):
+        n = int(offsets[-1])
+        with pytest.raises(DomainError, match="^offsets must be integers, not "):
+            SampleSet(("a", "b")[: len(offsets) - 1], offsets, [0] * n, [0.0] * n, [[1.0]] * n)
+
+    @pytest.mark.parametrize(
         "actions,rewards,scores,message",
         [
             ([2, 0.7], [1, 0], [[1.0], ["1.5"]],

@@ -531,16 +531,18 @@ class TestOneSplit:
         assert profile.split is profile.split
 
     def test_a_write_to_the_callers_array_changes_no_profile(self):
-        p = np.array([0.1, 0.6])
-        profiles = (SuccessProfile.uniform(p),
-                    SuccessProfile._on_checked_mass(p, np.full(2, 0.5), ("0", "1")))
+        p, m = np.array([0.1, 0.6]), np.full(2, 0.5)
+        profiles = (SuccessProfile.uniform(p), SuccessProfile(p, m, ("0", "1")),
+                    SuccessProfile._on_checked_mass(p, m, ("0", "1")))
         before = [pass_at_k(profile, 2) for profile in profiles]
-        p[0] = 0.9
-        assert [pass_at_k(profile, 2) for profile in profiles] == before == [0.515, 0.515]
+        p[0], m[0] = 0.9, 3.0
+        assert [pass_at_k(profile, 2) for profile in profiles] == before == [0.515] * 3
         for profile in profiles:
             assert profile.probs.tolist() == [0.1, 0.6]
-            with pytest.raises(ValueError, match="read-only"):
-                profile.probs[0] = 0.9
+            assert profile.mass.tolist() == [0.5, 0.5]
+            for column in (profile.probs, profile.mass):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 0.9
 
     def test_split_arrays_are_read_only(self):
         split = SuccessProfile.uniform([0.1, 0.5, 0.9]).split

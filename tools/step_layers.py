@@ -11,8 +11,8 @@ then times, PASSES = 5 times at each of those parameters, the layers of
 optimizer.evaluate_state one after the other:
 
     policy      bandit._success_and_grad: the success probabilities and rows
-    split       the step's SuccessProfile and, where the checkout has one,
-                its cached split (the transforms' log1p and 1 - p)
+    split       the step's SuccessProfile and its cached split (the
+                transforms' log1p and 1 - p)
     objectives  optimizer._objective_values: j1 and jk, overall and per label
     table       the step's GradientTable
     report      conflict.conflict_report: w_k, the three routes, the certificate
@@ -24,13 +24,8 @@ on both.  The table gives each
 layer's median over all steps of all children in microseconds, and, with two
 or more checkouts, each one's change against the first.  perfbench cannot
 give this split: its tracer wraps public functions only, and a step reaches
-these layers through private paths.
-
-Two lines of the child exist only to compare against checkouts from before
-the transform split, where _objective_values took p and a SuccessProfile
-had no split: the signature test and the getattr.  Delete them, and time
-profile.split and _objective_values(profile, ...) directly, once that
-comparison is no longer needed.
+these layers through private paths.  A checkout must have the transform
+split: a SuccessProfile with a split, and _objective_values taking it.
 """
 
 import argparse
@@ -45,7 +40,7 @@ STEPS, PASSES, ROUNDS = 100, 5, 10
 LAYERS = ("policy", "split", "objectives", "table", "report", "step")
 
 CHILD = """
-import inspect, json, os, sys, time
+import json, os, sys, time
 os.sched_setaffinity(0, {int(sys.argv[1])})
 steps, passes = int(sys.argv[2]), int(sys.argv[3])
 from passklab import BanditConfig, run_trajectory, sample_prompts
@@ -58,8 +53,6 @@ from passklab.objectives import SuccessProfile
 k, clock = 5, time.perf_counter
 batch = sample_prompts(BanditConfig(seed=0), 6000)
 thetas = [r.theta for r in run_trajectory(k=k, steps=steps, batch=batch)[:steps]]
-# before the transform split, _objective_values took p and a profile had no split
-takes_profile = "profile" in inspect.signature(optimizer._objective_values).parameters
 times = {name: [] for name in json.loads(sys.argv[4])}
 for _ in range(passes):
     for theta in thetas:
@@ -67,9 +60,9 @@ for _ in range(passes):
         p, grads = _success_and_grad(theta, batch)
         t1 = clock()
         profile = SuccessProfile._on_checked_mass(p, batch.mass, batch.ids)
-        getattr(profile, "split", None)
+        profile.split  # built on first read and kept
         t2 = clock()
-        optimizer._objective_values(profile if takes_profile else p, k, batch)
+        optimizer._objective_values(profile, k, batch)
         t3 = clock()
         table = GradientTable(grads, batch.ids)
         t4 = clock()

@@ -58,7 +58,10 @@ def _read_config(path) -> dict:
         if "=" not in line:
             raise line_error(path, lineno, "expected 'key = value'")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if not any(key in spec for _, _, spec, _ in COMMANDS.values()):
+            raise line_error(path, lineno, f"no command takes config key {key!r}")
+        out[key] = value.strip()
     return out
 
 

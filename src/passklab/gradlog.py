@@ -148,8 +148,7 @@ def load_gradlog(path) -> list[GradLogRecord]:
 
 
 def export_gradlog(records, path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         for rec in records:
             obj = {
                 "prompt_id": rec.prompt_id,

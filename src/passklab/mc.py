@@ -47,6 +47,11 @@ class PromptSamples(NamedTuple):
         return self.actions.shape[0]
 
 
+def _holds_bool(given) -> bool:
+    """Whether a list holds a bool of any kind: numpy reads [0, True] as integers."""
+    return not hasattr(given, "dtype") and bool in (getattr(v, "dtype", type(v)) for v in given)
+
+
 class SampleSet:
     """The draws of a set of prompts, stored as whole arrays.
 
@@ -62,7 +67,7 @@ class SampleSet:
 
     def __init__(self, ids, offsets, actions, rewards, scores):
         ids = _column("ids", tuple, ids)
-        offsets, given = _column("offsets", np.asarray, offsets, np.int64), offsets
+        offsets, given = _column("offsets", np.asarray, offsets, np.int64), (offsets, actions)
         actions = _column("actions", np.asarray, actions)
         rewards, scores = _reals("reward", rewards), _reals("score", scores)
         if not ids:
@@ -90,9 +95,13 @@ class SampleSet:
             raise DomainError("actions must be the integers 0 or 1")
         _check_prompt_ids(ids)
         # last, so an input that a rule above refuses keeps its message
-        dtype = np.asarray(given).dtype
+        dtype = np.asarray(given[0]).dtype
+        if dtype.kind in "iu" and _holds_bool(given[0]):
+            dtype = np.dtype(bool)
         if dtype.kind not in "iu":
             raise DomainError(f"offsets must be integers, not {dtype}")
+        if _holds_bool(given[1]):
+            raise DomainError("actions must be the integers 0 or 1")
         self.ids, self.offsets = ids, offsets
         self.actions, self.rewards, self.scores = actions, rewards, scores
 
@@ -149,21 +158,13 @@ def _stream_key(prompt_id: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-_SHA256_KEY = _stream_key
-
-
 @lru_cache(maxsize=8)
-def _stream_keys(ids: tuple, key) -> np.ndarray:
-    """Read-only uint64 array of key(pid) for pid in ids, hashed once per
-    ids tuple and shared by every seed.  Callers pass the current
-    _stream_key, so replacing it takes effect.  The sha256 key takes one
-    pass: the 32-byte digests are joined, and every fourth little-endian
-    word, each digest's first, is read at once."""
-    if key is _SHA256_KEY:
-        digests = b"".join([hashlib.sha256(pid.encode()).digest() for pid in ids])
-        keys = np.frombuffer(digests, dtype="<u8")[::4].copy()
-    else:
-        keys = np.array([key(pid) for pid in ids], dtype=np.uint64)
+def _stream_keys(ids: tuple) -> np.ndarray:
+    """Read-only uint64 _stream_key(pid) for pid in ids, hashed once per ids
+    tuple for every seed: of the joined 32-byte digests, every fourth
+    little-endian word, each digest's first, read at once."""
+    digests = b"".join([hashlib.sha256(pid.encode()).digest() for pid in ids])
+    keys = np.frombuffer(digests, dtype="<u8")[::4].copy()
     keys.flags.writeable = False
     return keys
 
@@ -229,14 +230,13 @@ def _seed_states(entropy: list) -> list:
     return state
 
 
-def _pcg64_seeds(seed: int, ids) -> np.ndarray:
-    """(4, P) uint64 whose column i is SeedSequence([seed, key_i])
+def _pcg64_seeds(seed: int, keys: np.ndarray) -> np.ndarray:
+    """(4, P) uint64 whose column i is SeedSequence([seed, keys[i]])
     .generate_state(4, uint64), the words that seed prompt i's PCG64.
 
-    The mix runs over all prompts in one pass, each key as two words, low
+    The mix runs over all P uint64 keys in one pass, each as two words, low
     first: the zero high word of a key below 2**32 mixes as the absent one.
     """
-    keys = _stream_keys(tuple(ids), _stream_key)
     # the seed's 32-bit words as SeedSequence splits it (0 is one word),
     # then the key's two; astype keeps the low 32 bits of each shift
     shifts = range(0, max(seed.bit_length(), 1), 32)
@@ -355,7 +355,7 @@ def _uniform_draws(seed: int, ids, n: int) -> np.ndarray:
     # before the seed mix's temporaries: allocated after them, glibc placed
     # the buffer in fresh pages on every call of a repeated mc run
     out = np.empty((n, len(ids)))
-    seeds = _pcg64_seeds(seed, ids)
+    seeds = _pcg64_seeds(seed, _stream_keys(tuple(ids)))
     for lo in range(0, len(ids), LANES):
         lanes = slice(lo, lo + LANES)
         _pcg64_doubles(seeds[:, lanes], out[:, lanes].T)
@@ -471,13 +471,12 @@ def export_samples(samples: SampleSet, path) -> None:
     distinct (action, reward, score bits) are formatted once each: bits, as
     0.0 == -0.0 but their reprs differ.
     """
-    path = Path(path)
     score = ", ".join(["%r"] * samples.dim)
     fields = ', "action": %d, "reward": %d, "score": [' + score + "]}\n"
     row_bits = np.dtype((np.void, 8 * samples.dim))
     unpack = struct.Struct("%dd" % samples.dim).unpack
     offsets = samples.offsets.tolist()
-    with path.open("w", encoding="utf-8") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         for pid, lo, hi in zip(samples.ids, offsets, offsets[1:]):
             # a % in the id is doubled, so the format reads it as text
             line = '{"prompt_id": ' + json.dumps(pid).replace("%", "%%") + fields

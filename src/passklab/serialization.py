@@ -18,8 +18,7 @@ def fmt(x) -> str:
 
 def write_csv(path, header, rows) -> None:
     """Write rows of mixed scalars; floats formatted via fmt()."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

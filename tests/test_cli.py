@@ -475,6 +475,16 @@ class TestPrecedence:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["k"] == 7
 
+    def test_config_key_of_another_command_is_accepted(self, tmp_path, capsys):
+        # so one file serves several commands: toy-demo takes no seed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nhard-fraction = 0.2\nk = 4\n")
+        out = tmp_path / "demo"
+        assert main(["--config", str(cfg), "toy-demo", "--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"] == {"eta": 5.0, "k": 4, "margin": 1e-3}
+
     def test_env_seed_overrides_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PASSK_SEED", "1234")
         out = tmp_path / "hm"
@@ -524,6 +534,16 @@ class TestUsageErrorsExitTwo:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 3\njust words\n")
         self.assert_one_line_error(["--config", str(cfg), "kstar"], capsys, "line 2")
+
+    @pytest.mark.parametrize("key", ["bogus", "kk", "out", "input"])
+    def test_config_key_that_no_command_declares(self, tmp_path, capsys, key):
+        # each was ignored; out and input are flags that a file cannot set
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"k = 3\n{key} = 1\n")
+        self.assert_one_line_error(
+            ["--config", str(cfg), "toy-demo"], capsys,
+            f"line 2: no command takes config key '{key}'",
+        )
 
     def test_non_numeric_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

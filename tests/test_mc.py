@@ -143,6 +143,42 @@ class TestSampleSetValidation:
             SampleSet(("a", "b")[: len(offsets) - 1], offsets, [0] * n, [0.0] * n, [[1.0]] * n)
 
     @pytest.mark.parametrize(
+        "offsets,actions,message",
+        [
+            ([0, 2], [True, 0], "actions must be the integers 0 or 1"),
+            ([0, 2], (0, np.True_), "actions must be the integers 0 or 1"),
+            ([0, 2], [np.array(True), 0], "actions must be the integers 0 or 1"),
+            ([0, True, 2], [1, 0], "offsets must be integers, not bool"),
+            ((0, np.True_, 2), [1, 0], "offsets must be integers, not bool"),
+        ],
+        ids=["actions", "actions-numpy-bool", "actions-0d-array", "offsets",
+             "offsets-numpy-bool"],
+    )
+    def test_a_list_that_mixes_bools_with_integers(self, offsets, actions, message):
+        # numpy reads [True, 0] as the integers [1, 0], so each was stored
+        ids = ("a", "b")[: len(offsets) - 1]
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            SampleSet(ids, offsets, actions, [0.0, 1.0], [[1.0], [2.0]])
+
+    def test_an_input_refused_for_another_rule_keeps_its_message(self):
+        scores = [[1.0], [2.0]]
+        with pytest.raises(DomainError, match="^offsets must be integers, not float64$"):
+            SampleSet(("a", "b"), [0, True, 2.5], [True, 0], [0.0, 1.0], scores)
+        with pytest.raises(DomainError, match="^prompt id 'a' appears more than once$"):
+            SampleSet(("a", "a"), [0, 1, 2], [True, 0], [0.0, 1.0], scores)
+
+    def test_integer_arrays_are_not_scanned(self):
+        # the bool rule reads lists only: an integer array passes on its dtype
+        class Unscannable(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("an integer array was scanned")
+
+        offsets, actions = np.array([0, 1, 3]), np.array([1, 0, 1])
+        ss = SampleSet(("a", "b"), offsets.view(Unscannable), actions.view(Unscannable),
+                       [1.0, 0.0, 1.0], [[1.0], [2.0], [3.0]])
+        assert ss.actions.tolist() == [1, 0, 1] and ss.offsets.tolist() == [0, 1, 3]
+
+    @pytest.mark.parametrize(
         "actions,rewards,scores,message",
         [
             ([2, 0.7], [1, 0], [[1.0], ["1.5"]],
@@ -419,29 +455,35 @@ class TestStreams:
     # past SeedSequence's pool, and 4 + 2 both key words)
     EDGE_KEYS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 
+    @staticmethod
+    def key_stream(seed, key, n):
+        return np.random.default_rng(np.random.SeedSequence([seed, key])).random(n)
+
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5, 2**96 + 7])
     @pytest.mark.parametrize("key", EDGE_KEYS)
-    def test_edge_key_one_long_stream(self, monkeypatch, seed, key):
+    def test_edge_key_one_long_stream(self, seed, key):
         # the kernel itself: _uniform_draws reads so short a batch from prompt_rng
-        monkeypatch.setattr(mc, "_stream_key", lambda pid: key)
         got = np.empty((1, 1000))
-        mc._pcg64_doubles(mc._pcg64_seeds(seed, ("p",)), got)
-        assert_same_bits(got[0], prompt_rng(seed, "p").random(1000))
+        mc._pcg64_doubles(mc._pcg64_seeds(seed, np.array([key], dtype=np.uint64)), got)
+        assert_same_bits(got[0], self.key_stream(seed, key, 1000))
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5, 2**96 + 7])
-    def test_edge_keys_many_short_streams(self, monkeypatch, seed):
+    def test_edge_keys_many_short_streams(self, seed):
         # one- and two-word keys interleave across the batch of one mix
-        monkeypatch.setattr(
-            mc, "_stream_key", lambda pid: self.EDGE_KEYS[int(pid) % len(self.EDGE_KEYS)]
-        )
-        ids = tuple(str(i) for i in range(1500))
-        got = mc._uniform_draws(seed, ids, 1)
-        for pid, row in zip(ids, got):
-            assert_same_bits(row, prompt_rng(seed, pid).random(1))
+        keys = [self.EDGE_KEYS[i % len(self.EDGE_KEYS)] for i in range(1500)]
+        got = np.empty((len(keys), 1))
+        mc._pcg64_doubles(mc._pcg64_seeds(seed, np.array(keys, dtype=np.uint64)), got)
+        for key, row in zip(keys, got):
+            assert_same_bits(row, self.key_stream(seed, key, 1))
 
     def test_edge_keys_through_sample_actions(self, monkeypatch):
+        # sample_actions reads the keys of its ids, the reference each id's key
+        def key(pid):
+            return self.EDGE_KEYS[int(pid) % len(self.EDGE_KEYS)]
+
+        monkeypatch.setattr(mc, "_stream_key", key)
         monkeypatch.setattr(
-            mc, "_stream_key", lambda pid: self.EDGE_KEYS[int(pid) % len(self.EDGE_KEYS)]
+            mc, "_stream_keys", lambda ids: np.array(list(map(key, ids)), dtype=np.uint64)
         )
         batch = sample_prompts(BanditConfig(seed=4), 12)
         theta = np.array([0.3, -0.7])
@@ -594,20 +636,10 @@ class TestStreamKernel:
         for pid, row in zip(ids, got):
             assert_same_bits(row, prompt_rng(9, pid).random(draws))
 
-    def test_key_cache_honours_patched_key(self, monkeypatch):
-        # as many prompts as draws, so the kernel reads the cached keys
-        ids = ("a", "b", "c")
-        real = mc._uniform_draws(5, ids, 3)  # caches the sha256 keys of ids
-        monkeypatch.setattr(mc, "_stream_key", lambda pid: 2**40 + ord(pid))
-        patched = mc._uniform_draws(5, ids, 3)
-        expected = [np.random.default_rng([5, 2**40 + ord(p)]).random(3) for p in ids]
-        assert_same_bits(patched, np.stack(expected))
-        assert not np.array_equal(real, patched)
-
     def test_cached_keys_are_shared_and_read_only(self):
         ids = ("a", "b")
-        keys = mc._stream_keys(ids, mc._stream_key)
-        assert mc._stream_keys(tuple(["a", "b"]), mc._stream_key) is keys
+        keys = mc._stream_keys(ids)
+        assert mc._stream_keys(tuple(["a", "b"])) is keys
         assert keys.tolist() == [mc._stream_key(p) for p in ids]
         with pytest.raises(ValueError):
             keys[0] = 1

@@ -49,8 +49,8 @@ from .serialization import fmt, line_error, read_lines, write_json
 
 def _read_config(path) -> dict:
     """Flat key = value lines of UTF-8 text; '#' starts a comment; dashes
-    equal underscores."""
-    out = {}
+    equal underscores; a key may appear once."""
+    out, first_line = {}, {}
     for lineno, line in read_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -61,6 +61,9 @@ def _read_config(path) -> dict:
         key = key.strip().replace("-", "_")
         if not any(key in spec for _, _, spec, _ in COMMANDS.values()):
             raise line_error(path, lineno, f"no command takes config key {key!r}")
+        if key in first_line:
+            raise line_error(path, lineno, f"config key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         out[key] = value.strip()
     return out
 

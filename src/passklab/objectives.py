@@ -62,12 +62,15 @@ def _shown(value) -> str:
 
 
 def _real(name: str, value) -> float:
-    """value as a float: text, null, true/false and anything else that is not
-    a real number (numpy's are) are refused."""
+    """value as a float: text, null, true/false, an int past the float range
+    and anything else that is not a real number (numpy's are) are refused."""
     if not _is_real(value):
         got = "true/false" if isinstance(value, bool) else _shown(value)
         raise DomainError(f"{name} must be a number, not {got}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise DomainError(f"bad {name} ({exc})") from exc
 
 
 def _column(name: str, convert, *args):

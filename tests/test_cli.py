@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -545,6 +546,16 @@ class TestUsageErrorsExitTwo:
             f"line 2: no command takes config key '{key}'",
         )
 
+    @pytest.mark.parametrize(
+        "text,key,line", [("k = 3\nk = 7", "k", 2), ("k-max = 3\n#\nk_max = 7", "k_max", 3)]
+    )
+    def test_repeated_config_key(self, tmp_path, capsys, text, key, line):
+        # the last value was taken without a word; dashes equal underscores
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text(text + "\n")
+        needle = f"dup.cfg: line {line}: config key '{key}' repeats line 1"
+        self.assert_one_line_error(["--config", str(cfg), "kstar"], capsys, needle)
+
     def test_non_numeric_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = five\n")
@@ -756,13 +767,15 @@ class TestUsageErrorsExitTwo:
 
 class TestPinnedOutputs:
     """Every line of tools/cli_digests.py, byte for byte: the 15 files and
-    stdouts and 7 --help texts of its RUNS, and the 12 arrays of its SAMPLES
-    (sample_actions at three shapes), from one child per SIMD level."""
+    stdouts and 7 --help texts of its RUNS, the 12 arrays of its SAMPLES
+    (sample_actions at three shapes) and its 2 library lines, from one child
+    per environment of its ENVIRONMENTS (two SIMD levels, and the top one
+    under each OpenBLAS setting)."""
 
     # "<label>: <output>": sha256, recorded with numpy 2.4 and Python 3.11.
     # numpy's exp and log bits differ when X86_V4 (AVX-512) is not dispatched,
-    # so those of 11 outputs are pinned at both levels; a host without X86_V4
-    # checks the lower level only, and says so.
+    # so those of 13 outputs are pinned at both levels; a host without X86_V4
+    # checks the lower level and its OpenBLAS settings only, and says so.
     X86_V4 = {
         "trajectory: stdout":
             "5d04365aa62b352de6ae8c212e571289297d96bcec6f0436a13b803b33bedefd",
@@ -832,6 +845,10 @@ class TestPinnedOutputs:
             "ba75a116d7372cd0bee174f277532507d7145e76da9acd7478d000fb0c5dd1f1",
         "sample_actions 16389 x 64: offsets":
             "32847375621369fde4d3f81679a72414916d076902ce248a8216ee040e03439c",
+        "conflict_report 700 x 64, k = 7: routes and grad_k":
+            "23bed1f8a12830885db690ba9132e28bf4d6ee11b4a0b8ec46074728cc19303a",
+        "_success_and_grad 600 prompts: p and grads":
+            "a3faf2ff7013ecc2edc6c3765ce04e283336324f19af124b2094260c0954b7f0",
     }
     LOWER = dict(
         X86_V4,
@@ -858,30 +875,35 @@ class TestPinnedOutputs:
                 "94da53d52346d59909407793c022071e181e7f98dc6593904a279d6a5e696ee0",
             "sample_actions 16389 x 64: scores":
                 "4dd0377988a2010e5ed1657d98423d708fce3fedafb3ce7dfe5de28867de46f4",
+            "conflict_report 700 x 64, k = 7: routes and grad_k":
+                "5cfaf36560efa9cc8ff52add000ad2580bbb9dd6ed77a1dcae08459f028e2121",
+            "_success_and_grad 600 prompts: p and grads":
+                "e45a56424462efcdccfa9df88617dadbc418f8d1b796cf465064ad26db384efa",
         },
     )
-    DISABLE_X86_V4 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
-    def test_outputs_are_pinned(self, tmp_path):
+    def test_outputs_are_pinned(self):
         path = Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"
         spec = importlib.util.spec_from_file_location("cli_digests", path)
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
-        if __cpu_features__.get("X86_V4"):
-            levels = {
-                "X86_V4": (self.X86_V4, {}),
-                "lower": (self.LOWER, self.DISABLE_X86_V4),
-            }
-        else:
-            print("no X86_V4 on this host: the lower level's digests only are checked")
-            levels = {"lower": (self.LOWER, {})}
-        for level, (pinned, env) in levels.items():
-            (tmp_path / level).mkdir()
-            lines = tool.child_lines(tmp_path / level, env, samples=True)
+        # this process's level is the host's top one as long as the suite runs
+        # without NPY_DISABLE_CPU_FEATURES, which the children drop
+        has_v4 = bool(__cpu_features__.get("X86_V4"))
+        if not has_v4:
+            print("no X86_V4 on this host: the lower level and its OpenBLAS settings are checked")
+        # without X86_V4 the lower level is the top one, so it runs once
+        envs = {label: settings for label, settings in tool.ENVIRONMENTS.items()
+                if has_v4 or "NPY_DISABLE_CPU_FEATURES" not in settings}
+        with ThreadPoolExecutor(2) as pool:  # two children at a time
+            runs = dict(zip(envs, pool.map(tool.child_lines, envs.values())))
+        for label, lines in runs.items():
+            lower = not has_v4 or "NPY_DISABLE_CPU_FEATURES" in envs[label]
+            pinned = self.LOWER if lower else self.X86_V4
             digests = dict(line.split("  ", 1)[::-1] for line in lines)
-            assert len(lines) == len(tool.RUNS) + 8 + 4 * len(tool.SAMPLES) == 34
+            assert len(lines) == len(pinned) == 36
             differ = [name for name in pinned if digests.get(name) != pinned[name]]
-            assert digests.keys() == pinned.keys() and not differ, (level, differ)
+            assert digests.keys() == pinned.keys() and not differ, (label, differ)
 
 
 class TestConsoleScript:
@@ -894,75 +916,3 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("k_star")
-
-
-# Each BLAS setting is set on the child only; the outputs must not move.
-BLAS_SETTINGS = [{}, {"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_NUM_THREADS": "1"}]
-BLAS_CHILD = """
-import sys
-from passklab.cli import main
-out = sys.argv[1]
-for argv in (
-    ["toy-demo", "--out", out + "/toy"],
-    ["trajectory", "--steps", "30", "--n", "1000", "--out", out + "/trajectory"],
-    ["heatmap", "--n", "1000", "--subsample", "50", "--out", out + "/heatmap"],
-    ["synth-log", "--n", "600", "--d", "64", "--out", out + "/log.jsonl"],
-    ["diagnose", "--input", out + "/log.jsonl", "--out", out + "/diagnose"],
-):
-    if main(argv) != 0:
-        sys.exit(f"{argv} failed")
-"""
-
-
-# Library calls outside the CLI commands; the child prints each result's hex.
-BLAS_LIBRARY_CHILD = """
-import numpy as np
-from passklab import BanditConfig, GradientTable, SuccessProfile, conflict_report
-from passklab import sample_prompts
-from passklab.bandit import _success_and_grad
-rng = np.random.default_rng(5)
-table = GradientTable.uniform(rng.normal(size=(700, 64)))
-profile = SuccessProfile.uniform(rng.random(700))
-r = conflict_report(table, profile, 7)
-print(r.inner_product.hex(), r.weighted_form.hex(), r.cov_form.hex())
-print(r.grad_k.tobytes().hex())
-batch = sample_prompts(BanditConfig(), 600)
-p, grads = _success_and_grad(np.array([-1.2, -2.9]), batch)  # one policy evaluation
-print(p.tobytes().hex(), grads.tobytes().hex())
-"""
-
-
-def run_blas_child(code, setting, *args):
-    """Run code in a child with only the given OPENBLAS_* setting."""
-    base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        capture_output=True,
-        text=True,
-        env={**base, "PYTHONPATH": PACKAGE_ROOT, **setting},
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-class TestBlasIndependence:
-    def test_library_results_do_not_depend_on_the_blas_core(self):
-        results = [run_blas_child(BLAS_LIBRARY_CHILD, s) for s in BLAS_SETTINGS]
-        for setting, result in zip(BLAS_SETTINGS[1:], results[1:]):
-            assert result == results[0], setting
-
-    def test_outputs_do_not_depend_on_the_blas_core(self, tmp_path):
-        outputs = []
-        for i, setting in enumerate(BLAS_SETTINGS):
-            out = tmp_path / str(i)
-            run_blas_child(BLAS_CHILD, setting, str(out))
-            outputs.append({
-                str(path.relative_to(out)): path.read_bytes()
-                for path in sorted(out.rglob("*"))
-                if path.is_file() and path.name != "manifest.json"
-            })
-        assert len(outputs[0]) == 7  # 1 + 1 + 1 + the log + 3 diagnose files
-        for setting, files in zip(BLAS_SETTINGS[1:], outputs[1:]):
-            assert files.keys() == outputs[0].keys()
-            differ = [name for name in files if files[name] != outputs[0][name]]
-            assert not differ, f"{setting} changes {differ}"

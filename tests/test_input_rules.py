@@ -235,3 +235,19 @@ def test_numpy_scalars_stay_numbers(value):
     assert FilterSpec(0.85, value * 0.1).delta2 == value * 0.1
     assert fk(value, 3) == fk(float(value), 3)
     assert math.isfinite(delta_bound(1e-6, 1.0, 1.0, value))
+
+
+# an int past the float range escaped float() as a bare OverflowError
+PAST_THE_FLOAT_RANGE = SCALARS + [
+    ("pass1", lambda v: GradLogRecord("a", v, [1.0])),
+    ("mass", lambda v: GradLogRecord("a", 0.5, [1.0], mass=v)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,call", PAST_THE_FLOAT_RANGE,
+    ids=[f"{i}-{name}" for i, (name, _) in enumerate(PAST_THE_FLOAT_RANGE)],
+)
+def test_scalar_past_the_float_range(name, call):
+    with pytest.raises(DomainError, match=rf"^bad {name} \(int too large to convert to float\)$"):
+        call(10**400)

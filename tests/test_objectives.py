@@ -33,6 +33,7 @@ from passklab.interference import GradientTable
 from passklab.objectives import (
     EXTRACT_PASSES,
     MAX_K,
+    check_mass,
     fk_array,
     ordered_dot,
     weighted_row_sum,
@@ -168,6 +169,17 @@ class TestSuccessProfile:
         # used to escape as OverflowError from the exact sum
         with pytest.raises(DomainError, match="mass must sum to 1 within 1e-12"):
             SuccessProfile(probs=[0.5, 0.5], mass=[1e308, 1e308], ids=("a", "b"))
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: SuccessProfile([0.5, 0.5], [1.5, -0.5], ("a", "b")),
+         lambda: check_mass(np.array([np.nan, 1.0]))],
+        ids=["negative", "nan"],
+    )
+    def test_mass_entries_must_be_finite_and_nonnegative(self, call):
+        # no test reached this message: SuccessProfile refuses a nan first
+        with pytest.raises(DomainError, match="^mass entries must be finite and nonnegative$"):
+            call()
 
     def test_repeated_id_refused(self):
         # this built, and a report over it had rows that no id named.  Ids

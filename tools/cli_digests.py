@@ -1,20 +1,20 @@
-"""Print the sha256 of what a fixed set of CLI invocations writes.
+"""Print the sha256 of what a fixed set of CLI invocations writes, in each
+environment of ENVIRONMENTS.
 
     python3 tools/cli_digests.py
 
-Run from anywhere: one child process imports passklab from this checkout's
-src/ and runs each invocation of RUNS in turn, in a temporary directory,
-with output paths relative to it.  Each line is "<sha256>  <output>", where
-output names the invocation and the file it wrote, or its stdout; the --help
-text of passklab and of each command is hashed too, wrapped at a fixed
-COLUMNS so that it reads the same on every terminal.  No CLI command reads
-mc streams, so the last lines hash the arrays of sample_actions, at the 6000
-prompts x 64 draws the benchmark's mc workload samples, at 6000 x 256, and
-at 16389 x 64, which is mc.LANES + 5 prompts: two passes of the kernel.
-Nothing is asserted here: the digests depend on numpy's SIMD level, so
-compare the lines of two checkouts on one host, say before and after a
-change that is meant to keep every bit.  tests/test_cli.py pins every
-line, those of RUNS and of SAMPLES, at two SIMD levels through child_lines.
+Run from anywhere: per environment, one child process imports passklab from
+this checkout's src/ and runs each invocation of RUNS in turn, in a
+temporary directory.  Each line is "<sha256>  <output>", where output names
+the invocation and the file it wrote, or its stdout; --help texts are
+wrapped at a fixed COLUMNS.  No CLI command reads mc streams, so the SAMPLES
+lines hash sample_actions' arrays: at the benchmark mc workload's 6000 x 64,
+at 6000 x 256, and at 16389 x 64 (mc.LANES + 5 prompts: two kernel passes).
+The last two lines hash library results that no command writes:
+conflict_report's three routes and grad_k, and one policy evaluation.  The
+digests depend on numpy's SIMD level, so compare the lines of two checkouts
+on one host.  tests/test_cli.py pins every line in every environment, and
+after a change that is meant to move bits, this command prints the new pins.
 """
 
 import contextlib
@@ -58,9 +58,19 @@ RUNS += [(f"{name} --help", [name, "--help"], []) for name in COMMANDS]
 # as a number so that checkouts with another LANES hash the same shape
 SAMPLES = [(6000, 64), (6000, 256), (16389, 64)]
 
+# label: settings of each child's environment, which starts from os.environ
+# less every OPENBLAS_* and NPY_DISABLE_CPU_FEATURES; the top level is the
+# highest SIMD level numpy dispatches on the host, the lower one lacks X86_V4
+ENVIRONMENTS = {
+    "top level": {},
+    "lower level": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "top level, OPENBLAS_CORETYPE=Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "top level, OPENBLAS_NUM_THREADS=1": {"OPENBLAS_NUM_THREADS": "1"},
+}
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+
+def _line(label: str, data: bytes) -> str:
+    return f"{hashlib.sha256(data).hexdigest()}  {label}"
 
 
 def _run_lines() -> list:
@@ -77,42 +87,57 @@ def _run_lines() -> list:
                 code = exc.code
         if code:
             raise RuntimeError(f"{label} exited {code}")
-        lines.append(f"{_sha256(stdout.getvalue().encode())}  {label}: stdout")
-        lines += [f"{_sha256(Path(name).read_bytes())}  {label}: {name}" for name in files]
+        lines.append(_line(f"{label}: stdout", stdout.getvalue().encode()))
+        lines += [_line(f"{label}: {name}", Path(name).read_bytes()) for name in files]
     return lines
 
 
-def _sample_lines() -> list:
-    """The lines of SAMPLES: sample_actions' arrays at each shape."""
-    from passklab import BanditConfig, reference_theta, sample_actions, sample_prompts
+def _library_lines() -> list:
+    """The lines of SAMPLES, sample_actions' arrays at each shape; then of
+    conflict_report's three routes and grad_k over a seeded 700 x 64 uniform
+    table at k = 7, and of the policy's p and grads on 600 prompts."""
+    import numpy as np
+    from passklab import BanditConfig, GradientTable, SuccessProfile, conflict_report
+    from passklab import reference_theta, sample_actions, sample_prompts
+    from passklab.bandit import _success_and_grad
 
     lines = []
     for p, n in SAMPLES:
         batch = sample_prompts(BanditConfig(seed=0), p)
         ss = sample_actions(reference_theta(), batch, n, 0)
         for name in ("actions", "rewards", "scores", "offsets"):
-            digest = _sha256(getattr(ss, name).tobytes())
-            lines.append(f"{digest}  sample_actions {p} x {n}: {name}")
-    return lines
+            lines.append(_line(f"sample_actions {p} x {n}: {name}", getattr(ss, name).tobytes()))
+    rng = np.random.default_rng(5)
+    table = GradientTable.uniform(rng.normal(size=(700, 64)))
+    r = conflict_report(table, SuccessProfile.uniform(rng.random(700)), 7)
+    out = np.array([r.inner_product, r.weighted_form, r.cov_form, *r.grad_k]).tobytes()
+    lines.append(_line("conflict_report 700 x 64, k = 7: routes and grad_k", out))
+    p, grads = _success_and_grad(np.array([-1.2, -2.9]), sample_prompts(BanditConfig(), 600))
+    out = p.tobytes() + grads.tobytes()
+    return lines + [_line("_success_and_grad 600 prompts: p and grads", out)]
 
 
-def child_lines(cwd, env=None, samples=False) -> list:
-    """The lines of one child process run in cwd, with os.environ plus env:
-    those of RUNS, then with samples those of SAMPLES."""
-    run = subprocess.run(
-        [sys.executable, __file__, "--child", *(["--samples"] if samples else [])],
-        cwd=cwd, capture_output=True, check=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80", **(env or {})),
-    )
+def child_lines(settings) -> list:
+    """The lines of one child process, run in a temporary directory in the
+    environment with these settings."""
+    drop = ("OPENBLAS_", "NPY_DISABLE_CPU_FEATURES")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(drop)}
+    with tempfile.TemporaryDirectory() as tmp:
+        run = subprocess.run(
+            [sys.executable, __file__, "--child"],
+            cwd=tmp, capture_output=True, check=True, text=True,
+            env=dict(env, PYTHONPATH=str(SRC), COLUMNS="80", **settings),
+        )
     return run.stdout.splitlines()
 
 
 def main(argv) -> int:
-    if argv[:1] == ["--child"]:
-        lines = _run_lines() + (_sample_lines() if "--samples" in argv else [])
+    if argv == ["--child"]:
+        lines = _run_lines() + _library_lines()
     else:
-        with tempfile.TemporaryDirectory() as tmp:
-            lines = child_lines(tmp, samples=True)
+        lines = []
+        for label, settings in ENVIRONMENTS.items():
+            lines += [f"# {label}", *child_lines(settings)]
     print("\n".join(lines))
     return 0
 

@@ -242,12 +242,25 @@ def ordered_dot(a, b) -> float:
     sigma = sigma' / 2**M for sigma' = 2**(M - 53) sigma: as in AccSum,
     each next pass takes that sigma' (at least 2**-1022) without a look
     at x', and the bound's equality case needs nothing looser.  The first
-    sigma is 2**M times the power of two above max|x|.  fsum then rounds
-    the pass sums plus the few nonzero remainders.  x' is tested for zero
-    from pass 2 on: 1,779 of 1,781 calls in a full run of each benchmark
-    workload take two passes or more, and a pass over zeros adds zeros.
-    Empty, all-zero (fsum picks the sign of zero), non-finite and huge
-    (>= 2**960, where sigma could overflow) products go to fsum whole.
+    sigma is 2**M times the power of two above max|x|.
+
+    Pass 1 then tries AccSum's stop.  head = sum(q) is exact, and tail =
+    fl(sum(x')), in any order, is within gamma_(n-1) n 2**-53 sigma <= B =
+    2**(2M - 105) sigma of the exact sum of the x' for n <= 2**52 (Higham
+    2002, ch. 4).  Underflow keeps B: an x' below 2**-1074 is 0, a sum below
+    2**-1021 is exact, and a B that ldexp rounds below 2**-1074 bounds an
+    error that is a multiple of 2**-1074, so 0.  TwoSum gives head + tail =
+    r + e exactly, so the exact sum is r + e + d with |d| <= B.  Let g be
+    r's half-gap on e's side: ulp(r) / 2, halved when r is a power of two
+    and e points toward zero.  If |e| + 2B < g, fsum returns r: the sum is
+    within |e| + B < g of r on e's side and B < g / 2 <= ulp(r) / 4 on the
+    other, so not on a tie either.  |e| and 2B are exact, g is exact or
+    rounded down (to 0 for r = 0 and subnormal r), and rounding is
+    monotone, so the float test implies the real one.  Otherwise the passes
+    go on, x' is tested for zero from pass 2 on, and fsum rounds the pass
+    sums plus the few nonzero remainders.  Empty, all-zero (fsum picks the
+    sign of zero), non-finite and huge (>= 2**960, where sigma could
+    overflow) products go to fsum whole.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -265,7 +278,16 @@ def ordered_dot(a, b) -> float:
         q -= sigma
         x -= q
         parts.append(float(np.add.reduce(q)))
-        if i and not x.any():
+        if i == 0:  # TwoSum: head + tail = r + e exactly
+            head, tail = parts[0], float(np.add.reduce(x))
+            r = head + tail
+            t = r - head
+            e = (head - (r - t)) + (tail - t)
+            below = abs(math.frexp(r)[0]) == 0.5 and e and (e < 0) != (r < 0)
+            gap = math.ulp(r) / (4 if below else 2)  # r's half-gap on e's side
+            if abs(e) + math.ldexp(sigma, 2 * shift - 104) < gap:
+                return r
+        elif not x.any():
             return math.fsum(parts)
         sigma = max(math.ldexp(sigma, shift - 53), 2.0**-1022)
     return math.fsum(parts + x[x != 0].tolist())

@@ -12,11 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # numpy < 2
-    from numpy.core._multiarray_umath import __cpu_features__
-
 import passklab
 from passklab.cli import main
 from passklab.objectives import MAX_K
@@ -770,12 +765,13 @@ class TestPinnedOutputs:
     stdouts and 7 --help texts of its RUNS, the 12 arrays of its SAMPLES
     (sample_actions at three shapes) and its 2 library lines, from one child
     per environment of its ENVIRONMENTS (two SIMD levels, and the top one
-    under each OpenBLAS setting)."""
+    under each OpenBLAS setting), each against the set of the level that the
+    child's last line says it dispatched."""
 
     # "<label>: <output>": sha256, recorded with numpy 2.4 and Python 3.11.
     # numpy's exp and log bits differ when X86_V4 (AVX-512) is not dispatched,
-    # so those of 13 outputs are pinned at both levels; a host without X86_V4
-    # checks the lower level and its OpenBLAS settings only, and says so.
+    # so those of 13 outputs are pinned at both levels; on a host without
+    # X86_V4 every child checks the lower set, and the test says so.
     X86_V4 = {
         "trajectory: stdout":
             "5d04365aa62b352de6ae8c212e571289297d96bcec6f0436a13b803b33bedefd",
@@ -887,19 +883,17 @@ class TestPinnedOutputs:
         spec = importlib.util.spec_from_file_location("cli_digests", path)
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
-        # this process's level is the host's top one as long as the suite runs
-        # without NPY_DISABLE_CPU_FEATURES, which the children drop
-        has_v4 = bool(__cpu_features__.get("X86_V4"))
-        if not has_v4:
-            print("no X86_V4 on this host: the lower level and its OpenBLAS settings are checked")
-        # without X86_V4 the lower level is the top one, so it runs once
-        envs = {label: settings for label, settings in tool.ENVIRONMENTS.items()
-                if has_v4 or "NPY_DISABLE_CPU_FEATURES" not in settings}
+        envs = tool.ENVIRONMENTS
         with ThreadPoolExecutor(2) as pool:  # two children at a time
             runs = dict(zip(envs, pool.map(tool.child_lines, envs.values())))
+        # each child's own level: this process's may differ, since the
+        # children drop NPY_DISABLE_CPU_FEATURES from the suite's environment
+        levels = {label: lines.pop() for label, lines in runs.items()}
+        assert levels["lower level"] == "X86_V4: not dispatched"
+        if "X86_V4: dispatched" not in levels.values():
+            print("no X86_V4 on this host: every environment is checked against the lower set")
         for label, lines in runs.items():
-            lower = not has_v4 or "NPY_DISABLE_CPU_FEATURES" in envs[label]
-            pinned = self.LOWER if lower else self.X86_V4
+            pinned = self.X86_V4 if levels[label] == "X86_V4: dispatched" else self.LOWER
             digests = dict(line.split("  ", 1)[::-1] for line in lines)
             assert len(lines) == len(pinned) == 36
             differ = [name for name in pinned if digests.get(name) != pinned[name]]

@@ -18,7 +18,7 @@ SMALL = {
     "io": (1, {"shapes": [[20, 4]], "repeats": 2}),
 }
 ROWS = {
-    "step": ["policy", "split", "objectives", "table", "report", "step"],
+    "step": ["policy", "split", "objectives", "table", "report", "step", "dots"],
     "mc": ["step 0 ms", "step 0 faults", "step 1 ms", "step 1 faults"],
     "io": [
         f"20x4 {name}"

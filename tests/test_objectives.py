@@ -27,7 +27,9 @@ from passklab import (
     unbiased_pass_at_k,
     wk,
 )
-from passklab import objectives
+from passklab import (
+    BanditConfig, conflict, objectives, optimizer, reference_theta, sample_prompts
+)
 from passklab.conflict import assemble_passk_gradient, conflict_report
 from passklab.interference import GradientTable
 from passklab.objectives import (
@@ -241,6 +243,15 @@ def fuzz_family(rng, family: int, n: int):
     return a, b
 
 
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """What objectives hands to math.fsum while the test runs, one list a call."""
+    calls = []
+    fsum = lambda v: calls.append(list(v)) or math.fsum(v)  # noqa: E731
+    monkeypatch.setattr(objectives, "math", types.SimpleNamespace(**{**vars(math), "fsum": fsum}))
+    return calls
+
+
 class TestReductionPrimitives:
     def test_ordered_dot_is_the_correctly_rounded_sum(self):
         # summed left to right, 1e16 + 1 rounds back to 1e16 and the 1 is lost
@@ -355,9 +366,9 @@ class TestReductionPrimitives:
     @pytest.mark.parametrize(
         "case", ["integers", "bits-times-powers-of-two", "one-element", "signed-zeros"]
     )
-    def test_ordered_dot_on_a_remainder_zero_after_one_pass(self, monkeypatch, case):
+    def test_ordered_dot_on_a_remainder_zero_after_one_pass(self, fsum_calls, case):
         # Every product is a multiple of pass 1's resolution, so pass 1 takes
-        # all of it; the second pass then finds the remainder zero and adds 0.
+        # all of it: tail = e = 0, and the certificate returns head unrounded.
         rng = np.random.default_rng(len(case))
         a, b = {
             "integers": (rng.integers(-1000, 1000, 50), rng.integers(-1000, 1000, 50)),
@@ -368,16 +379,80 @@ class TestReductionPrimitives:
             "signed-zeros": ([0.0, -0.0, 2.5, -0.0, 0.0], [1.0, 1.0, -3.0, -1.0, 7.0]),
         }[case]
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        rounded = []
-        fsum = types.SimpleNamespace(
-            **{**vars(math), "fsum": lambda v: rounded.append(list(v)) or math.fsum(v)}
-        )
-        with monkeypatch.context() as patch:
-            patch.setattr(objectives, "math", fsum)
-            got = ordered_dot(a, b)
-        want = math.fsum((a * b).tolist())
+        got, want = ordered_dot(a, b), math.fsum((a * b).tolist())
         assert got.hex() == want.hex() != 0.0.hex()
-        assert rounded == [[want, 0.0]]
+        assert fsum_calls == []
+
+    # With top 1, pass 1 runs at sigma = 2**(M + 1), so 2B = 2**(3M - 103):
+    # 2**-97 at n = 2.  Each tail lies below pass 1's resolution, so its x'
+    # is the tail itself.
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # e within 2B of the half-gap 2**-53, and |e| + 2B on it
+            [1.0, 2.0**-53 - 2.0**-98],
+            [1.0, 2.0**-53 - 2.0**-97],
+            # in this order, five tails of 2**-108, each lost to numpy's running
+            # sum after A = 2**-53 - 2**-106 (ulp 2**-106), lift the exact sum
+            # past the tie that head + tail stays below; only 2B holds it back
+            [1.0, 2.0**-53 - 2.0**-106, *[2.0**-108] * 5],
+            # r = +-1, a power of two: e = 2**-53 away from zero is the tie
+            # itself, broken by the lost 2**-120 either way; e = 2**-54 toward
+            # zero is the half-gap below, which ulp(r) / 2 would overstate
+            [1.0, 2.0**-53, 2.0**-120],
+            [1.0, 2.0**-53, -(2.0**-120)],
+            [1.0, -(2.0**-54), -(2.0**-120)],
+            [-1.0, 2.0**-54, 2.0**-120],
+            # head and tail cancel to r = 0
+            [1.5, -1.5, 2.0**-60, -(2.0**-60)],
+            # sigma at the 2**-1022 floor: x' = 0, and r's half-gap rounds to 0
+            [3 * 5e-324, -5e-324, 7 * 5e-324],
+        ],
+    )
+    def test_ordered_dot_falls_back_where_pass_one_cannot_certify(self, fsum_calls, values):
+        for a in (values, values[::-1]):
+            a = np.array(a)
+            got, want = ordered_dot(a, np.ones(a.size)), math.fsum(a.tolist())
+            assert got.hex() == want.hex()
+            assert len(fsum_calls) == 1
+            fsum_calls.clear()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 2.0**-53 - 2.0**-93],  # |e| + 2B = 2**-53 - 2**-93 + 2**-97
+            [1.0, -(2.0**-54 - 2.0**-93)],  # toward zero, inside the halved gap
+            [1.0, 2.0**-60, -(2.0**-70)],
+        ],
+    )
+    def test_ordered_dot_stops_after_pass_one_inside_the_certificate(self, fsum_calls, values):
+        a = np.array(values)
+        got, want = ordered_dot(a, np.ones(a.size)), math.fsum(values)
+        assert got.hex() == want.hex() and fsum_calls == []
+
+    def test_every_dot_over_prompts_of_a_trajectory_step_stops_after_pass_one(
+        self, fsum_calls, monkeypatch
+    ):
+        # The 16 expectations of step 0 of `passklab trajectory` at its
+        # defaults: 14 over the batch's prompts, each of which must stop
+        # after pass 1.  The other two are over the d = 2 entries of the
+        # gradients, whose two products can put head + tail on a tie, which
+        # the certificate never takes: step 0's ||mean grad||^2 does.
+        batch = sample_prompts(BanditConfig(), 6000)
+        fell_back = []  # the size of each call, and whether it reached fsum
+
+        def dot(a, b):
+            before = len(fsum_calls)
+            value = ordered_dot(a, b)
+            fell_back.append((a.size, len(fsum_calls) > before))
+            return value
+
+        for module in (optimizer, conflict):
+            monkeypatch.setattr(module, "ordered_dot", dot)
+        optimizer.evaluate_state(reference_theta(), batch, 5)
+        assert len(fell_back) == 16
+        assert sum(size > 2 for size, _ in fell_back) == 14
+        assert [size for size, fell in fell_back if fell and size > 2] == []
 
     @pytest.mark.parametrize(
         "values",

@@ -10,11 +10,13 @@ the invocation and the file it wrote, or its stdout; --help texts are
 wrapped at a fixed COLUMNS.  No CLI command reads mc streams, so the SAMPLES
 lines hash sample_actions' arrays: at the benchmark mc workload's 6000 x 64,
 at 6000 x 256, and at 16389 x 64 (mc.LANES + 5 prompts: two kernel passes).
-The last two lines hash library results that no command writes:
-conflict_report's three routes and grad_k, and one policy evaluation.  The
-digests depend on numpy's SIMD level, so compare the lines of two checkouts
-on one host.  tests/test_cli.py pins every line in every environment, and
-after a change that is meant to move bits, this command prints the new pins.
+Two lines hash library results that no command writes: conflict_report's
+three routes and grad_k, and one policy evaluation.  The digests depend on
+numpy's SIMD level, so compare the lines of two checkouts on one host; the
+last line of a child says whether it dispatched X86_V4, which decides the
+pinned set that its digests belong to.  tests/test_cli.py pins every line in
+every environment, and after a change that is meant to move bits, this
+command prints the new pins.
 """
 
 import contextlib
@@ -117,6 +119,15 @@ def _library_lines() -> list:
     return lines + [_line("_success_and_grad 600 prompts: p and grads", out)]
 
 
+def _level_line() -> str:
+    """Whether numpy dispatches X86_V4 (AVX-512) in this process."""
+    try:  # numpy 2 keeps its C core in numpy._core, numpy 1.x in numpy.core
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    return f"X86_V4: {'dispatched' if __cpu_features__.get('X86_V4') else 'not dispatched'}"
+
+
 def child_lines(settings) -> list:
     """The lines of one child process, run in a temporary directory in the
     environment with these settings."""
@@ -133,7 +144,7 @@ def child_lines(settings) -> list:
 
 def main(argv) -> int:
     if argv == ["--child"]:
-        lines = _run_lines() + _library_lines()
+        lines = _run_lines() + _library_lines() + [_level_line()]
     else:
         lines = []
         for label, settings in ENVIRONMENTS.items():

@@ -3,7 +3,9 @@
     python3 tools/layers.py PROBE [CHECKOUT ...] [--cpu N]
 
 step  a trajectory step's layers in us at the benchmark trajectory's first
-      steps; step is the whole evaluate_state, timed on its own
+      steps; step is the whole evaluate_state, timed on its own, and dots
+      the step's ordered_dot calls, captured untimed and replayed on the
+      step's own arrays
 mc    wall ms and minor page faults of each step of the benchmark's mc loop in
       a fresh process; step 0 pays whatever a first call pays
 io    the sample file round trip: export and import ms, file MB and tracemalloc
@@ -39,13 +41,37 @@ PROBES = {
 CHILD = "import sys, layers; layers.child(*sys.argv[1:])"  # probe, CPU, sizes
 
 
+def step_dots(theta, batch, k) -> list:
+    """The arguments of each ordered_dot call of one evaluate_state, as copies."""
+    import numpy as np
+    from passklab import objectives, optimizer
+    dot, calls = objectives.ordered_dot, []
+    callers = [m for name, m in sys.modules.items()
+               if name.startswith("passklab.") and getattr(m, "ordered_dot", None) is dot]
+
+    def record(a, b):
+        calls.append((np.array(a, dtype=float), np.array(b, dtype=float)))
+        return dot(a, b)
+
+    for module in callers:
+        module.ordered_dot = record
+    try:
+        optimizer.evaluate_state(theta, batch, k)
+    finally:
+        for module in callers:
+            module.ordered_dot = dot
+    return calls
+
+
 def step(prompts, k, steps, passes) -> dict:
     from passklab import (BanditConfig, GradientTable, SuccessProfile, conflict_report,
                           optimizer, run_trajectory, sample_prompts)
     from passklab.bandit import _success_and_grad
+    from passklab.objectives import ordered_dot
     batch = sample_prompts(BanditConfig(seed=0), prompts)
     thetas = [r.theta for r in run_trajectory(k=k, steps=steps, batch=batch)[:steps]]
-    rows = {name: [] for name in ("policy", "split", "objectives", "table", "report", "step")}
+    names = ("policy", "split", "objectives", "table", "report", "step", "dots")
+    rows = {name: [] for name in names}
     for theta in thetas * passes:
         t0 = clock()
         p, grads = _success_and_grad(theta, batch)
@@ -61,8 +87,13 @@ def step(prompts, k, steps, passes) -> dict:
         t5 = clock()
         optimizer.evaluate_state(theta, batch, k)
         marks = (t0, t1, t2, t3, t4, t5, clock())
-        for values, start, end in zip(rows.values(), marks, marks[1:]):
+        for values, start, end in zip(rows.values(), marks, marks[1:]):  # all but dots
             values.append((end - start) * 1e6)
+        dots = step_dots(theta, batch, k)
+        start = clock()
+        for a, b in dots:
+            ordered_dot(a, b)
+        rows["dots"].append((clock() - start) * 1e6)
     return rows
 
 
